@@ -6,6 +6,8 @@
 
 #include "circuit/Graph.h"
 
+#include "support/Hash.h"
+
 #include <cassert>
 
 using namespace psketch;
@@ -58,19 +60,37 @@ NodeRef Graph::mkAndRaw(NodeRef A, NodeRef B) {
     std::swap(A, B);
   uint64_t Key = (static_cast<uint64_t>(static_cast<uint32_t>(A.code())) << 32) |
                  static_cast<uint32_t>(B.code());
-  std::vector<uint32_t> &Bucket = StructuralHash[Key];
-  for (uint32_t Index : Bucket) {
-    const Node &N = Nodes[Index];
-    if (N.A == A && N.B == B)
-      return NodeRef::make(Index, false);
+  if (2 * (NumHashed + 1) > StructuralHash.size())
+    growStructuralHash();
+  size_t Mask = StructuralHash.size() - 1;
+  size_t Slot = mix64(Key) & Mask;
+  while (StructuralHash[Slot].Node != 0) {
+    if (StructuralHash[Slot].Key == Key)
+      return NodeRef::make(StructuralHash[Slot].Node, false);
+    Slot = (Slot + 1) & Mask;
   }
   Node N;
   N.A = A;
   N.B = B;
   uint32_t Index = static_cast<uint32_t>(Nodes.size());
   Nodes.push_back(N);
-  Bucket.push_back(Index);
+  StructuralHash[Slot] = HashSlot{Key, Index};
+  ++NumHashed;
   return NodeRef::make(Index, false);
+}
+
+void Graph::growStructuralHash() {
+  std::vector<HashSlot> Old = std::move(StructuralHash);
+  StructuralHash.assign(Old.empty() ? 1024 : 2 * Old.size(), HashSlot());
+  size_t Mask = StructuralHash.size() - 1;
+  for (const HashSlot &S : Old) {
+    if (S.Node == 0)
+      continue;
+    size_t Slot = mix64(S.Key) & Mask;
+    while (StructuralHash[Slot].Node != 0)
+      Slot = (Slot + 1) & Mask;
+    StructuralHash[Slot] = S;
+  }
 }
 
 NodeRef Graph::mkAnd(NodeRef A, NodeRef B) {

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace psketch {
@@ -135,9 +134,20 @@ private:
 
   std::vector<Node> Nodes;
   std::vector<std::string> InputNames;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> StructuralHash;
+
+  /// The structural hash: an open-addressing (linear probing) table from
+  /// the canonical operand pair (A.code() << 32 | B.code()) to the index
+  /// of its AND node. Node index 0 (the constant) marks an empty slot.
+  /// The capacity is a power of two, kept at most half full.
+  struct HashSlot {
+    uint64_t Key = 0;
+    uint32_t Node = 0;
+  };
+  std::vector<HashSlot> StructuralHash;
+  size_t NumHashed = 0;
 
   NodeRef mkAndRaw(NodeRef A, NodeRef B);
+  void growStructuralHash();
 };
 
 } // namespace circuit

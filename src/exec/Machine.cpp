@@ -21,6 +21,10 @@ using psketch::flat::MicroOp;
 using psketch::flat::Step;
 
 Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes)
+    : Machine(FP, Holes, MachineTuning()) {}
+
+Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes,
+                 const MachineTuning &Tuning)
     : FP(FP), P(*FP.Source), Holes(Holes) {
   // Flattened global layout.
   GlobalOffsets.reserve(P.globals().size());
@@ -89,47 +93,39 @@ Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes)
     }
   }
 
-  buildRelationTables();
-}
-
-Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes,
-                 const MachineTuning &Tuning)
-    : Machine(FP, Holes) {
   // Order matters: the heap partition widens the footprint universe, so
   // it runs before the lock annotations stamp per-bit protection masks,
-  // and the relation tables are rebuilt once over the final footprints.
-  bool Rewrote = false;
-  if (Tuning.Heap && !Tuning.Heap->empty()) {
+  // and the relation tables are built once over the final footprints.
+  if (Tuning.Heap && !Tuning.Heap->empty())
     applyHeapPartition(*Tuning.Heap);
-    Rewrote = NumHeapSites != 0;
-  }
-  if (Tuning.Locks && !Tuning.Locks->empty()) {
+  if (Tuning.Locks && !Tuning.Locks->empty())
     applyLockAnnotations(*Tuning.Locks);
-    Rewrote = true;
-  }
-  if (Rewrote)
-    buildRelationTables(); // the tunings rewrote the footprints
+  buildRelationTables();
   if (Tuning.Bounds && !Tuning.Bounds->empty())
     buildPackedLayout(*Tuning.Bounds);
 }
 
 void Machine::buildRelationTables() {
-  CommuteTbl.clear();
-  IndepTbl.clear();
-  unsigned NC = numContexts();
+  // Only ordered pairs of distinct threads are tabulated: those are the
+  // only pairs the POR queries ask about. Every other pair falls back to
+  // the footprint recompute, like oversized bodies do.
+  unsigned NT = numThreads();
   size_t Total = 0;
-  for (unsigned A = 0; A < NC; ++A)
-    for (unsigned B = 0; B < NC; ++B)
-      Total += StepFp[A].size() * StepFp[B].size();
+  for (unsigned A = 0; A < NT; ++A)
+    for (unsigned B = 0; B < NT; ++B)
+      if (A != B)
+        Total += StepFp[A].size() * StepFp[B].size();
   if (Total > MaxRelationBits)
     return; // oversized bodies fall back to on-demand footprint checks
-  CommuteTbl.resize(static_cast<size_t>(NC) * NC);
-  IndepTbl.resize(static_cast<size_t>(NC) * NC);
-  for (unsigned A = 0; A < NC; ++A) {
-    for (unsigned B = 0; B < NC; ++B) {
+  CommuteTbl.resize(static_cast<size_t>(NT) * NT);
+  IndepTbl.resize(static_cast<size_t>(NT) * NT);
+  for (unsigned A = 0; A < NT; ++A) {
+    for (unsigned B = 0; B < NT; ++B) {
+      if (A == B)
+        continue;
       size_t LenA = StepFp[A].size(), LenB = StepFp[B].size();
-      std::vector<uint8_t> &Cm = CommuteTbl[A * NC + B];
-      std::vector<uint8_t> &In = IndepTbl[A * NC + B];
+      std::vector<uint8_t> &Cm = CommuteTbl[A * NT + B];
+      std::vector<uint8_t> &In = IndepTbl[A * NT + B];
       Cm.assign((LenA * LenB + 7) / 8, 0);
       In.assign((LenA * LenB + 7) / 8, 0);
       for (size_t PA = 0; PA < LenA; ++PA) {

@@ -284,11 +284,11 @@ public:
   /// through unchanged (docs/ANALYSIS.md).
   bool commutes(unsigned CtxA, uint32_t PcA, unsigned CtxB,
                 uint32_t PcB) const {
-    if (!CommuteTbl.empty()) {
+    if (tabulated(CtxA, CtxB)) {
       uint32_t NB = static_cast<uint32_t>(StepFp[CtxB].size() - 1);
       size_t Bit = static_cast<size_t>(clampPc(StepFp[CtxA], PcA)) * (NB + 1) +
                    clampPc(StepFp[CtxB], PcB);
-      return (CommuteTbl[CtxA * numContexts() + CtxB][Bit >> 3] >> (Bit & 7)) &
+      return (CommuteTbl[CtxA * numThreads() + CtxB][Bit >> 3] >> (Bit & 7)) &
              1;
     }
     return !stepFootprint(CtxA, PcA)
@@ -305,7 +305,7 @@ public:
   /// top. PCs of \p S must be normalized (classifyAll has run).
   bool singletonIndependent(State &S, unsigned Ctx) const {
     uint32_t Pc = normalizePc(S, Ctx);
-    if (!IndepTbl.empty()) {
+    if (!IndepTbl.empty() && Ctx < numThreads()) {
       uint32_t PA = clampPc(StepFp[Ctx], Pc);
       for (unsigned U = 0; U < numThreads(); ++U) {
         if (U == Ctx)
@@ -313,7 +313,7 @@ public:
         uint32_t NB = static_cast<uint32_t>(SuffixFp[U].size() - 1);
         size_t Bit = static_cast<size_t>(PA) * (NB + 1) +
                      clampPc(SuffixFp[U], S.pc(U));
-        if (!((IndepTbl[Ctx * numContexts() + U][Bit >> 3] >> (Bit & 7)) & 1))
+        if (!((IndepTbl[Ctx * numThreads() + U][Bit >> 3] >> (Bit & 7)) & 1))
           return false;
       }
       return true;
@@ -346,16 +346,23 @@ private:
   std::vector<std::vector<Footprint>> SuffixFp;
 
   /// Precomputed relation bits over step pcs, one bitset per ordered
-  /// context pair indexed pcA * lenB + pcB: CommuteTbl caches commutes()
-  /// (step-vs-step), IndepTbl caches the step-vs-suffix independence that
-  /// singletonIndependent folds over. Built at construction (and rebuilt
-  /// after lock-annotation tuning mutates the footprints) unless the
-  /// bodies exceed MaxRelationBits; empty tables mean "recompute from
-  /// footprints". Both engines — scalar and batched — consult the same
-  /// tables, so their POR decisions agree by construction.
+  /// pair of distinct threads (indexed A * numThreads() + B; the diagonal
+  /// stays empty), with bits indexed pcA * lenB + pcB: CommuteTbl caches
+  /// commutes() (step-vs-step), IndepTbl caches the step-vs-suffix
+  /// independence that singletonIndependent folds over. Built once at
+  /// construction, over the footprints the tunings leave, unless the
+  /// bodies exceed MaxRelationBits; empty tables and every other context
+  /// pair mean "recompute from footprints". Both engines — scalar and
+  /// batched — consult the same tables, so their POR decisions agree by
+  /// construction.
   static constexpr size_t MaxRelationBits = 1u << 22;
   std::vector<std::vector<uint8_t>> CommuteTbl;
   std::vector<std::vector<uint8_t>> IndepTbl;
+
+  bool tabulated(unsigned CtxA, unsigned CtxB) const {
+    return !CommuteTbl.empty() && CtxA != CtxB && CtxA < numThreads() &&
+           CtxB < numThreads();
+  }
 
   static uint32_t clampPc(const std::vector<Footprint> &Tbl, uint32_t Pc) {
     uint32_t N = static_cast<uint32_t>(Tbl.size() - 1);

@@ -15,20 +15,13 @@ using namespace psketch::sat;
 
 Solver::Solver() = default;
 
-Solver::~Solver() {
-  for (Clause *C : Problem)
-    delete C;
-  for (Clause *C : Learnts)
-    delete C;
-}
-
 Var Solver::newVar() {
   Var V = static_cast<Var>(Assigns.size());
   Assigns.push_back(LBool::Undef);
   Polarity.push_back(1); // default phase: false, as in MiniSat
   Activity.push_back(0.0);
   Level.push_back(0);
-  Reason.push_back(nullptr);
+  Reason.push_back(CRefUndef);
   Seen.push_back(0);
   HeapIndex.push_back(-1);
   Watches.emplace_back();
@@ -106,11 +99,13 @@ void Solver::varBumpActivity(Var V) {
     heapPercolateUp(HeapIndex[V]);
 }
 
-void Solver::claBumpActivity(Clause &C) {
-  C.Activity += ClauseInc;
-  if (C.Activity > 1e20) {
-    for (Clause *L : Learnts)
-      L->Activity *= 1e-20;
+void Solver::claBumpActivity(Clause C) {
+  C.setActivity(C.activity() + ClauseInc);
+  if (C.activity() > 1e20) {
+    for (CRef L : Learnts) {
+      Clause Other = CA[L];
+      Other.setActivity(Other.activity() * 1e-20);
+    }
     ClauseInc *= 1e-20;
   }
 }
@@ -119,17 +114,20 @@ void Solver::claBumpActivity(Clause &C) {
 // Clause database.
 //===----------------------------------------------------------------------===//
 
-void Solver::attachClause(Clause *C) {
-  assert(C->size() >= 2 && "attaching too-short clause");
-  Watches[(~(*C)[0]).index()].push_back(Watcher{C, (*C)[1]});
-  Watches[(~(*C)[1]).index()].push_back(Watcher{C, (*C)[0]});
+void Solver::attachClause(CRef R) {
+  const Clause C = CA[R];
+  assert(C.size() >= 2 && "attaching too-short clause");
+  bool Binary = C.size() == 2;
+  Watches[(~C[0]).index()].push_back(Watcher(R, C[1], Binary));
+  Watches[(~C[1]).index()].push_back(Watcher(R, C[0], Binary));
 }
 
-void Solver::detachClause(Clause *C) {
-  for (int Slot = 0; Slot < 2; ++Slot) {
-    std::vector<Watcher> &List = Watches[(~(*C)[Slot]).index()];
+void Solver::detachClause(CRef R) {
+  const Clause C = CA[R];
+  for (uint32_t Slot = 0; Slot < 2; ++Slot) {
+    std::vector<Watcher> &List = Watches[(~C[Slot]).index()];
     for (size_t I = 0; I < List.size(); ++I) {
-      if (List[I].C != C)
+      if (List[I].cref() != R)
         continue;
       List[I] = List.back();
       List.pop_back();
@@ -138,7 +136,42 @@ void Solver::detachClause(Clause *C) {
   }
 }
 
-bool Solver::addClause(std::vector<Lit> Lits) {
+CRef Solver::storeProblemClause(const std::vector<Lit> &Lits) {
+  CRef C = CA.alloc(Lits.data(), static_cast<uint32_t>(Lits.size()),
+                    /*Learnt=*/false);
+  Problem.push_back(C);
+  ++NumProblemClauses;
+  attachClause(C);
+  return C;
+}
+
+void Solver::relocateIfWasteful() {
+  if (CA.wasted() > CA.size() / 5)
+    relocateAll();
+}
+
+void Solver::relocateAll() {
+  // Compacts the arena. Only CRef values change: Problem, Learnts and
+  // every watch list keep their order, so the search trajectory does not.
+  // A reason can outlive its clause only at the root, where reasons are
+  // never read; it is cleared here, before the clause's words are reused.
+  ++Stats.Relocations;
+  ClauseArena To;
+  To.reserve(CA.size() - CA.wasted());
+  for (CRef &C : Problem)
+    C = CA.relocate(C, To);
+  for (CRef &C : Learnts)
+    C = CA.relocate(C, To);
+  for (std::vector<Watcher> &List : Watches)
+    for (Watcher &W : List)
+      W.setCRef(CA.forward(W.cref()));
+  for (CRef &R : Reason)
+    if (R != CRefUndef)
+      R = CA.dead(R) ? CRefUndef : CA.forward(R);
+  CA = std::move(To);
+}
+
+bool Solver::addClause(std::span<const Lit> Lits) {
   if (!WarmStart)
     cancelUntil(0);
   if (!Ok)
@@ -149,19 +182,22 @@ bool Solver::addClause(std::vector<Lit> Lits) {
   // may be live, so only root-level (level-0) assignments may simplify
   // the clause — higher-level assignments are search state, not facts.
   // At decision level 0 rootValue() and value() coincide, so the legacy
-  // path is unchanged.
-  std::sort(Lits.begin(), Lits.end());
-  std::vector<Lit> Kept;
+  // path is unchanged. The kept literals are compacted in place.
+  std::vector<Lit> &Kept = AddScratch;
+  Kept.assign(Lits.begin(), Lits.end());
+  std::sort(Kept.begin(), Kept.end());
+  size_t NumKept = 0;
   Lit Prev = litUndef();
-  for (Lit L : Lits) {
+  for (Lit L : Kept) {
     assert(L.var() < numVars() && "clause mentions unknown variable");
     if (rootValue(L) == LBool::True || L == ~Prev)
       return true; // clause is already satisfied / tautological
     if (rootValue(L) == LBool::False || L == Prev)
       continue; // literal can never help / duplicate
-    Kept.push_back(L);
+    Kept[NumKept++] = L;
     Prev = L;
   }
+  Kept.resize(NumKept);
 
   if (Kept.empty()) {
     Ok = false;
@@ -170,13 +206,9 @@ bool Solver::addClause(std::vector<Lit> Lits) {
   if (Kept.size() == 1)
     return addUnitClause(Kept[0]);
   if (decisionLevel() > 0)
-    return attachWarm(std::move(Kept)); // warm start with a live trail
+    return attachWarm(Kept); // warm start with a live trail
 
-  Clause *C = new Clause();
-  C->Lits = std::move(Kept);
-  Problem.push_back(C);
-  ++NumProblemClauses;
-  attachClause(C);
+  storeProblemClause(Kept);
   return true;
 }
 
@@ -194,13 +226,13 @@ bool Solver::addUnitClause(Lit L) {
       return false;
     }
   }
-  uncheckedEnqueue(L, nullptr);
-  if (propagate() != nullptr)
+  uncheckedEnqueue(L, CRefUndef);
+  if (propagate() != CRefUndef)
     Ok = false;
   return Ok;
 }
 
-bool Solver::attachWarm(std::vector<Lit> Kept) {
+bool Solver::attachWarm(std::vector<Lit> &Kept) {
   // Adding a clause while the trail is live (docs/SOLVER.md). The watches
   // go on the two "best" literals — non-false ones first, then the
   // deepest false levels, so a future backtrack un-falsifies the watched
@@ -233,23 +265,17 @@ bool Solver::attachWarm(std::vector<Lit> Kept) {
     PlaceWatches();
   }
 
-  Clause *C = new Clause();
-  C->Lits = std::move(Kept);
-  Problem.push_back(C);
-  ++NumProblemClauses;
-  attachClause(C);
-
-  const Clause &Ref = *C;
-  if (value(Ref[0]) == LBool::Undef && value(Ref[1]) == LBool::False) {
+  CRef C = storeProblemClause(Kept);
+  if (value(Kept[0]) == LBool::Undef && value(Kept[1]) == LBool::False) {
     // Unit under the trail: propagate in place at the current level.
-    uncheckedEnqueue(Ref[0], C);
-    if (propagate() != nullptr) {
+    uncheckedEnqueue(Kept[0], C);
+    if (propagate() != CRefUndef) {
       // The forced literal conflicts with the trail. There is no search
       // frame to learn in, so fall back to the root; the next solve
       // rebuilds the useful prefix from the replay queue.
       saveReplay();
       cancelUntil(0);
-      if (propagate() != nullptr)
+      if (propagate() != CRefUndef)
         Ok = false;
     }
   }
@@ -269,7 +295,7 @@ void Solver::saveReplay() {
     if (Begin >= End)
       continue; // dummy level opened for an already-satisfied assumption
     Lit D = Trail[Begin];
-    if (Reason[D.var()] == nullptr)
+    if (Reason[D.var()] == CRefUndef)
       ReplayQueue.push_back(D);
   }
 }
@@ -285,7 +311,7 @@ void Solver::setWarmStart(bool Enabled) {
   WarmStart = Enabled;
 }
 
-void Solver::uncheckedEnqueue(Lit L, Clause *From) {
+void Solver::uncheckedEnqueue(Lit L, CRef From) {
   assert(value(L) == LBool::Undef && "enqueueing assigned literal");
   Var V = L.var();
   Assigns[V] = boolToLBool(!L.sign());
@@ -295,39 +321,58 @@ void Solver::uncheckedEnqueue(Lit L, Clause *From) {
   ++Stats.Propagations;
 }
 
-Clause *Solver::propagate() {
-  Clause *Conflict = nullptr;
+CRef Solver::propagate() {
+  CRef Conflict = CRefUndef;
   while (PropagateHead < Trail.size()) {
     Lit P = Trail[PropagateHead++]; // P is now true
+    Lit FalseLit = ~P;
     std::vector<Watcher> &List = Watches[P.index()];
-    size_t Read = 0, Write = 0;
-    while (Read < List.size()) {
-      Watcher W = List[Read];
+    Watcher *Read = List.data(), *Write = Read, *End = Read + List.size();
+    while (Read != End) {
+      Watcher W = *Read++;
       // Cheap out: if the cached blocker is true, the clause is satisfied.
       if (value(W.Blocker) == LBool::True) {
-        List[Write++] = List[Read++];
+        *Write++ = W;
         continue;
       }
-      Clause &C = *W.C;
-      Lit FalseLit = ~P;
+
+      if (W.binary()) {
+        // The blocker is the partner literal, so the clause is unit or
+        // conflicting without reading it. A conflict is written out as
+        // [partner, ~P], the order conflict analysis reads it in.
+        *Write++ = W;
+        if (value(W.Blocker) == LBool::False) {
+          Clause C = CA[W.cref()];
+          C.set(0, W.Blocker);
+          C.set(1, FalseLit);
+          Conflict = W.cref();
+          PropagateHead = Trail.size();
+          while (Read != End)
+            *Write++ = *Read++;
+        } else {
+          uncheckedEnqueue(W.Blocker, W.cref());
+        }
+        continue;
+      }
+
+      Clause C = CA[W.cref()];
       if (C[0] == FalseLit)
-        std::swap(C[0], C[1]);
+        C.swap(0, 1);
       assert(C[1] == FalseLit && "watch invariant broken");
-      ++Read;
 
       Lit First = C[0];
       if (First != W.Blocker && value(First) == LBool::True) {
-        List[Write++] = Watcher{W.C, First};
+        *Write++ = Watcher(W.cref(), First, false);
         continue;
       }
 
       // Look for a replacement watch.
       bool Rewatched = false;
-      for (size_t K = 2; K < C.size(); ++K) {
+      for (uint32_t K = 2, N = C.size(); K < N; ++K) {
         if (value(C[K]) == LBool::False)
           continue;
-        std::swap(C[1], C[K]);
-        Watches[(~C[1]).index()].push_back(Watcher{W.C, First});
+        C.swap(1, K);
+        Watches[(~C[1]).index()].push_back(Watcher(W.cref(), First, false));
         Rewatched = true;
         break;
       }
@@ -335,17 +380,17 @@ Clause *Solver::propagate() {
         continue;
 
       // Clause is unit or conflicting under the current assignment.
-      List[Write++] = Watcher{W.C, First};
+      *Write++ = Watcher(W.cref(), First, false);
       if (value(First) == LBool::False) {
-        Conflict = W.C;
+        Conflict = W.cref();
         PropagateHead = Trail.size();
-        while (Read < List.size())
-          List[Write++] = List[Read++];
+        while (Read != End)
+          *Write++ = *Read++;
       } else {
-        uncheckedEnqueue(First, W.C);
+        uncheckedEnqueue(First, W.cref());
       }
     }
-    List.resize(Write);
+    List.resize(static_cast<size_t>(Write - List.data()));
   }
   return Conflict;
 }
@@ -353,6 +398,10 @@ Clause *Solver::propagate() {
 //===----------------------------------------------------------------------===//
 // Conflict analysis (first UIP with recursive clause minimization).
 //===----------------------------------------------------------------------===//
+
+// A reason clause contains its implied literal once, and the walks below
+// skip it by variable: a long reason holds it in slot 0, but propagation
+// never rewrites a binary reason, which may hold it in either slot.
 
 static uint32_t abstractLevel(int Level) {
   return 1u << (Level & 31);
@@ -365,13 +414,14 @@ bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
   while (!AnalyzeStack.empty()) {
     Lit X = AnalyzeStack.back();
     AnalyzeStack.pop_back();
-    assert(Reason[X.var()] && "redundancy check hit a decision literal");
-    Clause &C = *Reason[X.var()];
-    for (size_t I = 1; I < C.size(); ++I) {
+    assert(Reason[X.var()] != CRefUndef &&
+           "redundancy check hit a decision literal");
+    const Clause C = CA[Reason[X.var()]];
+    for (uint32_t I = 0, N = C.size(); I < N; ++I) {
       Lit Q = C[I];
-      if (Seen[Q.var()] || Level[Q.var()] == 0)
+      if (Q.var() == X.var() || Seen[Q.var()] || Level[Q.var()] == 0)
         continue;
-      if (Reason[Q.var()] != nullptr &&
+      if (Reason[Q.var()] != CRefUndef &&
           (abstractLevel(Level[Q.var()]) & AbstractLevels) != 0) {
         Seen[Q.var()] = 1;
         AnalyzeStack.push_back(Q);
@@ -388,7 +438,7 @@ bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
   return true;
 }
 
-void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
+void Solver::analyze(CRef Conflict, std::vector<Lit> &Learnt,
                      int &BacktrackLevel, uint32_t &LBD) {
   Learnt.clear();
   Learnt.push_back(litUndef()); // slot for the asserting literal
@@ -399,14 +449,14 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
   int TrailIndex = static_cast<int>(Trail.size()) - 1;
 
   do {
-    assert(Conflict && "no reason clause during analysis");
-    Clause &C = *Conflict;
-    if (C.Learnt)
+    assert(Conflict != CRefUndef && "no reason clause during analysis");
+    Clause C = CA[Conflict];
+    if (C.learnt())
       claBumpActivity(C);
-    for (size_t I = (P == litUndef()) ? 0 : 1; I < C.size(); ++I) {
+    for (uint32_t I = 0, N = C.size(); I < N; ++I) {
       Lit Q = C[I];
       Var V = Q.var();
-      if (Seen[V] || Level[V] == 0)
+      if (V == P.var() || Seen[V] || Level[V] == 0)
         continue;
       varBumpActivity(V);
       Seen[V] = 1;
@@ -432,7 +482,7 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &Learnt,
     AbstractLevels |= abstractLevel(Level[Learnt[I].var()]);
   size_t Write = 1;
   for (size_t I = 1; I < Learnt.size(); ++I) {
-    if (Reason[Learnt[I].var()] == nullptr ||
+    if (Reason[Learnt[I].var()] == CRefUndef ||
         !litRedundant(Learnt[I], AbstractLevels))
       Learnt[Write++] = Learnt[I];
   }
@@ -472,7 +522,7 @@ void Solver::cancelUntil(int TargetLevel) {
     Var V = Trail[I].var();
     Assigns[V] = LBool::Undef;
     Polarity[V] = static_cast<char>(Trail[I].sign());
-    Reason[V] = nullptr;
+    Reason[V] = CRefUndef;
     if (!heapContains(V))
       heapInsert(V);
   }
@@ -492,28 +542,32 @@ Lit Solver::pickBranchLit() {
 
 void Solver::reduceDB() {
   // Delete-first ordering: high LBD, then low activity.
-  std::sort(Learnts.begin(), Learnts.end(), [](Clause *A, Clause *B) {
-    if (A->LBD != B->LBD)
-      return A->LBD > B->LBD;
-    return A->Activity < B->Activity;
+  std::sort(Learnts.begin(), Learnts.end(), [this](CRef A, CRef B) {
+    const Clause X = CA[A], Y = CA[B];
+    if (X.lbd() != Y.lbd())
+      return X.lbd() > Y.lbd();
+    return X.activity() < Y.activity();
   });
-  auto IsLocked = [this](Clause *C) {
-    return Reason[(*C)[0].var()] == C && value((*C)[0]) == LBool::True;
+  auto IsLocked = [this](CRef R) {
+    Lit First = CA[R][0];
+    return Reason[First.var()] == R && value(First) == LBool::True;
   };
   size_t Target = Learnts.size() / 2;
   size_t Write = 0;
   for (size_t I = 0; I < Learnts.size(); ++I) {
-    Clause *C = Learnts[I];
-    bool Deletable = I < Target && C->size() > 2 && C->LBD > 2 && !IsLocked(C);
+    CRef R = Learnts[I];
+    const Clause C = CA[R];
+    bool Deletable = I < Target && C.size() > 2 && C.lbd() > 2 && !IsLocked(R);
     if (Deletable) {
-      detachClause(C);
-      delete C;
+      detachClause(R);
+      CA.free(R);
       ++Stats.DeletedClauses;
       continue;
     }
-    Learnts[Write++] = C;
+    Learnts[Write++] = R;
   }
   Learnts.resize(Write);
+  relocateIfWasteful();
 }
 
 void Solver::removeSatisfiedLearnts() {
@@ -521,31 +575,33 @@ void Solver::removeSatisfiedLearnts() {
   // Root-level assignments never need their reasons again; clearing them
   // here keeps the clause database free to delete any satisfied clause.
   for (Lit L : Trail)
-    Reason[L.var()] = nullptr;
-  auto IsSatisfied = [this](Clause *C) {
-    for (Lit L : C->Lits)
-      if (value(L) == LBool::True)
+    Reason[L.var()] = CRefUndef;
+  auto IsSatisfied = [this](CRef R) {
+    const Clause C = CA[R];
+    for (uint32_t I = 0, N = C.size(); I < N; ++I)
+      if (value(C[I]) == LBool::True)
         return true;
     return false;
   };
   size_t Write = 0;
-  for (Clause *C : Learnts) {
-    if (IsSatisfied(C)) {
-      detachClause(C);
-      delete C;
+  for (CRef R : Learnts) {
+    if (IsSatisfied(R)) {
+      detachClause(R);
+      CA.free(R);
       ++Stats.DeletedClauses;
       continue;
     }
-    Learnts[Write++] = C;
+    Learnts[Write++] = R;
   }
   Learnts.resize(Write);
+  relocateIfWasteful();
 }
 
 //===----------------------------------------------------------------------===//
 // Inprocessing (warm start): root-level simplification between solves.
 //===----------------------------------------------------------------------===//
 
-bool Solver::reinstallRoot(Clause *C, bool IsProblem) {
+bool Solver::reinstallRoot(CRef R, bool IsProblem) {
   // Re-admit a currently-detached clause under the live root assignment:
   // delete it when satisfied, strip false literals, promote a survivor
   // of one literal to a root fact. \returns true iff the clause was
@@ -556,31 +612,32 @@ bool Solver::reinstallRoot(Clause *C, bool IsProblem) {
       --NumProblemClauses;
     else
       ++Stats.DeletedClauses;
-    delete C;
+    CA.free(R);
     return false;
   };
-  for (Lit L : C->Lits)
-    if (value(L) == LBool::True) {
+  Clause C = CA[R];
+  uint32_t Size = C.size();
+  for (uint32_t I = 0; I < Size; ++I)
+    if (value(C[I]) == LBool::True) {
       ++IStats.RemovedSatisfied;
       return Drop();
     }
-  C->Lits.erase(std::remove_if(C->Lits.begin(), C->Lits.end(),
-                               [this](Lit L) {
-                                 return value(L) == LBool::False;
-                               }),
-                C->Lits.end());
-  if (C->Lits.empty()) {
+  uint32_t Kept = 0;
+  for (uint32_t I = 0; I < Size; ++I)
+    if (value(C[I]) != LBool::False)
+      C.set(Kept++, C[I]);
+  CA.shrink(R, Kept);
+  if (Kept == 0) {
     Ok = false;
     return Drop();
   }
-  if (C->Lits.size() == 1) {
-    Lit Unit = (*C)[0];
-    uncheckedEnqueue(Unit, nullptr);
-    if (propagate() != nullptr)
+  if (Kept == 1) {
+    uncheckedEnqueue(C[0], CRefUndef);
+    if (propagate() != CRefUndef)
       Ok = false;
     return Drop();
   }
-  attachClause(C);
+  attachClause(R);
   return true;
 }
 
@@ -588,27 +645,28 @@ void Solver::sweepSatisfied() {
   // The warm-start replacement for the per-solve removeSatisfiedLearnts:
   // also sweeps satisfied *problem* clauses, which appear when a closed
   // constraint scope's activation literal is forced false (melted).
-  auto SweepAll = [this](std::vector<Clause *> &Db, bool IsProblem) {
+  auto SweepAll = [this](std::vector<CRef> &Db, bool IsProblem) {
     size_t Write = 0;
     for (size_t I = 0; I < Db.size(); ++I) {
-      Clause *C = Db[I];
+      CRef R = Db[I];
       if (!Ok) { // root conflict: stop simplifying, keep the rest as-is
-        Db[Write++] = C;
+        Db[Write++] = R;
         continue;
       }
+      const Clause C = CA[R];
       bool Touched = false;
-      for (Lit L : C->Lits)
-        if (value(L) != LBool::Undef) {
+      for (uint32_t K = 0, N = C.size(); K < N; ++K)
+        if (value(C[K]) != LBool::Undef) {
           Touched = true;
           break;
         }
       if (!Touched) {
-        Db[Write++] = C;
+        Db[Write++] = R;
         continue;
       }
-      detachClause(C);
-      if (reinstallRoot(C, IsProblem))
-        Db[Write++] = C;
+      detachClause(R);
+      if (reinstallRoot(R, IsProblem))
+        Db[Write++] = R;
     }
     Db.resize(Write);
   };
@@ -621,16 +679,36 @@ void Solver::strengthenSelfSubsume() {
   // of C; a binary (l ∨ m) with l, m ∈ C subsumes C outright. Marks use
   // the Seen scratch per variable: 1 = positive literal in C, 2 =
   // negative.
-  std::vector<std::vector<Lit>> Bin(Watches.size());
-  auto Collect = [&](const std::vector<Clause *> &Db) {
-    for (Clause *C : Db)
-      if (C->size() == 2) {
-        Bin[(*C)[0].index()].push_back((*C)[1]);
-        Bin[(*C)[1].index()].push_back((*C)[0]);
+  //
+  // The binary partners of every literal, in clause order, as one flat
+  // table: literal L's partners are Partners[Start[L], Start[L + 1]).
+  std::vector<uint32_t> Start(Watches.size() + 1, 0);
+  auto ForEachBinary = [this](auto Visit) {
+    for (const std::vector<CRef> *Db : {&Problem, &Learnts})
+      for (CRef R : *Db) {
+        const Clause C = CA[R];
+        if (C.size() == 2)
+          Visit(C[0], C[1]);
       }
   };
-  Collect(Problem);
-  Collect(Learnts);
+  ForEachBinary([&](Lit A, Lit B) {
+    ++Start[A.index() + 1];
+    ++Start[B.index() + 1];
+  });
+  for (size_t I = 1; I < Start.size(); ++I)
+    Start[I] += Start[I - 1];
+  std::vector<Lit> Partners(Start.back());
+  {
+    std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+    ForEachBinary([&](Lit A, Lit B) {
+      Partners[Fill[A.index()]++] = B;
+      Partners[Fill[B.index()]++] = A;
+    });
+  }
+  auto PartnersOf = [&](Lit L) {
+    return std::span<const Lit>(Partners.data() + Start[L.index()],
+                                Partners.data() + Start[L.index() + 1]);
+  };
 
   auto Marked = [this](Lit L) {
     return Seen[L.var()] == (L.sign() ? 2 : 1);
@@ -639,22 +717,26 @@ void Solver::strengthenSelfSubsume() {
   // binary lists, and this pass must stay cheap relative to the solves
   // it amortizes over.
   uint64_t ScanBudget = 2u << 20;
+  std::vector<Lit> &Removable = ClauseScratch;
 
-  auto Process = [&](std::vector<Clause *> &Db, bool IsProblem) {
+  auto Process = [&](std::vector<CRef> &Db, bool IsProblem) {
     size_t Write = 0;
     for (size_t I = 0; I < Db.size(); ++I) {
-      Clause *C = Db[I];
-      if (!Ok || ScanBudget == 0 || C->size() == 2) {
-        Db[Write++] = C;
+      CRef R = Db[I];
+      Clause C = CA[R];
+      uint32_t Size = C.size();
+      if (!Ok || ScanBudget == 0 || Size == 2) {
+        Db[Write++] = R;
         continue;
       }
-      for (Lit L : C->Lits)
-        Seen[L.var()] = L.sign() ? 2 : 1;
+      for (uint32_t K = 0; K < Size; ++K)
+        Seen[C[K].var()] = C[K].sign() ? 2 : 1;
 
       bool Subsumed = false;
-      std::vector<Lit> Removable;
-      for (Lit L : C->Lits) {
-        for (Lit M : Bin[L.index()]) {
+      Removable.clear();
+      for (uint32_t K = 0; K < Size; ++K) {
+        Lit L = C[K];
+        for (Lit M : PartnersOf(L)) {
           if (ScanBudget > 0)
             --ScanBudget;
           if (Marked(M) && M != L) {
@@ -664,7 +746,7 @@ void Solver::strengthenSelfSubsume() {
         }
         if (Subsumed)
           break;
-        for (Lit M : Bin[(~L).index()]) {
+        for (Lit M : PartnersOf(~L)) {
           if (ScanBudget > 0)
             --ScanBudget;
           if (Marked(M) && M.var() != L.var()) {
@@ -673,30 +755,34 @@ void Solver::strengthenSelfSubsume() {
           }
         }
       }
-      for (Lit L : C->Lits)
-        Seen[L.var()] = 0;
+      for (uint32_t K = 0; K < Size; ++K)
+        Seen[C[K].var()] = 0;
 
       if (Subsumed) {
         ++IStats.SubsumedClauses;
-        detachClause(C);
+        detachClause(R);
         if (IsProblem)
           --NumProblemClauses;
         else
           ++Stats.DeletedClauses;
-        delete C;
+        CA.free(R);
         continue;
       }
       if (Removable.empty() ||
-          C->size() - Removable.size() < 2) { // keep at least a binary
-        Db[Write++] = C;
+          Size - Removable.size() < 2) { // keep at least a binary
+        Db[Write++] = R;
         continue;
       }
       IStats.StrengthenedLits += Removable.size();
-      detachClause(C);
-      for (Lit L : Removable)
-        C->Lits.erase(std::find(C->Lits.begin(), C->Lits.end(), L));
-      if (reinstallRoot(C, IsProblem))
-        Db[Write++] = C;
+      detachClause(R);
+      uint32_t Kept = 0;
+      for (uint32_t K = 0; K < Size; ++K)
+        if (std::find(Removable.begin(), Removable.end(), C[K]) ==
+            Removable.end())
+          C.set(Kept++, C[K]);
+      CA.shrink(R, Kept);
+      if (reinstallRoot(R, IsProblem))
+        Db[Write++] = R;
     }
     Db.resize(Write);
   };
@@ -704,44 +790,49 @@ void Solver::strengthenSelfSubsume() {
   Process(Problem, /*IsProblem=*/true);
 }
 
-bool Solver::vivifyOne(Clause *C) {
+bool Solver::vivifyOne(CRef R) {
   // Distillation: assume the negation of the clause literal by literal.
   // A conflict proves the assumed prefix is itself a clause; a literal
   // found true completes a shorter clause; a literal found false is
   // redundant. The clause is detached throughout so it cannot satisfy
   // itself via its own watches.
   assert(decisionLevel() == 0 && "root-level vivification only");
-  detachClause(C);
-  std::vector<Lit> Prefix;
-  Prefix.reserve(C->size());
-  for (size_t I = 0; I < C->Lits.size(); ++I) {
-    Lit L = C->Lits[I];
+  detachClause(R);
+  Clause C = CA[R];
+  uint32_t Size = C.size();
+  std::vector<Lit> &Prefix = ClauseScratch;
+  Prefix.clear();
+  for (uint32_t I = 0; I < Size; ++I) {
+    Lit L = C[I];
     if (value(L) == LBool::True) {
       Prefix.push_back(L); // ¬prefix forces L: C shrinks to prefix + L
       break;
     }
     if (value(L) == LBool::False)
       continue; // ¬prefix refutes L: redundant
-    if (I + 1 == C->Lits.size()) {
+    if (I + 1 == Size) {
       Prefix.push_back(L); // last literal: nothing left to learn
       break;
     }
     TrailLim.push_back(static_cast<int>(Trail.size()));
-    uncheckedEnqueue(~L, nullptr);
+    uncheckedEnqueue(~L, CRefUndef);
     Prefix.push_back(L);
-    if (propagate() != nullptr)
+    if (propagate() != CRefUndef)
       break; // ¬prefix is contradictory: prefix is a clause
   }
   cancelUntil(0);
 
-  if (Prefix.size() >= C->Lits.size()) {
-    attachClause(C);
+  if (Prefix.size() >= Size) {
+    attachClause(R);
     return true;
   }
-  IStats.VivifiedLits += C->Lits.size() - Prefix.size();
-  C->Lits = std::move(Prefix);
-  C->LBD = std::min(C->LBD, static_cast<uint32_t>(C->Lits.size()));
-  return reinstallRoot(C, /*IsProblem=*/false);
+  uint32_t NewSize = static_cast<uint32_t>(Prefix.size());
+  IStats.VivifiedLits += Size - NewSize;
+  for (uint32_t I = 0; I < NewSize; ++I)
+    C.set(I, Prefix[I]);
+  CA.shrink(R, NewSize);
+  C.setLbd(std::min(C.lbd(), NewSize));
+  return reinstallRoot(R, /*IsProblem=*/false);
 }
 
 void Solver::vivify() {
@@ -752,13 +843,14 @@ void Solver::vivify() {
   uint64_t Start = Stats.Propagations;
   size_t Write = 0;
   for (size_t I = 0; I < Learnts.size(); ++I) {
-    Clause *C = Learnts[I];
+    CRef R = Learnts[I];
+    const Clause C = CA[R];
     bool Keep = true;
     if (Ok && Stats.Propagations - Start < PropagationBudget &&
-        C->size() >= 3 && C->size() <= 16 && C->LBD <= 6)
-      Keep = vivifyOne(C);
+        C.size() >= 3 && C.size() <= 16 && C.lbd() <= 6)
+      Keep = vivifyOne(R);
     if (Keep)
-      Learnts[Write++] = C;
+      Learnts[Write++] = R;
   }
   Learnts.resize(Write);
 }
@@ -771,7 +863,7 @@ void Solver::inprocess() {
   // Root assignments never need their reasons again; clearing them frees
   // every clause for deletion or rewriting.
   for (Lit L : Trail)
-    Reason[L.var()] = nullptr;
+    Reason[L.var()] = CRefUndef;
   sweepSatisfied();
   if (Ok)
     strengthenSelfSubsume();
@@ -782,6 +874,7 @@ void Solver::inprocess() {
   // (reduceDB keeps glue clauses — LBD <= 2 or binary — unconditionally.)
   MaxLearnts = std::max(static_cast<double>(NumProblemClauses) / 3.0 + 2000,
                         MaxLearnts * 0.95);
+  relocateIfWasteful();
 }
 
 void Solver::exportClauses(std::vector<std::vector<Lit>> &Out) const {
@@ -799,8 +892,13 @@ void Solver::exportClauses(std::vector<std::vector<Lit>> &Out) const {
       TrailLim.empty() ? Trail.size() : static_cast<size_t>(TrailLim[0]);
   for (size_t I = 0; I < RootEnd; ++I)
     Out.push_back({Trail[I]});
-  for (const Clause *C : Problem)
-    Out.push_back(C->Lits);
+  for (CRef R : Problem) {
+    const Clause C = CA[R];
+    std::vector<Lit> &Lits = Out.emplace_back();
+    Lits.reserve(C.size());
+    for (uint32_t I = 0, N = C.size(); I < N; ++I)
+      Lits.push_back(C[I]);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -828,8 +926,8 @@ bool Solver::search(uint64_t ConflictsBeforeRestart, bool &DoneOut) {
   std::vector<Lit> Learnt;
 
   for (;;) {
-    Clause *Conflict = propagate();
-    if (Conflict != nullptr) {
+    CRef Conflict = propagate();
+    if (Conflict != CRefUndef) {
       ++Stats.Conflicts;
       ++LocalConflicts;
       if (decisionLevel() == 0) {
@@ -846,15 +944,14 @@ bool Solver::search(uint64_t ConflictsBeforeRestart, bool &DoneOut) {
       abandonReplay();
 
       if (Learnt.size() == 1) {
-        uncheckedEnqueue(Learnt[0], nullptr);
+        uncheckedEnqueue(Learnt[0], CRefUndef);
       } else {
-        Clause *C = new Clause();
-        C->Lits = Learnt;
-        C->Learnt = true;
-        C->LBD = LBD;
+        CRef C = CA.alloc(Learnt.data(), static_cast<uint32_t>(Learnt.size()),
+                          /*Learnt=*/true);
+        CA[C].setLbd(LBD);
         Learnts.push_back(C);
         attachClause(C);
-        claBumpActivity(*C);
+        claBumpActivity(CA[C]);
         uncheckedEnqueue(Learnt[0], C);
       }
       Stats.LearntLiterals += Learnt.size();
@@ -930,7 +1027,7 @@ bool Solver::search(uint64_t ConflictsBeforeRestart, bool &DoneOut) {
       ++Stats.Decisions;
     }
     TrailLim.push_back(static_cast<int>(Trail.size()));
-    uncheckedEnqueue(Next, nullptr);
+    uncheckedEnqueue(Next, CRefUndef);
   }
 }
 
@@ -944,7 +1041,7 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
 
   if (!WarmStart) {
     cancelUntil(0);
-    if (propagate() != nullptr) {
+    if (propagate() != CRefUndef) {
       Ok = false;
       return false;
     }
@@ -959,7 +1056,7 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
       cancelUntil(0);
     }
     if (decisionLevel() == 0) {
-      if (propagate() != nullptr) {
+      if (propagate() != CRefUndef) {
         Ok = false;
         return false;
       }

@@ -9,9 +9,11 @@
 /// A conflict-driven clause-learning SAT solver in the MiniSat lineage:
 /// two-literal watches, first-UIP learning with clause minimization, EVSIDS
 /// branching with phase saving, Luby restarts, and LBD-based learnt-clause
-/// database reduction. The inductive synthesizer (Section 6 of the paper)
-/// uses it incrementally: each counterexample trace contributes clauses, and
-/// the accumulated instance is re-solved to propose the next candidate.
+/// database reduction. Clauses live in one flat arena, and binary clauses
+/// propagate from their watchers alone (docs/SOLVER.md §7). The inductive
+/// synthesizer (Section 6 of the paper) uses it incrementally: each
+/// counterexample trace contributes clauses, and the accumulated instance
+/// is re-solved to propose the next candidate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,9 @@
 #include "sat/SatTypes.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace psketch {
@@ -35,6 +39,9 @@ struct SolverStats {
   uint64_t Restarts = 0;
   uint64_t LearntLiterals = 0;
   uint64_t DeletedClauses = 0;
+  uint64_t Relocations = 0; ///< clause-arena compactions
+
+  bool operator==(const SolverStats &) const = default;
 };
 
 /// Work done by the between-solve inprocessing passes (warm start only).
@@ -60,7 +67,6 @@ struct InprocessStats {
 class Solver {
 public:
   Solver();
-  ~Solver();
 
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
@@ -79,15 +85,18 @@ public:
 
   /// Adds a clause over existing variables. \returns false if the solver
   /// is already in an unsatisfiable state (the clause may be dropped).
-  /// Duplicated literals are merged; tautologies are ignored.
-  bool addClause(std::vector<Lit> Lits);
+  /// Duplicated literals are merged; tautologies are ignored. The literals
+  /// are normalized in reused scratch space, so adding a clause does not
+  /// allocate beyond the growth of the clause arena and watch lists.
+  bool addClause(std::span<const Lit> Lits);
 
-  /// Convenience overloads for short clauses.
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
-  bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+  /// Convenience overloads for literal lists and short clauses.
+  bool addClause(std::initializer_list<Lit> Lits) {
+    return addClause(std::span<const Lit>(Lits.begin(), Lits.size()));
   }
+  bool addClause(Lit A) { return addClause(std::span<const Lit>(&A, 1)); }
+  bool addClause(Lit A, Lit B) { return addClause({A, B}); }
+  bool addClause(Lit A, Lit B, Lit C) { return addClause({A, B, C}); }
 
   /// Solves the current instance. \returns true iff satisfiable.
   bool solve();
@@ -155,9 +164,17 @@ public:
 
 private:
   // Watcher: clause plus a cached "blocker" literal that often avoids
-  // touching the clause at all.
+  // touching the clause at all. For a binary clause the blocker is the
+  // partner literal, so propagation never reads the clause itself.
   struct Watcher {
-    Clause *C;
+    Watcher() = default;
+    Watcher(CRef C, Lit Blocker, bool Binary)
+        : RefBits(C << 1 | static_cast<uint32_t>(Binary)), Blocker(Blocker) {}
+    CRef cref() const { return RefBits >> 1; }
+    bool binary() const { return (RefBits & 1) != 0; }
+    void setCRef(CRef C) { RefBits = C << 1 | (RefBits & 1); }
+
+    uint32_t RefBits = 0; // CRef << 1 | binary flag
     Lit Blocker;
   };
 
@@ -166,16 +183,22 @@ private:
   std::vector<char> Polarity;       // saved phase; 1 = last assigned false
   std::vector<double> Activity;     // EVSIDS activity
   std::vector<int> Level;           // decision level of assignment
-  std::vector<Clause *> Reason;     // implying clause (nullptr = decision)
+  std::vector<CRef> Reason;         // implying clause (CRefUndef = decision)
   std::vector<Lit> Trail;
   std::vector<int> TrailLim;        // trail index per decision level
   size_t PropagateHead = 0;
 
-  // Clause database.
-  std::vector<Clause *> Problem;
-  std::vector<Clause *> Learnts;
+  // Clause database (docs/SOLVER.md §7).
+  ClauseArena CA;
+  std::vector<CRef> Problem;
+  std::vector<CRef> Learnts;
   size_t NumProblemClauses = 0;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit::index()
+
+  // Scratch reused across calls: addClause normalization, and the literal
+  // lists of strengthening and vivification.
+  std::vector<Lit> AddScratch;
+  std::vector<Lit> ClauseScratch;
 
   // Branching heap (binary max-heap on Activity).
   std::vector<Var> Heap;
@@ -223,15 +246,18 @@ private:
     return value(L);
   }
 
-  void attachClause(Clause *C);
-  void detachClause(Clause *C);
+  CRef storeProblemClause(const std::vector<Lit> &Lits);
+  void attachClause(CRef C);
+  void detachClause(CRef C);
+  void relocateIfWasteful();
+  void relocateAll();
   bool addUnitClause(Lit L);
-  bool attachWarm(std::vector<Lit> Kept);
+  bool attachWarm(std::vector<Lit> &Kept);
   void saveReplay();
   void abandonReplay() { ReplayHead = ReplayQueue.size(); }
-  void uncheckedEnqueue(Lit L, Clause *From);
-  Clause *propagate();
-  void analyze(Clause *Conflict, std::vector<Lit> &Learnt, int &BacktrackLevel,
+  void uncheckedEnqueue(Lit L, CRef From);
+  CRef propagate();
+  void analyze(CRef Conflict, std::vector<Lit> &Learnt, int &BacktrackLevel,
                uint32_t &LBD);
   bool litRedundant(Lit L, uint32_t AbstractLevels);
   void cancelUntil(int TargetLevel);
@@ -241,16 +267,16 @@ private:
   void removeSatisfiedLearnts();
 
   // Inprocessing helpers (all root-level).
-  bool reinstallRoot(Clause *C, bool IsProblem);
+  bool reinstallRoot(CRef C, bool IsProblem);
   void sweepSatisfied();
   void strengthenSelfSubsume();
   void vivify();
-  bool vivifyOne(Clause *C);
+  bool vivifyOne(CRef C);
 
   // Activity bookkeeping.
   void varBumpActivity(Var V);
   void varDecayActivity() { VarInc *= (1.0 / 0.95); }
-  void claBumpActivity(Clause &C);
+  void claBumpActivity(Clause C);
   void claDecayActivity() { ClauseInc *= (1.0 / 0.999); }
 
   // Heap operations.

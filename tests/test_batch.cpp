@@ -11,8 +11,9 @@
 //    canonical words as scalar canonicalize on every lane;
 //  * fingerprintBatchWith matches fingerprintWordsWith lane for lane,
 //    for the builtin and a foreign hash, raw and packed keys;
-//  * the precomputed commute table agrees with the footprint recompute
-//    it caches, over every pc pair in range;
+//  * the precomputed commute and independence tables agree with the
+//    footprint recompute they cache, over every pc pair in range, on
+//    plain and on lock- and heap-tuned machines;
 //  * scalar (BatchWidth=1) and batched (BatchWidth=16) checks agree on
 //    verdict and byte-identical counterexample across suite rows,
 //    candidates, POR modes, symmetry modes, search orders, and worker
@@ -20,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AbsInt.h"
 #include "benchmarks/Suite.h"
 #include "desugar/Flatten.h"
 #include "exec/StateVec.h"
@@ -253,12 +255,13 @@ TEST(BatchFingerprint, MatchesScalarRawAndPacked) {
   }
 }
 
-TEST(BatchTables, CommuteTableMatchesFootprintRecompute) {
-  auto Row = lightestRow("barrier1");
-  ASSERT_TRUE(Row.has_value());
-  auto P = Row->Build();
-  flat::FlatProgram FP = flat::flatten(*P);
-  exec::Machine M(FP, ir::HoleAssignment(P->holes().size(), 0));
+namespace {
+
+/// Checks both cached relations against the footprint recompute: commutes
+/// over every context pair (thread pairs read the tables, the rest fall
+/// back) and singletonIndependent over random reachable states.
+void expectRelationsMatchFootprints(const exec::Machine &M,
+                                    const std::string &Tag) {
   // Beyond-range pcs exercise the sentinel-row clamping on both sides.
   const uint32_t PcProbe = 24;
   for (unsigned A = 0; A < M.numContexts(); ++A)
@@ -268,7 +271,59 @@ TEST(BatchTables, CommuteTableMatchesFootprintRecompute) {
           EXPECT_EQ(M.commutes(A, Pa, B, Pb),
                     !M.stepFootprint(A, Pa).conflictsWithUnprotected(
                         M.stepFootprint(B, Pb)))
-              << A << "@" << Pa << " vs " << B << "@" << Pb;
+              << Tag << ": " << A << "@" << Pa << " vs " << B << "@" << Pb;
+
+  for (const exec::State &Walked : randomWalkStates(M, 64, 0x7AB1Eull)) {
+    for (unsigned Ctx = 0; Ctx < M.numThreads(); ++Ctx) {
+      exec::State S = Walked;
+      bool Want = true;
+      uint32_t Pc = M.normalizePc(S, Ctx);
+      for (unsigned U = 0; U < M.numThreads(); ++U)
+        if (U != Ctx && M.stepFootprint(Ctx, Pc).conflictsWithUnprotected(
+                            M.suffixFootprint(U, S.pc(U))))
+          Want = false;
+      EXPECT_EQ(M.singletonIndependent(S, Ctx), Want)
+          << Tag << ": ctx " << Ctx << " at pc " << Pc;
+    }
+  }
+}
+
+} // namespace
+
+TEST(BatchTables, CommuteTableMatchesFootprintRecompute) {
+  auto Row = lightestRow("barrier1");
+  ASSERT_TRUE(Row.has_value());
+  auto P = Row->Build();
+  flat::FlatProgram FP = flat::flatten(*P);
+  exec::Machine M(FP, ir::HoleAssignment(P->holes().size(), 0));
+  expectRelationsMatchFootprints(M, "barrier1");
+
+  // Tuned machines rewrite the footprints (protectedBy masks, per-site
+  // heap bits) before the tables are built; the tables must cache the
+  // rewritten relation.
+  bool SawLocks = false, SawSites = false;
+  for (const char *FamilyName : {"lazyset", "fineset1", "dinphilo"}) {
+    std::string Family = FamilyName;
+    auto Tuned = lightestRow(Family);
+    ASSERT_TRUE(Tuned.has_value()) << Family;
+    auto TP = Tuned->Build();
+    flat::FlatProgram TFP = flat::flatten(*TP);
+    ir::HoleAssignment Ref = Tuned->Reference
+                                 ? Tuned->Reference(*TP)
+                                 : ir::HoleAssignment(TP->holes().size(), 0);
+    analysis::CandidateFacts Facts = analysis::analyzeCandidate(*TP, TFP, Ref);
+    ASSERT_FALSE(Facts.Refuted) << Family;
+    exec::MachineTuning Tuning;
+    Tuning.Locks = &Facts.Locks;
+    if (!Facts.Heap.empty())
+      Tuning.Heap = &Facts.Heap;
+    exec::Machine TM(TFP, Ref, Tuning);
+    SawLocks = SawLocks || TM.lockIndepPairs() > 0;
+    SawSites = SawSites || TM.shapeSites() > 0;
+    expectRelationsMatchFootprints(TM, Family + "/tuned");
+  }
+  EXPECT_TRUE(SawLocks) << "no row exercised lock-discounted footprints";
+  EXPECT_TRUE(SawSites) << "no row exercised the heap partition";
 }
 
 //===----------------------------------------------------------------------===//

@@ -305,6 +305,272 @@ TEST(Solver, ManyIncrementalRoundsStayConsistent) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Clause arena: in-list binary watchers, reduceDB and relocation.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using ClauseList = std::vector<std::vector<Lit>>;
+
+/// Bit-parallel brute force for up to 20 variables: 64 assignments per
+/// word, where bit A of a word is assignment A of its chunk.
+bool bruteSatWide(int NumVars, const ClauseList &Clauses) {
+  static const uint64_t LowVarPattern[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  uint64_t Chunks = NumVars > 6 ? 1ull << (NumVars - 6) : 1;
+  uint64_t Valid = NumVars >= 6 ? ~0ull : (1ull << (1u << NumVars)) - 1;
+  std::vector<uint64_t> Value(NumVars);
+  for (uint64_t Chunk = 0; Chunk < Chunks; ++Chunk) {
+    for (int V = 0; V < NumVars; ++V)
+      Value[V] = V < 6 ? LowVarPattern[V]
+                       : (((Chunk >> (V - 6)) & 1) ? ~0ull : 0);
+    uint64_t Sat = Valid;
+    for (const std::vector<Lit> &Clause : Clauses) {
+      uint64_t Any = 0;
+      for (Lit L : Clause)
+        Any |= L.sign() ? ~Value[L.var()] : Value[L.var()];
+      Sat &= Any;
+      if (Sat == 0)
+        break;
+    }
+    if (Sat != 0)
+      return true;
+  }
+  return false;
+}
+
+bool modelSatisfies(const Solver &S, const ClauseList &Clauses) {
+  for (const std::vector<Lit> &Clause : Clauses) {
+    bool Sat = false;
+    for (Lit L : Clause)
+      Sat = Sat || S.modelValue(L) == LBool::True;
+    if (!Sat)
+      return false;
+  }
+  return true;
+}
+
+/// A random AIG-shaped instance, in rounds. Round 0 is the Tseitin
+/// encoding of random AND gates over the inputs and earlier gates: two
+/// binaries and a ternary per gate, as circuit::CnfBuilder emits them.
+/// Each later round adds a few short constraints (units, binaries,
+/// ternaries), the way counterexample observations arrive in CEGIS.
+std::vector<ClauseList> randomAigRounds(Rng &R, int NumVars, int Rounds,
+                                        int Inputs) {
+  auto AnyLit = [&](int Below) {
+    Var V = static_cast<Var>(R.below(Below));
+    bool Negated = R.below(2) != 0;
+    return Lit(V, Negated);
+  };
+  std::vector<ClauseList> Out(1);
+  for (int G = Inputs; G < NumVars; ++G) {
+    Lit Gate(G, false), A = AnyLit(G), B = AnyLit(G);
+    Out[0].push_back({~Gate, A});
+    Out[0].push_back({~Gate, B});
+    Out[0].push_back({Gate, ~A, ~B});
+  }
+  for (int Round = 1; Round <= Rounds; ++Round) {
+    ClauseList &Constraints = Out.emplace_back();
+    int Count = 1 + static_cast<int>(R.below(3));
+    for (int C = 0; C < Count; ++C) {
+      std::vector<Lit> &Clause = Constraints.emplace_back();
+      int Len = 1 + static_cast<int>(R.below(3));
+      for (int L = 0; L < Len; ++L)
+        Clause.push_back(AnyLit(NumVars));
+    }
+  }
+  return Out;
+}
+
+struct RoundsRun {
+  SolverStats Stats;
+  InprocessStats IStats;
+  std::vector<bool> Verdicts;
+};
+
+/// Replays \p Rounds on one warm-started solver that inprocesses before
+/// every solve, checking each verdict against brute force and each model
+/// against every clause added so far.
+RoundsRun runRounds(int NumVars, const std::vector<ClauseList> &Rounds) {
+  Solver S;
+  S.setWarmStart(true);
+  S.setInprocessCadence(1);
+  for (int V = 0; V < NumVars; ++V)
+    S.newVar();
+  ClauseList Added;
+  RoundsRun Run;
+  for (const ClauseList &Round : Rounds) {
+    for (const std::vector<Lit> &Clause : Round) {
+      S.addClause(Clause);
+      Added.push_back(Clause);
+    }
+    bool Sat = S.solve();
+    Run.Verdicts.push_back(Sat);
+    EXPECT_EQ(Sat, bruteSatWide(NumVars, Added));
+    if (Sat) {
+      EXPECT_TRUE(modelSatisfies(S, Added)) << "model violates a clause";
+    }
+  }
+  Run.Stats = S.stats();
+  Run.IStats = S.inprocessStats();
+  return Run;
+}
+
+} // namespace
+
+TEST(SolverArena, WarmInprocessingAgreesWithBruteForceAndRepeats) {
+  Rng R(0xA4E7Aull);
+  uint64_t Relocations = 0;
+  for (int Instance = 0; Instance < 60; ++Instance) {
+    SCOPED_TRACE("instance " + std::to_string(Instance));
+    int NumVars = 8 + static_cast<int>(R.below(13)); // at most 20
+    int Inputs = 3 + static_cast<int>(R.below(3));
+    std::vector<ClauseList> Rounds = randomAigRounds(R, NumVars, 8, Inputs);
+    RoundsRun First = runRounds(NumVars, Rounds);
+    RoundsRun Second = runRounds(NumVars, Rounds);
+    EXPECT_EQ(First.Verdicts, Second.Verdicts);
+    EXPECT_TRUE(First.Stats == Second.Stats) << "identical runs diverged";
+    EXPECT_EQ(First.IStats.RemovedSatisfied, Second.IStats.RemovedSatisfied);
+    EXPECT_EQ(First.IStats.StrengthenedLits, Second.IStats.StrengthenedLits);
+    EXPECT_EQ(First.IStats.VivifiedLits, Second.IStats.VivifiedLits);
+    Relocations += First.Stats.Relocations;
+  }
+  EXPECT_GT(Relocations, 0u) << "no instance compacted the clause arena";
+}
+
+TEST(SolverArena, ReduceDBAndRelocationKeepModelsAndRepeat) {
+  // A random 3-SAT instance with binary side constraints, solved in
+  // rounds: enough conflicts to pass the learnt budget (problem clauses
+  // / 3 + 2000), so reduceDB deletes learnt clauses and the arena is
+  // compacted mid-search. Warm and cold solvers must agree on every
+  // verdict, and two identical runs must do identical work.
+  //
+  // The work is also pinned. These counters are what the solver did on
+  // this instance before clauses moved into the arena; any change to the
+  // order of propagation, conflict analysis or the clause database moves
+  // them. Refresh them only for a deliberate change of heuristic.
+  Rng R(0xDB5EEDull);
+  const int Vars = 190;
+  auto AnyLit = [&]() {
+    Var V = static_cast<Var>(R.below(Vars));
+    bool Negated = R.below(2) != 0;
+    return Lit(V, Negated);
+  };
+  std::vector<ClauseList> Rounds(1);
+  for (int C = 0; C < Vars * 426 / 100; ++C)
+    Rounds[0].push_back({AnyLit(), AnyLit(), AnyLit()});
+  for (int Round = 0; Round < 4; ++Round) {
+    ClauseList &Extra = Rounds.emplace_back();
+    for (int C = 0; C < 4; ++C)
+      Extra.push_back({AnyLit(), AnyLit()});
+  }
+
+  auto Run = [&](bool Warm, std::vector<bool> &Verdicts) {
+    Solver S;
+    S.setWarmStart(Warm);
+    S.setInprocessCadence(1);
+    for (int V = 0; V < Vars; ++V)
+      S.newVar();
+    ClauseList Added;
+    for (const ClauseList &Round : Rounds) {
+      for (const std::vector<Lit> &Clause : Round) {
+        S.addClause(Clause);
+        Added.push_back(Clause);
+      }
+      bool Sat = S.solve();
+      Verdicts.push_back(Sat);
+      if (Sat) {
+        EXPECT_TRUE(modelSatisfies(S, Added)) << "model violates a clause";
+      }
+    }
+    return S.stats();
+  };
+  struct Pinned {
+    uint64_t Decisions, Propagations, Conflicts, Restarts, LearntLiterals,
+        DeletedClauses;
+  };
+  const Pinned Expected[2] = {{8824, 357461, 7155, 40, 71456, 5271},
+                              {8494, 358938, 6938, 29, 71828, 5291}};
+  for (bool Warm : {false, true}) {
+    std::vector<bool> First, Second, Cold;
+    SolverStats A = Run(Warm, First);
+    SolverStats B = Run(Warm, Second);
+    EXPECT_TRUE(A == B) << "identical runs diverged, warm=" << Warm;
+    EXPECT_EQ(First, Second);
+    EXPECT_GT(A.DeletedClauses, 0u) << "reduceDB never ran, warm=" << Warm;
+    EXPECT_GT(A.Relocations, 0u) << "arena never relocated, warm=" << Warm;
+    const Pinned &P = Expected[Warm];
+    EXPECT_EQ(A.Decisions, P.Decisions) << "warm=" << Warm;
+    EXPECT_EQ(A.Propagations, P.Propagations) << "warm=" << Warm;
+    EXPECT_EQ(A.Conflicts, P.Conflicts) << "warm=" << Warm;
+    EXPECT_EQ(A.Restarts, P.Restarts) << "warm=" << Warm;
+    EXPECT_EQ(A.LearntLiterals, P.LearntLiterals) << "warm=" << Warm;
+    EXPECT_EQ(A.DeletedClauses, P.DeletedClauses) << "warm=" << Warm;
+    if (Warm) {
+      Run(false, Cold);
+      EXPECT_EQ(First, Cold) << "warm and cold verdicts diverge";
+    }
+  }
+}
+
+TEST(SolverArena, BinaryHeavyTrajectoryIsPinned) {
+  // Pinned counters, as above, on a binary-heavy AIG-shaped instance:
+  // here binary conflicts occur, so writing a binary conflict in any
+  // order but [partner, ~p] moves the counters.
+  Rng R(0xA165EEDull);
+  const int Vars = 600;
+  std::vector<ClauseList> Rounds = randomAigRounds(R, Vars, 60, 60);
+  const uint64_t Expected[2][3] = {{867, 8115, 3}, {525, 5772, 3}};
+  for (bool Warm : {false, true}) {
+    Solver S;
+    S.setWarmStart(Warm);
+    S.setInprocessCadence(1);
+    for (int V = 0; V < Vars; ++V)
+      S.newVar();
+    for (const ClauseList &Round : Rounds) {
+      for (const std::vector<Lit> &Clause : Round)
+        S.addClause(Clause);
+      (void)S.solve();
+    }
+    EXPECT_EQ(S.stats().Decisions, Expected[Warm][0]) << "warm=" << Warm;
+    EXPECT_EQ(S.stats().Propagations, Expected[Warm][1]) << "warm=" << Warm;
+    EXPECT_EQ(S.stats().Conflicts, Expected[Warm][2]) << "warm=" << Warm;
+  }
+}
+
+TEST(SolverArena, RootLevelBinaryConflict) {
+  // Root propagation through binary clauses alone: a -> b and a -> ~b,
+  // then the unit a. The conflict is found without reading the clauses.
+  for (bool Warm : {false, true}) {
+    Solver S;
+    S.setWarmStart(Warm);
+    Var A = S.newVar(), B = S.newVar(), C = S.newVar();
+    S.addClause(pos(B), pos(C)); // a bystander on b's watch list
+    S.addClause(neg(A), pos(B));
+    S.addClause(neg(A), neg(B));
+    EXPECT_FALSE(S.addClause(pos(A)));
+    EXPECT_FALSE(S.okay());
+    EXPECT_FALSE(S.solve());
+  }
+  // The same shape reached by search: every clause is binary, so the
+  // conflicts, their analysis and the learnt root unit all go through
+  // binary watchers, ending in a conflict at the root.
+  for (bool Warm : {false, true}) {
+    Solver S;
+    S.setWarmStart(Warm);
+    Var A = S.newVar(), B = S.newVar(), C = S.newVar();
+    S.addClause(pos(A), pos(B));
+    S.addClause(pos(A), neg(B));
+    S.addClause(neg(A), pos(C));
+    S.addClause(neg(A), neg(C));
+    EXPECT_FALSE(S.solve());
+    EXPECT_FALSE(S.okay());
+    EXPECT_GT(S.stats().Conflicts, 0u);
+  }
+}
+
 TEST(Solver, AssumptionsDoNotPollute) {
   // Solving under incompatible assumptions must not make the instance
   // permanently unsatisfiable.
