@@ -271,6 +271,9 @@ inline JsonObject fig9Json(const SuiteEntry &E, const cegis::CegisResult &R,
       .field("sprune_s", R.Stats.SpruneSeconds)
       .field("peak_mem_mib", R.Stats.PeakMemoryMiB)
       .field("states", R.Stats.StatesExplored)
+      .field("interval_prunes", R.Stats.IntervalPrunes)
+      .field("gates", static_cast<uint64_t>(R.Stats.GateCount))
+      .field("clauses", static_cast<uint64_t>(R.Stats.ClauseCount))
       .field("checker_workers", R.Stats.CheckerWorkers)
       .field("checker_steals", R.Stats.CheckerSteals)
       .field("per_worker_states", R.Stats.PerWorkerStates);
@@ -278,12 +281,13 @@ inline JsonObject fig9Json(const SuiteEntry &E, const cegis::CegisResult &R,
   // candidate-proposing SAT solve, so warm-start effects are visible per
   // iteration instead of only in the Ssolve aggregate.
   std::vector<double> SolveSeconds;
-  std::vector<uint64_t> SolveConflicts, SolveDecisions, SolveRestarts,
-      SolveLearnts;
+  std::vector<uint64_t> SolveConflicts, SolveDecisions, SolvePropagations,
+      SolveRestarts, SolveLearnts;
   for (const synth::SolveRecord &Rec : R.Stats.SolveLog) {
     SolveSeconds.push_back(Rec.Seconds);
     SolveConflicts.push_back(Rec.Conflicts);
     SolveDecisions.push_back(Rec.Decisions);
+    SolvePropagations.push_back(Rec.Propagations);
     SolveRestarts.push_back(Rec.Restarts);
     SolveLearnts.push_back(Rec.LearntClauses);
   }
@@ -292,6 +296,7 @@ inline JsonObject fig9Json(const SuiteEntry &E, const cegis::CegisResult &R,
       .field("ssolve_per_solve_s", SolveSeconds)
       .field("solve_conflicts", SolveConflicts)
       .field("solve_decisions", SolveDecisions)
+      .field("solve_propagations", SolvePropagations)
       .field("solve_restarts", SolveRestarts)
       .field("solve_learnts", SolveLearnts);
   return O;

@@ -344,23 +344,29 @@ void printStats(const cegis::CegisStats &S) {
   std::printf("  %-20s %zu\n", "SolverSolves", S.SolveLog.size());
   std::printf("  %-20s %llu\n", "SolverProbes",
               static_cast<unsigned long long>(S.SolverProbes));
-  uint64_t Conflicts = 0, Restarts = 0;
+  uint64_t Conflicts = 0, Propagations = 0, Restarts = 0;
   for (const synth::SolveRecord &Rec : S.SolveLog) {
     Conflicts += Rec.Conflicts;
+    Propagations += Rec.Propagations;
     Restarts += Rec.Restarts;
   }
   std::printf("  %-20s %llu\n", "SolverConflicts",
               static_cast<unsigned long long>(Conflicts));
+  std::printf("  %-20s %llu\n", "SolverPropagations",
+              static_cast<unsigned long long>(Propagations));
   std::printf("  %-20s %llu\n", "SolverRestarts",
               static_cast<unsigned long long>(Restarts));
+  std::printf("  %-20s %zu\n", "CircuitGates", S.GateCount);
+  std::printf("  %-20s %zu\n", "CnfClauses", S.ClauseCount);
   if (!S.SolveLog.empty()) {
-    std::printf("  per-solve Ssolve (s / conflicts / decisions / restarts / "
-                "learnts / result):\n");
+    std::printf("  per-solve Ssolve (s / conflicts / decisions / "
+                "propagations / restarts / learnts / result):\n");
     for (size_t I = 0; I < S.SolveLog.size(); ++I) {
       const synth::SolveRecord &Rec = S.SolveLog[I];
-      std::printf("    #%-3zu %8.4f %8llu %9llu %5llu %8zu %s\n", I,
+      std::printf("    #%-3zu %8.4f %8llu %9llu %10llu %5llu %8zu %s\n", I,
                   Rec.Seconds, static_cast<unsigned long long>(Rec.Conflicts),
                   static_cast<unsigned long long>(Rec.Decisions),
+                  static_cast<unsigned long long>(Rec.Propagations),
                   static_cast<unsigned long long>(Rec.Restarts),
                   Rec.LearntClauses, Rec.Sat ? "sat" : "unsat");
     }

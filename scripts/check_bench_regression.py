@@ -18,6 +18,16 @@ max_bytes_per_state caps the matching current row's bytes_per_state
 docs/SPILL.md). Byte accounting is machine-independent, so ceilings are
 enforced unconditionally — no provenance guard, no tolerance.
 
+Exact counters: CURRENT.json may also be a bench_suite report (the
+`<workload>-seed<S>-trace<T>.json` that `bench_suite/run.py --json-dir`
+writes). Its per-row work counters at W=1 (iterations, solve calls,
+interval prunes, conflicts, gates, clauses, states) are deterministic and
+machine-independent, so they must equal the baseline's `suite_counters`
+rows for that workload exactly, unconditionally. A row missing on either
+side fails too. To refresh bench/baselines/suite.json after a change that
+is meant to move them, rerun the smoke workloads with --json-dir and
+rewrite the rows from the reports' "rows" arrays.
+
 Stdlib only (json/sys); no third-party dependencies.
 """
 
@@ -45,6 +55,67 @@ CEILINGS = {
     "spill": (("sketch", "test", "engine"), "max_bytes_per_state",
               "bytes_per_state"),
 }
+
+
+# Per-kind exact counters: (key fields, counter fields). Unlike the
+# throughput rows these carry no tolerance and no provenance guard.
+EXACT = {
+    "suite_counters": (("workload", "row"),
+                       ("iterations", "solve_calls", "interval_prunes",
+                        "conflicts", "gates", "clauses", "states")),
+}
+
+
+def load_rows(path):
+    """Loads a bench JSON report as a list of rows. A bench_suite report
+    (a dict) becomes its provenance plus one suite_counters row per row."""
+    with open(path) as f:
+        report = json.load(f)
+    if isinstance(report, list):
+        return report
+    rows = [dict(report.get("provenance", {}), kind="provenance")]
+    if rows[0].get("workers") != 1:
+        print("check_bench_regression: %s ran with %r checker workers -- "
+              "only W=1 counters are exact; skipped"
+              % (report.get("workload"), rows[0].get("workers")))
+        return rows
+    for row in report.get("rows", []):
+        rows.append(dict(row, kind="suite_counters",
+                         workload=report.get("workload")))
+    return rows
+
+
+def check_exact(current, baseline, failures):
+    """Compares EXACT rows for every workload the current report has."""
+    def keyed(rows):
+        out = {}
+        for row in rows:
+            spec = EXACT.get(row.get("kind"))
+            if spec is not None:
+                out[(row["kind"],) + tuple(row.get(k) for k in spec[0])] = row
+        return out
+
+    cur, base = keyed(current), keyed(baseline)
+    present = {ident[:2] for ident in cur}
+    compared = 0
+    for ident, expected in sorted(base.items()):
+        if ident[:2] not in present:
+            continue  # another workload's rows
+        got = cur.get(ident)
+        if got is None:
+            failures.append("%s: missing from current report" % (ident,))
+            continue
+        compared += 1
+        for field in EXACT[ident[0]][1]:
+            if got.get(field) != expected.get(field):
+                failures.append("%s: %s %r vs baseline %r"
+                                % (ident, field, got.get(field),
+                                   expected.get(field)))
+    for ident in sorted(set(cur) - set(base)):
+        failures.append("%s: not in the baseline" % (ident,))
+    if cur:
+        print("check_bench_regression: %d exact-counter rows compared"
+              % compared)
 
 
 def provenance(rows):
@@ -92,10 +163,8 @@ def main(argv):
     if len(args) != 2:
         print(__doc__)
         return 2
-    with open(args[0]) as f:
-        current = json.load(f)
-    with open(args[1]) as f:
-        baseline = json.load(f)
+    current = load_rows(args[0])
+    baseline = load_rows(args[1])
 
     failures = []
     for row in current:
@@ -122,6 +191,8 @@ def main(argv):
             )
     if caps:
         print("check_bench_regression: %d ceiling rows checked" % capped)
+
+    check_exact(current, baseline, failures)
 
     cur_prov, base_prov = provenance(current), provenance(baseline)
     same_machine = all(

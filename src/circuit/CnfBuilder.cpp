@@ -7,12 +7,34 @@
 #include "circuit/CnfBuilder.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace psketch;
 using namespace psketch::circuit;
 using psketch::sat::Lit;
 using psketch::sat::Var;
 using psketch::sat::VarUndef;
+
+bool CnfBuilder::matchIte(NodeRef Self, NodeRef &Cond, NodeRef &Then,
+                          NodeRef &Else) const {
+  NodeRef A = G.operandA(Self);
+  NodeRef B = G.operandB(Self);
+  if (!A.negated() || !B.negated() || !G.isAnd(A) || !G.isAnd(B))
+    return false;
+  // Self = ~(X1 & Y1) & ~(X2 & Y2); look for a literal of the first inner
+  // AND whose complement is an operand of the second.
+  NodeRef X1 = G.operandA(A), Y1 = G.operandB(A);
+  NodeRef X2 = G.operandA(B), Y2 = G.operandB(B);
+  for (auto [C, T] : {std::pair{X1, Y1}, std::pair{Y1, X1}}) {
+    if (C == ~X2 || C == ~Y2) {
+      Cond = C;
+      Then = T;
+      Else = C == ~X2 ? Y2 : X2;
+      return true;
+    }
+  }
+  return false;
+}
 
 Var CnfBuilder::varForNode(uint32_t Root) {
   if (NodeVar.size() < G.numNodes())
@@ -45,28 +67,49 @@ Var CnfBuilder::varForNode(uint32_t Root) {
       Stack.pop_back();
       continue;
     }
-    NodeRef A = G.operandA(Self);
-    NodeRef B = G.operandB(Self);
-    bool Pending = false;
-    if (NodeVar[A.node()] == VarUndef) {
-      Stack.push_back(A.node());
-      Pending = true;
+    // A mux node is lowered from its three leaves; its two inner ANDs get
+    // variables only if some other edge reaches them.
+    NodeRef Ops[3];
+    bool Ite = matchIte(Self, Ops[0], Ops[1], Ops[2]);
+    if (!Ite) {
+      Ops[0] = G.operandA(Self);
+      Ops[1] = G.operandB(Self);
     }
-    if (NodeVar[B.node()] == VarUndef) {
-      Stack.push_back(B.node());
-      Pending = true;
+    bool Pending = false;
+    for (unsigned I = 0, N = Ite ? 3 : 2; I < N; ++I) {
+      if (NodeVar[Ops[I].node()] == VarUndef) {
+        Stack.push_back(Ops[I].node());
+        Pending = true;
+      }
     }
     if (Pending)
       continue;
 
-    // Tseitin for V <-> LA & LB.
+    auto LitOf = [&](NodeRef R) {
+      return Lit(NodeVar[R.node()], R.negated());
+    };
     Var V = S.newVar();
     Lit LV(V, false);
-    Lit LA(NodeVar[A.node()], A.negated());
-    Lit LB(NodeVar[B.node()], B.negated());
-    S.addClause(~LV, LA);
-    S.addClause(~LV, LB);
-    S.addClause(LV, ~LA, ~LB);
+    if (Ite) {
+      // Self = ~ite(C, T, E), so F = ~LV is the mux output.
+      Lit F = ~LV, C = LitOf(Ops[0]), T = LitOf(Ops[1]), E = LitOf(Ops[2]);
+      S.addClause(~C, ~T, F);
+      S.addClause(~C, T, ~F);
+      S.addClause(C, ~E, F);
+      S.addClause(C, E, ~F);
+      // Redundant but arc-consistent: F follows from T == E before C is
+      // known. Both are tautologies for an XOR (T == ~E).
+      if (T != ~E) {
+        S.addClause(~T, ~E, F);
+        S.addClause(T, E, ~F);
+      }
+    } else {
+      // Tseitin for V <-> LA & LB.
+      Lit LA = LitOf(Ops[0]), LB = LitOf(Ops[1]);
+      S.addClause(~LV, LA);
+      S.addClause(~LV, LB);
+      S.addClause(LV, ~LA, ~LB);
+    }
     NodeVar[Index] = V;
     ++Encoded;
     Stack.pop_back();

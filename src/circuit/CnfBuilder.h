@@ -1,4 +1,4 @@
-//===- circuit/CnfBuilder.h - Tseitin encoding into the solver --*- C++ -*-===//
+//===- circuit/CnfBuilder.h - CNF lowering into the solver ------*- C++ -*-===//
 //
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
@@ -6,7 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Incremental Tseitin encoding of the gate DAG into the CDCL solver.
+/// Incremental CNF encoding of the gate DAG into the CDCL solver. A plain
+/// AND gets the three Tseitin clauses; an AND that is a mux or XOR of
+/// three leaves (see matchIte) gets one variable and the six-clause
+/// if-then-else encoding instead, skipping its two inner ANDs unless
+/// another edge reaches them (docs/SOLVER.md §8).
 /// Gate-to-variable mappings persist across calls, so the inductive
 /// synthesizer can keep one solver alive for the whole CEGIS run: each new
 /// counterexample trace only encodes the cone of logic it adds, and hole
@@ -51,6 +55,12 @@ private:
   size_t Encoded = 0;
 
   sat::Var varForNode(uint32_t Node);
+
+  /// \returns true if AND node \p Self is ~(C & T) & ~(~C & E), the shape
+  /// mkIte, mkXor and bvMux build, setting \p Cond, \p Then and \p Else.
+  /// Self is then ~ite(Cond, Then, Else).
+  bool matchIte(NodeRef Self, NodeRef &Cond, NodeRef &Then,
+                NodeRef &Else) const;
 };
 
 } // namespace circuit

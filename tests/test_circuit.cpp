@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace psketch;
 using namespace psketch::circuit;
 
@@ -228,6 +230,109 @@ TEST(CnfBuilder, DeepConeDoesNotOverflowTheStack) {
   CB.assertTrue(Root);
   (void)S.solve(); // either verdict is fine; we only check survival
   SUCCEED();
+}
+
+TEST(CnfBuilder, MuxAwareEncodingAgreesWithEvaluate) {
+  // Random cones mixing every constructor the trace encoder uses, plus
+  // hand-built mux shapes: for every input assignment (as assumptions)
+  // the model must agree with Graph::evaluate on every root, and forcing
+  // a root the other way must be UNSAT.
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    Rng R(Seed);
+    Graph G;
+    unsigned NumIn = 3 + static_cast<unsigned>(R.below(6));
+    std::vector<NodeRef> In, Pool, Roots;
+    for (unsigned I = 0; I < NumIn; ++I)
+      In.push_back(G.mkInput("x" + std::to_string(I)));
+    Pool = In;
+    auto Pick = [&] {
+      NodeRef N = Pool[R.below(Pool.size())];
+      return R.chance(1, 2) ? ~N : N;
+    };
+    auto PickVec = [&] { return BitVec{{Pick(), Pick(), Pick()}}; };
+    for (int Step = 0; Step < 40; ++Step) {
+      BitVec V;
+      switch (R.below(7)) {
+      case 0: V.Bits = {G.mkAnd(Pick(), Pick())}; break;
+      case 1: V.Bits = {G.mkOr(Pick(), Pick())}; break;
+      case 2: V.Bits = {G.mkIte(Pick(), Pick(), Pick())}; break;
+      case 3: V.Bits = {G.mkXor(Pick(), Pick())}; break;
+      case 4: V.Bits = {G.mkEq(Pick(), Pick())}; break;
+      case 5: V = bvMux(G, Pick(), PickVec(), PickVec()); break;
+      default: V = bvAdd(G, PickVec(), PickVec()); break;
+      }
+      Pool.insert(Pool.end(), V.Bits.begin(), V.Bits.end());
+    }
+    Roots.assign(Pool.end() - 16, Pool.end());
+
+    NodeRef C = In[0], T = In[1], E = In[2];
+    // A mux whose inner ANDs another root references directly.
+    Roots.push_back(G.mkIte(C, T, ~E));
+    Roots.push_back(G.mkAnd(C, T));
+    Roots.push_back(~G.mkAnd(~C, ~E));
+    // Raw mux shapes: then == else, then == ~else, cond == then (mkAnd
+    // folds C & C, so no mux is left), and a pairing that only matches
+    // with the second operand of the first inner AND as the condition.
+    Roots.push_back(G.mkAnd(~G.mkAnd(C, T), ~G.mkAnd(~C, T)));
+    Roots.push_back(G.mkAnd(~G.mkAnd(C, T), ~G.mkAnd(~C, ~T)));
+    Roots.push_back(G.mkAnd(~G.mkAnd(C, C), ~G.mkAnd(~C, E)));
+    Roots.push_back(G.mkAnd(~G.mkAnd(C, T), ~G.mkAnd(~T, C)));
+    // A branch that contains the condition itself.
+    Roots.push_back(G.mkIte(C, G.mkAnd(C, E), G.mkXor(C, T)));
+
+    sat::Solver S;
+    CnfBuilder CB(G, S);
+    std::vector<sat::Lit> InLit, RootLit;
+    for (NodeRef X : In)
+      InLit.push_back(CB.litFor(X));
+    for (NodeRef X : Roots)
+      RootLit.push_back(CB.litFor(X));
+
+    for (uint32_t Bits = 0; Bits < (1u << NumIn); ++Bits) {
+      std::vector<bool> Values(NumIn);
+      std::vector<sat::Lit> Assume;
+      for (unsigned I = 0; I < NumIn; ++I) {
+        Values[I] = (Bits >> I) & 1;
+        Assume.push_back(Values[I] ? InLit[I] : ~InLit[I]);
+      }
+      ASSERT_TRUE(S.solve(Assume));
+      std::vector<bool> Expected;
+      for (size_t K = 0; K < Roots.size(); ++K) {
+        Expected.push_back(G.evaluate(Roots[K], Values));
+        EXPECT_EQ(S.modelValue(RootLit[K]) == sat::LBool::True, Expected[K])
+            << "seed " << Seed << " root " << K << " inputs " << Bits;
+      }
+      for (size_t K = 0; K < Roots.size(); ++K) {
+        std::vector<sat::Lit> Flipped = Assume;
+        Flipped.push_back(Expected[K] ? ~RootLit[K] : RootLit[K]);
+        EXPECT_FALSE(S.solve(Flipped))
+            << "seed " << Seed << " root " << K << " inputs " << Bits;
+      }
+    }
+  }
+}
+
+TEST(CnfBuilder, MuxEncodesOneVariablePerBit) {
+  // Each mux bit is one variable with the six-clause encoding, not three
+  // AND gates with three clauses each.
+  Graph G;
+  NodeRef Cond = G.mkInput("c");
+  BitVec A = bvInput(G, 8, "a"), B = bvInput(G, 8, "b");
+  BitVec M = bvMux(G, Cond, A, B);
+  sat::Solver S;
+  CnfBuilder CB(G, S);
+  (void)CB.litFor(Cond);
+  for (unsigned I = 0; I < 8; ++I) {
+    (void)CB.litFor(A.bit(I));
+    (void)CB.litFor(B.bit(I));
+  }
+  int VarsBefore = S.numVars();
+  size_t ClausesBefore = S.numClauses();
+  for (unsigned I = 0; I < 8; ++I)
+    (void)CB.litFor(M.bit(I));
+  EXPECT_EQ(S.numVars() - VarsBefore, 8);
+  EXPECT_EQ(S.numClauses() - ClausesBefore, 8u * 6u);
+  EXPECT_EQ(CB.numEncoded(), 1u + 16u + 8u);
 }
 
 TEST(Graph, HashConsingScalesAcrossRepeatedCones) {

@@ -354,7 +354,9 @@ bool modelSatisfies(const Solver &S, const ClauseList &Clauses) {
 
 /// A random AIG-shaped instance, in rounds. Round 0 is the Tseitin
 /// encoding of random AND gates over the inputs and earlier gates: two
-/// binaries and a ternary per gate, as circuit::CnfBuilder emits them.
+/// binaries and a ternary per gate, as circuit::CnfBuilder emits them
+/// for a plain AND (a mux or XOR gate gets ternaries only; see
+/// docs/SOLVER.md §8).
 /// Each later round adds a few short constraints (units, binaries,
 /// ternaries), the way counterexample observations arrive in CEGIS.
 std::vector<ClauseList> randomAigRounds(Rng &R, int NumVars, int Rounds,
