@@ -41,6 +41,8 @@
 #ifndef PSKETCH_EXEC_FOOTPRINT_H
 #define PSKETCH_EXEC_FOOTPRINT_H
 
+#include "support/Hash.h"
+
 #include <cstdint>
 #include <vector>
 
@@ -129,6 +131,23 @@ public:
 
   /// True when the protection channel is active on this footprint.
   bool hasProtection() const { return !Prot.empty(); }
+
+  /// Equal read, write and protection vectors: the interning key of the
+  /// Machine's footprint classes (two equal footprints conflict with
+  /// exactly the same footprints).
+  bool operator==(const Footprint &O) const {
+    return Read == O.Read && Write == O.Write && Prot == O.Prot;
+  }
+
+  /// A hash consistent with operator==.
+  uint64_t hash() const {
+    uint64_t H = mix64(Read.size() ^ (Prot.size() << 32));
+    for (size_t I = 0; I < Read.size(); ++I)
+      H = mix64(H ^ Read[I]) ^ mix64(H + Write[I]);
+    for (uint32_t M : Prot)
+      H = mix64(H + M);
+    return H;
+  }
 
   bool empty() const {
     for (size_t I = 0; I < Read.size(); ++I)

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <unordered_map>
 
 using namespace psketch;
 using namespace psketch::exec;
@@ -106,40 +107,47 @@ Machine::Machine(const flat::FlatProgram &FP, const HoleAssignment &Holes,
 }
 
 void Machine::buildRelationTables() {
-  // Only ordered pairs of distinct threads are tabulated: those are the
-  // only pairs the POR queries ask about. Every other pair falls back to
-  // the footprint recompute, like oversized bodies do.
+  // Only thread contexts are interned: those are the only ones the POR
+  // queries ask about. Bodies repeat footprints heavily (every thread of
+  // a family runs the same code, and suffix unions saturate), so the
+  // class matrix is far smaller than per-pc-pair tables would be.
   unsigned NT = numThreads();
-  size_t Total = 0;
-  for (unsigned A = 0; A < NT; ++A)
-    for (unsigned B = 0; B < NT; ++B)
-      if (A != B)
-        Total += StepFp[A].size() * StepFp[B].size();
-  if (Total > MaxRelationBits)
-    return; // oversized bodies fall back to on-demand footprint checks
-  CommuteTbl.resize(static_cast<size_t>(NT) * NT);
-  IndepTbl.resize(static_cast<size_t>(NT) * NT);
-  for (unsigned A = 0; A < NT; ++A) {
-    for (unsigned B = 0; B < NT; ++B) {
-      if (A == B)
-        continue;
-      size_t LenA = StepFp[A].size(), LenB = StepFp[B].size();
-      std::vector<uint8_t> &Cm = CommuteTbl[A * NT + B];
-      std::vector<uint8_t> &In = IndepTbl[A * NT + B];
-      Cm.assign((LenA * LenB + 7) / 8, 0);
-      In.assign((LenA * LenB + 7) / 8, 0);
-      for (size_t PA = 0; PA < LenA; ++PA) {
-        const Footprint &FA = StepFp[A][PA];
-        for (size_t PB = 0; PB < LenB; ++PB) {
-          size_t Bit = PA * LenB + PB;
-          if (!FA.conflictsWithUnprotected(StepFp[B][PB]))
-            Cm[Bit >> 3] |= static_cast<uint8_t>(1u << (Bit & 7));
-          if (!FA.conflictsWithUnprotected(SuffixFp[B][PB]))
-            In[Bit >> 3] |= static_cast<uint8_t>(1u << (Bit & 7));
-        }
-      }
-    }
+  std::vector<const Footprint *> Reps;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> ByHash;
+  auto Intern = [&](const Footprint &F) {
+    std::vector<uint32_t> &Bucket = ByHash[F.hash()];
+    for (uint32_t Id : Bucket)
+      if (*Reps[Id] == F)
+        return Id;
+    uint32_t Id = static_cast<uint32_t>(Reps.size());
+    Bucket.push_back(Id);
+    Reps.push_back(&F);
+    return Id;
+  };
+  StepCls.assign(NT, {});
+  SuffixCls.assign(NT, {});
+  for (unsigned T = 0; T < NT; ++T) {
+    for (const Footprint &F : StepFp[T])
+      StepCls[T].push_back(Intern(F));
+    for (const Footprint &F : SuffixFp[T])
+      SuffixCls[T].push_back(Intern(F));
   }
+  size_t NC = Reps.size();
+  if (NC * NC > MaxRelationBits) {
+    StepCls.clear(); // oversized: fall back to on-demand footprint checks
+    SuffixCls.clear();
+    return;
+  }
+  NumCls = NC;
+  Indep.assign((NC * NC + 63) / 64, 0);
+  auto Set = [&](size_t Bit) { Indep[Bit >> 6] |= 1ull << (Bit & 63); };
+  // The conflict relation is symmetric: test each unordered pair once.
+  for (size_t A = 0; A < NC; ++A)
+    for (size_t B = A; B < NC; ++B)
+      if (!Reps[A]->conflictsWithUnprotected(*Reps[B])) {
+        Set(A * NC + B);
+        Set(B * NC + A);
+      }
 }
 
 //===----------------------------------------------------------------------===//
@@ -254,7 +262,10 @@ void Machine::buildPackedLayout(const ValueBounds &Bounds) {
 }
 
 bool Machine::packWords(const int64_t *Words, uint64_t *Out) const {
-  unsigned BitPos = 0;
+  // Bits accumulate in a register and leave one whole word at a time:
+  // the same layout as OR-ing each field in at its bit position.
+  uint64_t Acc = 0;
+  unsigned Fill = 0, Idx = 0;
   for (unsigned W = 0; W < Layout.SchedWords; ++W) {
     const PackedLayout::PackedSlot &Slot = Packed.Slots[W];
     uint64_t Delta = static_cast<uint64_t>(Words[W]) -
@@ -263,12 +274,17 @@ bool Machine::packWords(const int64_t *Words, uint64_t *Out) const {
       return false; // out of the proven interval: raw-key fallback
     if (Slot.Bits == 0)
       continue;
-    unsigned Idx = BitPos / 64, Off = BitPos % 64;
-    Out[Idx] |= Delta << Off;
-    if (Off != 0 && Off + Slot.Bits > 64)
-      Out[Idx + 1] |= Delta >> (64 - Off);
-    BitPos += Slot.Bits;
+    Acc |= Delta << Fill;
+    Fill += Slot.Bits;
+    if (Fill >= 64) {
+      Out[Idx++] = Acc;
+      Fill -= 64;
+      // The high Fill bits of Delta did not fit (Fill < Bits here).
+      Acc = Fill ? Delta >> (Slot.Bits - Fill) : 0;
+    }
   }
+  if (Fill)
+    Out[Idx] = Acc;
   return true;
 }
 
@@ -811,64 +827,58 @@ uint64_t Machine::fingerprintState(const State &S) const {
 }
 
 std::string Machine::encodeWords(const int64_t *Words) const {
-  if (Packed.Enabled) {
-    uint64_t Buf[MaxPackedWords] = {};
-    if (packWords(Words, Buf))
-      return std::string(reinterpret_cast<const char *>(Buf),
-                         Packed.KeyBytes);
-    // Escape: raw key plus a marker byte. Packed keys are at most
-    // 8 * SchedWords bytes, so the lengths can never collide and Exact
-    // dedup stays injective even if the proven intervals were wrong.
-    PackEscapes.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::string Key(reinterpret_cast<const char *>(Words),
-                  static_cast<size_t>(Layout.SchedWords) * sizeof(int64_t));
-  if (Packed.Enabled)
-    Key.push_back('\x1b');
-  return Key;
-}
-
-std::string_view Machine::encodeWordsView(const int64_t *Words) const {
-  size_t RawBytes = static_cast<size_t>(Layout.SchedWords) * sizeof(int64_t);
-  if (Packed.Enabled) {
-    static thread_local std::vector<char> Scratch;
-    Scratch.resize(std::max<size_t>(Packed.KeyBytes, RawBytes + 1));
-    uint64_t Buf[MaxPackedWords] = {};
-    if (packWords(Words, Buf)) {
-      std::memcpy(Scratch.data(), Buf, Packed.KeyBytes);
-      return {Scratch.data(), Packed.KeyBytes};
-    }
-    PackEscapes.fetch_add(1, std::memory_order_relaxed);
-    std::memcpy(Scratch.data(), Words, RawBytes);
-    Scratch[RawBytes] = '\x1b'; // same escape marker as encodeWords
-    return {Scratch.data(), RawBytes + 1};
-  }
-  return {reinterpret_cast<const char *>(Words), RawBytes};
+  return std::string(encodeWordsView(Words));
 }
 
 uint64_t Machine::fingerprintWords(const int64_t *Words) const {
   return fingerprintWordsWith(Words, &hashWords);
 }
 
-uint64_t Machine::fingerprintWordsWith(
-    const int64_t *Words, uint64_t (*Hash)(const int64_t *, size_t)) const {
-  if (Packed.Enabled) {
-    uint64_t Buf[MaxPackedWords] = {};
-    if (packWords(Words, Buf))
-      return Hash(reinterpret_cast<const int64_t *>(Buf), Packed.KeyWords);
-    PackEscapes.fetch_add(1, std::memory_order_relaxed);
-    // Salt escaped raw-key hashes away from the packed hash space.
-    return Hash(Words, Layout.SchedWords) ^ 0x9e3779b97f4a7c15ull;
+Machine::StateKey
+Machine::stateKey(const int64_t *Words,
+                  uint64_t (*Hash)(const int64_t *, size_t)) const {
+  const unsigned NW = Layout.SchedWords;
+  const size_t RawBytes = static_cast<size_t>(NW) * sizeof(int64_t);
+  StateKey K;
+  if (!Packed.Enabled) {
+    K.Bytes = {reinterpret_cast<const char *>(Words), RawBytes};
+    K.Fp = Hash ? Hash(Words, NW) : 0;
+    return K;
   }
-  return Hash(Words, Layout.SchedWords);
+  // One scratch per thread, large enough for the escape rendering (raw
+  // words plus the marker byte) as well as the packed words.
+  static thread_local std::vector<uint64_t> Scratch;
+  size_t Need = std::max<size_t>(Packed.KeyWords, NW + 1);
+  if (Scratch.size() < Need)
+    Scratch.resize(Need);
+  uint64_t *Buf = Scratch.data();
+  char *BufBytes = reinterpret_cast<char *>(Buf);
+  if (packWords(Words, Buf)) {
+    K.Bytes = {BufBytes, Packed.KeyBytes};
+    K.Fp = Hash ? Hash(reinterpret_cast<const int64_t *>(Buf), Packed.KeyWords)
+                : 0;
+    return K;
+  }
+  // Escape: raw key plus a marker byte. Packed keys are at most
+  // 8 * SchedWords bytes, so the lengths can never collide and Exact
+  // dedup stays injective even if the proven intervals were wrong. The
+  // raw-key hash is salted away from the packed hash space.
+  std::memcpy(Buf, Words, RawBytes);
+  BufBytes[RawBytes] = '\x1b';
+  K.Bytes = {BufBytes, RawBytes + 1};
+  K.Fp = Hash ? Hash(Words, NW) ^ 0x9e3779b97f4a7c15ull : 0;
+  K.Escaped = true;
+  return K;
 }
 
 void Machine::fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
                                    uint64_t (*Hash)(const int64_t *, size_t),
-                                   uint64_t *Out) const {
+                                   uint64_t *Out, uint8_t *Escaped) const {
   assert(B.numWords() == Layout.SchedWords && "block/layout shape mismatch");
   if (!Packed.Enabled && Hash == &hashWords) {
     hashWordsBatch(B.data(), Layout.SchedWords, Lanes, B.stride(), Out);
+    if (Escaped)
+      std::fill(Escaped, Escaped + Lanes, 0);
     return;
   }
   // Packed layouts (and injected audit hashes) go through the scalar
@@ -877,7 +887,10 @@ void Machine::fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
   Tmp.resize(Layout.SchedWords);
   for (unsigned K = 0; K < Lanes; ++K) {
     B.gatherLane(K, Tmp.data());
-    Out[K] = fingerprintWordsWith(Tmp.data(), Hash);
+    StateKey Key = stateKey(Tmp.data(), Hash);
+    Out[K] = Key.Fp;
+    if (Escaped)
+      Escaped[K] = Key.Escaped;
   }
 }
 
@@ -885,11 +898,18 @@ void Machine::fingerprintBatchPtrsWith(const int64_t *const *W,
                                        unsigned Lanes,
                                        uint64_t (*Hash)(const int64_t *,
                                                         size_t),
-                                       uint64_t *Out) const {
+                                       uint64_t *Out,
+                                       uint8_t *Escaped) const {
   if (!Packed.Enabled && Hash == &hashWords) {
     hashWordsBatchPtrs(W, Layout.SchedWords, Lanes, Out);
+    if (Escaped)
+      std::fill(Escaped, Escaped + Lanes, 0);
     return;
   }
-  for (unsigned K = 0; K < Lanes; ++K)
-    Out[K] = fingerprintWordsWith(W[K], Hash);
+  for (unsigned K = 0; K < Lanes; ++K) {
+    StateKey Key = stateKey(W[K], Hash);
+    Out[K] = Key.Fp;
+    if (Escaped)
+      Escaped[K] = Key.Escaped;
+  }
 }

@@ -164,46 +164,69 @@ public:
   std::string encodeWords(const int64_t *Words) const;
   uint64_t fingerprintWords(const int64_t *Words) const;
 
-  /// encodeWords without materializing a std::string: the returned view
-  /// holds the identical key bytes (packed rendering, escape marker and
-  /// all) and stays valid until the next call on the same thread —
-  /// unpacked keys view \p Words directly, packed ones a thread-local
-  /// scratch. The batched visited probes pair this with heterogeneous
-  /// map lookup so revisits allocate nothing.
-  std::string_view encodeWordsView(const int64_t *Words) const;
+  /// One state's visited key, rendered once: the Exact key bytes and the
+  /// fingerprint hashed over the same rendering.
+  struct StateKey {
+    /// The encodeWords bytes. Views \p Words itself for unpacked layouts
+    /// and a per-thread scratch buffer otherwise, valid until the next
+    /// stateKey call on the same thread.
+    std::string_view Bytes;
+    uint64_t Fp = 0;      ///< the fingerprintWordsWith value
+    bool Escaped = false; ///< a word left its proven interval
+  };
 
-  /// fingerprintWords with an injected word-hash (the visited tables'
-  /// pluggable hash; verify/Visited.h). Packs first when a packed layout
-  /// is active, so Fingerprint mode hashes KeyWords <= schedWords() words.
+  /// Packs the scheduler prefix \p Words once and returns both visited
+  /// keys. In range, Bytes is the KeyBytes-long packed rendering and Fp
+  /// hashes its KeyWords words; an escaped state gets the raw bytes plus
+  /// the 0x1b marker and the salted raw hash; an unpacked layout gets the
+  /// raw view and the plain hash. A null \p Hash skips the hash (Fp 0).
+  /// Counts nothing: the visited tables count escapes per entered state
+  /// (notePackEscape).
+  StateKey stateKey(const int64_t *Words,
+                    uint64_t (*Hash)(const int64_t *, size_t)) const;
+
+  /// stateKey's Bytes alone: encodeWords without materializing a
+  /// std::string, with the same lifetime rules.
+  std::string_view encodeWordsView(const int64_t *Words) const {
+    return stateKey(Words, nullptr).Bytes;
+  }
+
+  /// stateKey's Fp alone, with an injected word-hash (the visited tables'
+  /// pluggable hash; verify/Visited.h).
   uint64_t fingerprintWordsWith(const int64_t *Words,
                                 uint64_t (*Hash)(const int64_t *,
-                                                 size_t)) const;
+                                                 size_t)) const {
+    return stateKey(Words, Hash).Fp;
+  }
 
   /// Batched fingerprintWordsWith over a word-major SoA block: Out[K] is
   /// bit-identical to fingerprintWordsWith on lane K's gathered words, for
   /// each of the first \p Lanes lanes. Unpacked layouts under the default
   /// hash run one hashWordsBatch sweep over the transposed words (the
   /// SIMD path); packed layouts — and injected audit hashes — gather and
-  /// pack each lane through the exact scalar path.
+  /// pack each lane through the exact scalar path. \p Escaped, when
+  /// non-null, receives each lane's StateKey::Escaped (all 0 unpacked).
   void fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
                             uint64_t (*Hash)(const int64_t *, size_t),
-                            uint64_t *Out) const;
+                            uint64_t *Out, uint8_t *Escaped = nullptr) const;
 
   /// Batched fingerprintWordsWith straight from per-lane word pointers
   /// (lane K's scheduler words at W[K]): no SoA block involved. Unpacked
   /// layouts under the default hash run the register-transposing SIMD
   /// kernel (hashWordsBatchPtrs); packed layouts and injected hashes
   /// fall back to the exact scalar path per lane. Out[K] is bit-identical
-  /// to fingerprintWordsWith(W[K], Hash) either way.
+  /// to fingerprintWordsWith(W[K], Hash) either way; \p Escaped as in
+  /// fingerprintBatchWith.
   void fingerprintBatchPtrsWith(const int64_t *const *W, unsigned Lanes,
                                 uint64_t (*Hash)(const int64_t *, size_t),
-                                uint64_t *Out) const;
+                                uint64_t *Out,
+                                uint8_t *Escaped = nullptr) const;
 
   /// The packed key layout (Enabled == false without ValueBounds tuning).
   const PackedLayout &packedLayout() const { return Packed; }
 
-  /// Stack-buffer bound for packed keys/fingerprints; layouts needing
-  /// more words than this stay unpacked.
+  /// Bound on the packed key's words; layouts needing more words than
+  /// this stay unpacked.
   static constexpr unsigned MaxPackedWords = 64;
 
   /// Bits the packed layout sheds from the 64 * schedWords() raw key
@@ -212,11 +235,19 @@ public:
     return Packed.Enabled ? 64 * Layout.SchedWords - Packed.TotalBits : 0;
   }
 
-  /// Encodings that found a word outside its proven interval and fell
-  /// back to the raw key. Nonzero only under an unsound ValueBounds — the
-  /// soundness tests assert this stays 0.
+  /// States a checker entered (offered to its visited table) whose key
+  /// found a word outside its proven interval and fell back to the raw
+  /// key: one per entered state, however many probes it took. Nonzero
+  /// only under an unsound ValueBounds — the soundness tests assert this
+  /// stays 0.
   uint64_t packEscapes() const {
     return PackEscapes.load(std::memory_order_relaxed);
+  }
+
+  /// Counts one entered state whose stateKey escaped (the visited tables'
+  /// insert paths call this; the counter is shared by parallel workers).
+  void notePackEscape() const {
+    PackEscapes.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Cross-thread step pairs that conflict on raw footprints but are
@@ -284,13 +315,8 @@ public:
   /// through unchanged (docs/ANALYSIS.md).
   bool commutes(unsigned CtxA, uint32_t PcA, unsigned CtxB,
                 uint32_t PcB) const {
-    if (tabulated(CtxA, CtxB)) {
-      uint32_t NB = static_cast<uint32_t>(StepFp[CtxB].size() - 1);
-      size_t Bit = static_cast<size_t>(clampPc(StepFp[CtxA], PcA)) * (NB + 1) +
-                   clampPc(StepFp[CtxB], PcB);
-      return (CommuteTbl[CtxA * numThreads() + CtxB][Bit >> 3] >> (Bit & 7)) &
-             1;
-    }
+    if (!Indep.empty() && CtxA < numThreads() && CtxB < numThreads())
+      return indepCls(clsAt(StepCls[CtxA], PcA), clsAt(StepCls[CtxB], PcB));
     return !stepFootprint(CtxA, PcA)
                 .conflictsWithUnprotected(stepFootprint(CtxB, PcB));
   }
@@ -305,17 +331,11 @@ public:
   /// top. PCs of \p S must be normalized (classifyAll has run).
   bool singletonIndependent(State &S, unsigned Ctx) const {
     uint32_t Pc = normalizePc(S, Ctx);
-    if (!IndepTbl.empty() && Ctx < numThreads()) {
-      uint32_t PA = clampPc(StepFp[Ctx], Pc);
-      for (unsigned U = 0; U < numThreads(); ++U) {
-        if (U == Ctx)
-          continue;
-        uint32_t NB = static_cast<uint32_t>(SuffixFp[U].size() - 1);
-        size_t Bit = static_cast<size_t>(PA) * (NB + 1) +
-                     clampPc(SuffixFp[U], S.pc(U));
-        if (!((IndepTbl[Ctx * numThreads() + U][Bit >> 3] >> (Bit & 7)) & 1))
+    if (!Indep.empty() && Ctx < numThreads()) {
+      uint32_t A = clsAt(StepCls[Ctx], Pc);
+      for (unsigned U = 0; U < numThreads(); ++U)
+        if (U != Ctx && !indepCls(A, clsAt(SuffixCls[U], S.pc(U))))
           return false;
-      }
       return true;
     }
     const Footprint &Fp = stepFootprint(Ctx, Pc);
@@ -345,33 +365,39 @@ private:
   std::vector<std::vector<Footprint>> StepFp;
   std::vector<std::vector<Footprint>> SuffixFp;
 
-  /// Precomputed relation bits over step pcs, one bitset per ordered
-  /// pair of distinct threads (indexed A * numThreads() + B; the diagonal
-  /// stays empty), with bits indexed pcA * lenB + pcB: CommuteTbl caches
-  /// commutes() (step-vs-step), IndepTbl caches the step-vs-suffix
-  /// independence that singletonIndependent folds over. Built once at
-  /// construction, over the footprints the tunings leave, unless the
-  /// bodies exceed MaxRelationBits; empty tables and every other context
-  /// pair mean "recompute from footprints". Both engines — scalar and
-  /// batched — consult the same tables, so their POR decisions agree by
-  /// construction.
+  /// The POR relations, tabulated once at construction over the
+  /// footprints the tunings leave. Every thread's step and suffix
+  /// footprints are interned into classes by content (protection masks
+  /// included): StepCls[Ctx][Pc] and SuffixCls[Ctx][Pc] mirror StepFp and
+  /// SuffixFp with class ids, and Indep holds one bit per ordered class
+  /// pair (A * NumCls + B), set when the two footprints do not conflict
+  /// (conflictsWithUnprotected). commutes() and singletonIndependent()
+  /// read it through the class ids. More than MaxRelationBits class
+  /// pairs leaves the tables empty; empty tables, and queries involving
+  /// the prologue or epilogue, recompute from footprints. Both engines —
+  /// scalar and batched — consult the same tables, so their POR
+  /// decisions agree by construction.
   static constexpr size_t MaxRelationBits = 1u << 22;
-  std::vector<std::vector<uint8_t>> CommuteTbl;
-  std::vector<std::vector<uint8_t>> IndepTbl;
+  std::vector<std::vector<uint32_t>> StepCls, SuffixCls;
+  std::vector<uint64_t> Indep;
+  size_t NumCls = 0;
 
-  bool tabulated(unsigned CtxA, unsigned CtxB) const {
-    return !CommuteTbl.empty() && CtxA != CtxB && CtxA < numThreads() &&
-           CtxB < numThreads();
+  bool indepCls(uint32_t A, uint32_t B) const {
+    size_t Bit = A * NumCls + B;
+    return (Indep[Bit >> 6] >> (Bit & 63)) & 1;
   }
 
-  static uint32_t clampPc(const std::vector<Footprint> &Tbl, uint32_t Pc) {
-    uint32_t N = static_cast<uint32_t>(Tbl.size() - 1);
-    return Pc < N ? Pc : N;
+  /// The class of \p Pc in a per-context class row; pcs past the body
+  /// clamp to the trailing (finished-context) entry, like the footprints.
+  static uint32_t clsAt(const std::vector<uint32_t> &Row, uint32_t Pc) {
+    uint32_t N = static_cast<uint32_t>(Row.size() - 1);
+    return Row[Pc < N ? Pc : N];
   }
 
   /// Packed-key layout (Enabled only under ValueBounds tuning) and the
-  /// tuning observability counters. PackEscapes is mutated from const
-  /// encode paths that run concurrently in the parallel checker.
+  /// tuning observability counters. PackEscapes is bumped through the
+  /// const notePackEscape by visited tables that run concurrently in the
+  /// parallel checker.
   PackedLayout Packed;
   uint64_t LockIndepPairs = 0;
   mutable std::atomic<uint64_t> PackEscapes{0};
@@ -399,8 +425,9 @@ private:
   void applyLockAnnotations(const LockAnnotations &Locks);
   void applyHeapPartition(const HeapPartition &Heap);
   void buildPackedLayout(const ValueBounds &Bounds);
-  /// Packs the scheduler prefix into \p Out (KeyWords words, zeroed by
-  /// the caller). \returns false when some word escapes its interval.
+  /// Packs the scheduler prefix into \p Out (KeyWords words, each one
+  /// written whole, so \p Out needs no zeroing). \returns false when
+  /// some word escapes its interval.
   bool packWords(const int64_t *Words, uint64_t *Out) const;
 
   const ir::Body &irBodyOf(unsigned Ctx) const;

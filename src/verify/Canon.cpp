@@ -107,8 +107,6 @@ const int64_t *Canonicalizer::canonicalize(const int64_t *Words,
       PermIdx = I;
     }
   }
-  if (PermIdx != IdentityPerm)
-    Hits.fetch_add(1, std::memory_order_relaxed);
   return Min;
 }
 
@@ -177,12 +175,6 @@ void Canonicalizer::canonicalizeBatch(const exec::SchedBlock &In,
       PermIdx[K] = I;
     }
   }
-
-  uint64_t NewHits = 0;
-  for (unsigned K = 0; K < Lanes; ++K)
-    NewHits += PermIdx[K] != IdentityPerm;
-  if (NewHits)
-    Hits.fetch_add(NewHits, std::memory_order_relaxed);
 }
 
 uint64_t Canonicalizer::maskToCanonical(unsigned PermIdx,

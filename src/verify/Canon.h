@@ -89,10 +89,20 @@ public:
   /// The inverse translation (canonical thread c back to InvCtxMap[c]).
   uint64_t maskFromCanonical(unsigned PermIdx, uint64_t Canon) const;
 
-  /// Probes whose canonical form came from a non-identity automorphism —
-  /// i.e. how often canonicalization actually rewrote a key.
+  /// States a checker entered (offered to its visited table) whose
+  /// canonical form came from a non-identity automorphism — i.e. how
+  /// often canonicalization actually rewrote a key, once per entered
+  /// state however many probes it took.
   uint64_t canonHits() const {
     return Hits.load(std::memory_order_relaxed);
+  }
+
+  /// Counts \p N entered states whose key canonicalization rewrote (the
+  /// visited tables' insert paths call this; canonicalize() itself counts
+  /// nothing, so extra membership probes never inflate the figure).
+  void noteHits(uint64_t N) const {
+    if (N)
+      Hits.fetch_add(N, std::memory_order_relaxed);
   }
 
 private:

@@ -24,6 +24,7 @@ void FrontierBatch::grow(unsigned NIn) {
   FpArr.resize(NIn);
   CtxArr.resize(NIn);
   PermArr.resize(NIn);
+  EscArr.resize(NIn);
   InsArr.resize(NIn);
   Outcomes.resize(NIn);
   Viols.resize(NIn);
@@ -139,12 +140,13 @@ void FrontierBatch::fingerprint(const exec::Machine &M,
                                 const Canonicalizer *Canon,
                                 StateHashFn Hash) {
   UseCanon = Canon && Canon->active();
+  Cn = UseCanon ? Canon : nullptr;
   if (UseCanon) {
     Raw.reset(M.schedWords(), N);
     for (unsigned K = 0; K < N; ++K)
       Raw.setLane(K, SArr[K].words());
     Canon->canonicalizeBatch(Raw, N, Canonical, PermArr.data());
-    M.fingerprintBatchWith(Canonical, N, Hash, FpArr.data());
+    M.fingerprintBatchWith(Canonical, N, Hash, FpArr.data(), EscArr.data());
     return;
   }
   // No canonicalization: no SoA block at all. The SIMD kernel
@@ -157,7 +159,19 @@ void FrontierBatch::fingerprint(const exec::Machine &M,
     PermArr[K] = Canonicalizer::IdentityPerm;
     WordPtrs[K] = SArr[K].words();
   }
-  M.fingerprintBatchPtrsWith(WordPtrs.data(), N, Hash, FpArr.data());
+  M.fingerprintBatchPtrsWith(WordPtrs.data(), N, Hash, FpArr.data(),
+                             EscArr.data());
+}
+
+void FrontierBatch::noteEntered(const exec::Machine &M) const {
+  uint64_t Hits = 0;
+  for (unsigned K = 0; K < N; ++K) {
+    if (EscArr[K])
+      M.notePackEscape();
+    Hits += PermArr[K] != Canonicalizer::IdentityPerm;
+  }
+  if (Cn)
+    Cn->noteHits(Hits);
 }
 
 void FrontierBatch::probeMask(const exec::Machine &M, VisitedTable &Visited) {
@@ -173,10 +187,11 @@ void FrontierBatch::probeMask(const exec::Machine &M, VisitedTable &Visited) {
     Visited.insertMaskWordsBatch(M, WordPtrs.data(), FpArr.data(),
                                  SleepArr.data(), N, InsArr.data(),
                                  WakeArr.data());
-    return;
+  } else {
+    Visited.insertMaskBatch(M, Canonical, N, FpArr.data(), PermArr.data(),
+                            SleepArr.data(), InsArr.data(), WakeArr.data());
   }
-  Visited.insertMaskBatch(M, Canonical, N, FpArr.data(), PermArr.data(),
-                          SleepArr.data(), InsArr.data(), WakeArr.data());
+  noteEntered(M);
 }
 
 void FrontierBatch::probeShared(const exec::Machine &M,
@@ -189,6 +204,7 @@ void FrontierBatch::probeShared(const exec::Machine &M,
     InsArr[K] = FreshArr[K] ? InsertOutcome::Fresh : InsertOutcome::Prune;
     WakeArr[K] = 0;
   }
+  noteEntered(M);
 }
 
 bool FrontierBatch::classify(unsigned K, const exec::Machine &M,

@@ -97,12 +97,13 @@ public:
   /// into the SoA block, canonicalized as a batch, and hashed in one
   /// batched (SIMD-dispatched) sweep; fp(K) then serves both the
   /// visited probe and the DFS on-stack cycle-proviso key — one
-  /// canonicalization and one hash pass per lane, where the scalar
-  /// ample engine pays two of each. With \p Canon inactive the block is
+  /// canonicalization and one hash pass per lane, like the scalar
+  /// engine's single probe. With \p Canon inactive the block is
   /// never built: the lanes are hashed straight from their AoS words by
   /// the register-transposing kernel (hashWordsBatchPtrs) — a staging
   /// copy would cost more than it saves (measured; docs/BATCHING.md) —
-  /// and the probes read the AoS states directly.
+  /// and the probes read the AoS states directly. Packed layouts also
+  /// record which lanes' keys escaped, for noteEntered.
   void fingerprint(const exec::Machine &M, const Canonicalizer *Canon,
                    StateHashFn Hash);
 
@@ -161,6 +162,11 @@ private:
                  const std::vector<TraceStep> &Path, Counterexample &Cex,
                  bool TrackFp);
 
+  /// Counts every probed lane once into Machine::packEscapes and
+  /// Canonicalizer::canonHits (the scalar tables' noteEntered; the
+  /// batch probes leave the counting to their caller).
+  void noteEntered(const exec::Machine &M) const;
+
   unsigned N = 0;
   std::vector<exec::State> SArr;
   std::vector<std::vector<TraceStep>> Suffix;
@@ -168,6 +174,7 @@ private:
   std::vector<uint64_t> SteppedMask;
   std::vector<uint64_t> SleepArr, WakeArr, FpArr;
   std::vector<unsigned> CtxArr, PermArr;
+  std::vector<uint8_t> EscArr; ///< per lane: its packed key escaped
   std::vector<InsertOutcome> InsArr;
   std::vector<exec::ExecOutcome> Outcomes;
   std::vector<exec::Violation> Viols;
@@ -175,6 +182,7 @@ private:
   std::vector<const int64_t *> WordPtrs; ///< probeMask fast-path scratch
   exec::SchedBlock Raw, Canonical;
   bool UseCanon = false; ///< which block fingerprint() probed through
+  const Canonicalizer *Cn = nullptr; ///< the active canonicalizer, if any
 };
 
 } // namespace detail

@@ -390,14 +390,15 @@ struct PorFrame {
 
 /// Decides what a freshly-entered state explores: a singleton ample set
 /// when one qualifies, the full ready set otherwise, minus slept
-/// contexts; or, for a Wake revisit, exactly the woken contexts. Fills
-/// \p F (Sleep/Reduced/Ready) and returns the choice list; bumps the POR
-/// counters on \p R.
-std::vector<unsigned> planChoices(const Machine &M, State &S, bool Ample,
-                                  std::vector<unsigned> Ready,
-                                  uint64_t Sleep, bool IsWake, uint64_t Wake,
-                                  PorFrame &F, CheckResult &R) {
-  std::vector<unsigned> Choices;
+/// contexts; or, for a Wake revisit, exactly the woken contexts. Reads
+/// the ready set from F.Ready, sets F.Sleep/F.Reduced, writes the choice
+/// list into \p Choices (reusing its buffer); bumps the POR counters on
+/// \p R.
+void planChoicesInto(const Machine &M, State &S, bool Ample, uint64_t Sleep,
+                     bool IsWake, uint64_t Wake, PorFrame &F,
+                     std::vector<unsigned> &Choices, CheckResult &R) {
+  const std::vector<unsigned> &Ready = F.Ready;
+  Choices.clear();
   F.Sleep = Sleep;
   if (IsWake) {
     // Re-expansion of a partially-covered state: only the transitions a
@@ -405,8 +406,7 @@ std::vector<unsigned> planChoices(const Machine &M, State &S, bool Ample,
     for (unsigned C : Ready)
       if (Wake & (1ull << C))
         Choices.push_back(C);
-    F.Ready = std::move(Ready);
-    return Choices;
+    return;
   }
   int AmpleIdx = Ample ? detail::selectAmple(M, S, Ready) : -1;
   if (AmpleIdx >= 0) {
@@ -414,21 +414,31 @@ std::vector<unsigned> planChoices(const Machine &M, State &S, bool Ample,
     ++R.AmpleStates;
     Choices.push_back(Ready[AmpleIdx]);
   } else {
-    Choices = Ready;
+    Choices.assign(Ready.begin(), Ready.end());
     if (Ample && Ready.size() >= 2)
       ++R.FullExpansions;
   }
   if (Sleep) {
-    std::vector<unsigned> Kept;
+    size_t Kept = 0;
     for (unsigned C : Choices) {
       if (Sleep & (1ull << C))
         ++R.SleepSkips;
       else
-        Kept.push_back(C);
+        Choices[Kept++] = C;
     }
-    Choices = std::move(Kept);
+    Choices.resize(Kept);
   }
+}
+
+/// planChoicesInto for callers that build a fresh frame per state: moves
+/// \p Ready into \p F and returns the choice list.
+std::vector<unsigned> planChoices(const Machine &M, State &S, bool Ample,
+                                  std::vector<unsigned> Ready,
+                                  uint64_t Sleep, bool IsWake, uint64_t Wake,
+                                  PorFrame &F, CheckResult &R) {
   F.Ready = std::move(Ready);
+  std::vector<unsigned> Choices;
+  planChoicesInto(M, S, Ample, Sleep, IsWake, Wake, F, Choices, R);
   return Choices;
 }
 
@@ -574,7 +584,10 @@ bool Checker::dfs(const State &Start, Counterexample &Cex) {
 
 bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
   // A frame carries no state: the single search state S is reverted to
-  // the frame's log mark before each of its scheduling choices.
+  // the frame's log mark before each of its scheduling choices. Frames
+  // are pooled: Depth is the live stack height, and frames above it keep
+  // their ready and choice buffers for the next push, so the search
+  // allocates nothing per state once the pool has grown.
   struct Frame {
     std::vector<unsigned> Choices;
     size_t NextChoice = 0;
@@ -585,15 +598,24 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
 
   const bool Ample =
       Cfg.Por == PorMode::Ample && M.numThreads() <= detail::MaxSleepThreads;
+  // The probe's fingerprint is the on-stack key stateFp would compute,
+  // unless the table hashes with an injected function.
+  const bool ProbeFpIsStateFp = Visited.hashFn() == &hashWords;
 
   std::vector<Frame> Stack;
+  size_t Depth = 0;
+  // The live frames' on-stack keys, bottom first (Ample only). Stacks
+  // stay about a hundred frames deep, so the cycle-proviso lookup is a
+  // linear scan of contiguous words and pushes and pops never allocate.
+  std::vector<uint64_t> OnStack;
   std::vector<TraceStep> Path;
-  std::unordered_map<uint64_t, unsigned> OnStack; ///< fp -> frames (Ample)
+  std::vector<TraceStep> Blocked;
   exec::UndoLog Log;
   State S = Start;
   S.attachLog(&Log);
 
-  // Enters S in place: local chain, dedup, classification, terminal
+  // Enters S in place: local chain, one probe (shared by the cycle
+  // proviso and the visited table), dedup, classification, terminal
   // handling; pushes a frame when there are scheduling choices. The
   // frame's mark is taken AFTER the local chain and pc normalization, so
   // reverting to it lands exactly on the entered (deduped) state.
@@ -601,17 +623,23 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
   auto Enter = [&](uint64_t Sleep) -> bool {
     if (!detail::advanceLocal(M, Cfg.Por, S, Path, Cex))
       return false;
-    uint64_t Fp = 0;
+    // stateFp runs before the probe: it reuses the scratch the probe's
+    // key bytes live in.
+    uint64_t Fp = Ample && !ProbeFpIsStateFp ? stateFp(S) : 0;
+    detail::StateProbe Probe = Visited.probe(M, S);
     if (Ample) {
-      Fp = stateFp(S);
-      if (!Stack.empty() && Stack.back().Por.Reduced && OnStack.count(Fp))
-        upgradeToFull(Stack.back().Por, Stack.back().Choices, Result);
+      if (ProbeFpIsStateFp)
+        Fp = Probe.Key.Fp;
+      if (Depth > 0 && Stack[Depth - 1].Por.Reduced &&
+          std::find(OnStack.begin(), OnStack.end(), Fp) != OnStack.end())
+        upgradeToFull(Stack[Depth - 1].Por, Stack[Depth - 1].Choices,
+                      Result);
     }
     uint64_t Wake = 0;
     detail::InsertOutcome Ins =
-        Ample ? Visited.insertMask(M, S, Sleep, Wake)
-              : (Visited.insert(M, S) ? detail::InsertOutcome::Fresh
-                                      : detail::InsertOutcome::Prune);
+        Ample ? Visited.insertMask(M, Probe, Sleep, Wake)
+              : (Visited.insert(M, Probe) ? detail::InsertOutcome::Fresh
+                                          : detail::InsertOutcome::Prune);
     if (Ins == detail::InsertOutcome::Prune) {
       ++Result.StatesDeduped;
       return true; // already explored; not a counterexample
@@ -625,11 +653,12 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
         Result.Exhausted = true;
     }
 
-    std::vector<unsigned> Ready;
-    std::vector<TraceStep> Blocked;
-    if (!detail::classifyAll(M, S, Ready, Blocked, Path, Cex))
+    if (Depth == Stack.size())
+      Stack.emplace_back();
+    Frame &F = Stack[Depth]; // not live until Depth is bumped below
+    if (!detail::classifyAll(M, S, F.Por.Ready, Blocked, Path, Cex))
       return false;
-    if (Ready.empty()) {
+    if (F.Por.Ready.empty()) {
       if (!Blocked.empty()) {
         Cex.Steps = Path;
         Cex.V.VKind = Violation::Kind::Deadlock;
@@ -641,35 +670,33 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
       // checkEpilogue snapshots S; the copy does not inherit the log.
       return detail::checkEpilogue(M, S, Path, Cex);
     }
-    Frame F;
-    F.Por.Fp = Fp;
-    F.Choices = planChoices(M, S, Ample, std::move(Ready), Sleep, IsWake,
-                            Wake, F.Por, Result);
+    F.Por.Branched = 0;
+    F.Por.Reduced = false;
+    planChoicesInto(M, S, Ample, Sleep, IsWake, Wake, F.Por, F.Choices,
+                    Result);
     if (F.Choices.empty())
       return true; // every transition here is covered elsewhere (sleep)
+    F.NextChoice = 0;
     F.PathLen = Path.size();
     F.Mark = Log.mark();
     if (Ample)
-      ++OnStack[F.Por.Fp];
-    Stack.push_back(std::move(F));
+      OnStack.push_back(Fp);
+    ++Depth;
     return true;
   };
 
   if (!Enter(0))
     return false;
 
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
+  while (Depth > 0) {
+    Frame &Top = Stack[Depth - 1];
     if (Top.NextChoice >= Top.Choices.size() || Result.Exhausted) {
       S.revertTo(Top.Mark);
-      if (Ample) {
-        auto It = OnStack.find(Top.Por.Fp);
-        if (--It->second == 0)
-          OnStack.erase(It);
-      }
-      Stack.pop_back();
-      if (!Stack.empty())
-        Path.resize(Stack.back().PathLen);
+      if (Ample)
+        OnStack.pop_back();
+      --Depth;
+      if (Depth > 0)
+        Path.resize(Stack[Depth - 1].PathLen);
       continue;
     }
     S.revertTo(Top.Mark); // undo the previous choice's subtree
@@ -706,8 +733,8 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
 // then descended into one by one in choice order. The OnStack cycle
 // proviso and the sleep protocol are the scalar DFS's; the canonical
 // fingerprints the batch computed serve both the on-stack keys and the
-// table probe, where the scalar ample engine canonicalizes and hashes
-// each child twice (stateFp + insertMask). Sub-batching — at most
+// table probe, as the scalar undo-log engine's single probe does.
+// Sub-batching — at most
 // BatchWidth lanes per generation round — keeps a C2 upgrade's appended
 // choices flowing through the same machinery and bounds per-frame
 // memory; every generated lane is descended into before the next round,

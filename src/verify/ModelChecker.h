@@ -309,8 +309,9 @@ struct CheckResult {
   /// Symmetry observability (SymmetryMode::Orbit; all zero otherwise).
   /// Thread orbits the inference proved for this candidate (0 = the
   /// inference did not run; numThreads = it ran but refused everything);
-  /// visited-table probes whose canonical key came from a non-identity
-  /// automorphism; and the per-candidate setup cost in seconds
+  /// states entered into the visited table whose canonical key came from
+  /// a non-identity automorphism (once per state, however many probes it
+  /// took); and the per-candidate setup cost in seconds
   /// (inference plus permutation-table compilation — probes themselves
   /// are not timed).
   unsigned SymmetryOrbits = 0;
@@ -319,9 +320,10 @@ struct CheckResult {
   /// Analysis-tuning observability, stamped from the Machine (zero when
   /// the Machine carries no analysis facts). Bits the packed visited-key
   /// layout sheds per state; cross-thread step pairs the protectedBy
-  /// channel newly classifies independent; states whose value escaped its
-  /// proven interval at encode time (an analysis bug indicator — the
-  /// state fell back to the raw key, costing memory, never soundness).
+  /// channel newly classifies independent; entered states whose value
+  /// escaped its proven interval, once per state (an analysis bug
+  /// indicator — the state fell back to the raw key, costing memory,
+  /// never soundness).
   unsigned TightenedBits = 0;
   uint64_t LockIndepPairs = 0;
   uint64_t PackEscapes = 0;

@@ -12,8 +12,11 @@
 /// VisitedCell so Exact and Fingerprint dedup — including the optional
 /// collision audit — behave identically in either engine.
 ///
-/// Exact mode owns the full scheduler-relevant key (Machine::encodeState,
-/// 8 bytes per state word), stored in a FlatExactTable: an
+/// Both tables see a state through one StateProbe: its canonical image,
+/// packed and hashed once (Machine::stateKey), whose fingerprint the
+/// sequential DFS also uses as its on-stack key. Exact mode owns the
+/// full scheduler-relevant key (Machine::encodeState, 8 bytes per state
+/// word, or the packed rendering), stored in a FlatExactTable: an
 /// open-addressing slot array indexed by the state fingerprint plus a
 /// chunked arena of key bytes. Exactness never rests on the fingerprint
 /// (a slot hit is always confirmed by memcmp; a mismatch walks on) — the
@@ -605,6 +608,38 @@ private:
   bool OverBudget = false;     ///< Memory-mode abort watermark latched
 };
 
+/// One probe of a state: its canonical image (under an active symmetry),
+/// packed and hashed once (Machine::stateKey). Key.Bytes views per-thread
+/// scratch or the state itself, so a probe must be consumed before the
+/// next probe, canonicalization or mutation of the state on its thread.
+struct StateProbe {
+  exec::Machine::StateKey Key;
+  unsigned PermIdx = Canonicalizer::IdentityPerm;
+};
+
+/// Canonicalizes \p S once (when \p Canon is non-null) and renders its
+/// key once: the single canonicalize-pack-hash both tables key on.
+inline StateProbe probeState(const exec::Machine &M, const exec::State &S,
+                             const Canonicalizer *Canon, StateHashFn Hash) {
+  StateProbe P;
+  const int64_t *W =
+      Canon ? Canon->canonicalize(S.words(), P.PermIdx) : S.words();
+  P.Key = M.stateKey(W, Hash);
+  return P;
+}
+
+/// Counts one entered state's escape and canonical rewrite
+/// (Machine::packEscapes, Canonicalizer::canonHits). Every insert path
+/// calls this exactly once per state it is offered; membership probes
+/// never do.
+inline void noteEntered(const exec::Machine &M, const Canonicalizer *Canon,
+                        const StateProbe &P) {
+  if (P.Key.Escaped)
+    M.notePackEscape();
+  if (P.PermIdx != Canonicalizer::IdentityPerm)
+    Canon->noteHits(1);
+}
+
 /// The sequential engine's visited table.
 class VisitedTable {
 public:
@@ -617,35 +652,47 @@ public:
     Cell.configure(Spill, Cfg.VisitedBudgetBytes);
   }
 
-  /// \returns true when \p S was newly inserted.
+  /// The state's single probe (canonical image, key bytes and
+  /// fingerprint); the engines share it between the DFS cycle proviso
+  /// and the insert below.
+  StateProbe probe(const exec::Machine &M, const exec::State &S) const {
+    return probeState(M, S, Canon, Hash);
+  }
+
+  /// \returns true when the probed state was newly inserted.
+  bool insert(const exec::Machine &M, const StateProbe &P) {
+    noteEntered(M, Canon, P);
+    return Cell.insert(Mode, Audit, AuditBudget, P.Key.Fp, P.Key.Bytes);
+  }
   bool insert(const exec::Machine &M, const exec::State &S) {
-    unsigned PermIdx = Canonicalizer::IdentityPerm;
-    const int64_t *W = keyWords(S, PermIdx);
-    return Cell.insert(Mode, Audit, AuditBudget, fp(M, W), keyView(M, W));
+    return insert(M, probe(M, S));
   }
 
   /// Mask-aware insert for the sleep-set DFS (file comment). Sleep/wake
   /// masks are in raw thread coordinates; translation through the chosen
   /// automorphism happens here.
-  InsertOutcome insertMask(const exec::Machine &M, const exec::State &S,
+  InsertOutcome insertMask(const exec::Machine &M, const StateProbe &P,
                            uint64_t Sleep, uint64_t &WakeOut) {
-    unsigned PermIdx = Canonicalizer::IdentityPerm;
-    const int64_t *W = keyWords(S, PermIdx);
-    uint64_t CSleep =
-        Canon ? Canon->maskToCanonical(PermIdx, Sleep) : Sleep;
+    noteEntered(M, Canon, P);
+    uint64_t CSleep = Canon ? Canon->maskToCanonical(P.PermIdx, Sleep) : Sleep;
     uint64_t CWake = 0;
-    InsertOutcome Out = Cell.insertMask(Mode, Audit, AuditBudget, fp(M, W),
-                                        CSleep, CWake, keyView(M, W));
+    InsertOutcome Out = Cell.insertMask(Mode, Audit, AuditBudget, P.Key.Fp,
+                                        CSleep, CWake, P.Key.Bytes);
     if (Out == InsertOutcome::Wake)
-      WakeOut = Canon ? Canon->maskFromCanonical(PermIdx, CWake) : CWake;
+      WakeOut = Canon ? Canon->maskFromCanonical(P.PermIdx, CWake) : CWake;
     return Out;
   }
+  InsertOutcome insertMask(const exec::Machine &M, const exec::State &S,
+                           uint64_t Sleep, uint64_t &WakeOut) {
+    return insertMask(M, probe(M, S), Sleep, WakeOut);
+  }
 
-  /// True when \p S is already in the table (no insertion).
+  /// True when the probed state is already in the table (no insertion).
+  bool contains(const StateProbe &P) const {
+    return Cell.contains(Mode, P.Key.Fp, P.Key.Bytes);
+  }
   bool contains(const exec::Machine &M, const exec::State &S) const {
-    unsigned PermIdx = Canonicalizer::IdentityPerm;
-    const int64_t *W = keyWords(S, PermIdx);
-    return Cell.contains(Mode, fp(M, W), keyView(M, W));
+    return contains(probe(M, S));
   }
 
   /// Batched mask-aware insert over an ALREADY-canonicalized word-major
@@ -657,7 +704,8 @@ public:
   /// Sleep[K]. Out[K] / WakeOut[K] match insertMask on lane K exactly.
   /// Exact mode prefetches the batch's slot lines and key bytes first,
   /// then gathers each lane into one reused scratch buffer and probes by
-  /// view, so revisits allocate nothing.
+  /// view, so revisits allocate nothing. The batch entry points count no
+  /// escapes or canonical rewrites: their caller (FrontierBatch) does.
   void insertMaskBatch(const exec::Machine &M, const exec::SchedBlock &B,
                        unsigned Lanes, const uint64_t *Fp,
                        const unsigned *PermIdx, const uint64_t *Sleep,
@@ -750,21 +798,9 @@ public:
   bool overBudget() const { return Cell.overBudget(); }
 
 private:
-  const int64_t *keyWords(const exec::State &S, unsigned &PermIdx) const {
-    return Canon ? Canon->canonicalize(S.words(), PermIdx) : S.words();
-  }
-
-  uint64_t fp(const exec::Machine &M, const int64_t *Words) const {
-    // Routed through the Machine so a packed layout (exec/Tuning.h)
-    // hashes the packed words; without packing this is Hash(Words,
-    // schedWords()) exactly. Both modes hash: the Fingerprint key, the
-    // Exact placement hint.
-    return M.fingerprintWordsWith(Words, Hash);
-  }
-
   std::string_view keyView(const exec::Machine &M, const int64_t *W) const {
     // The exact bytes are only needed by Exact mode or the audit
-    // (VisitedCell's key contract); everyone else skips the encoding.
+    // (VisitedCell's key contract); the batch probes skip them otherwise.
     return Mode == VisitedMode::Exact || Audit ? M.encodeWordsView(W)
                                                : std::string_view();
   }
@@ -803,17 +839,15 @@ public:
   }
 
   /// \returns true when \p S was newly inserted. Check-and-insert is
-  /// atomic per shard. The canonical image (and its fingerprint, which
-  /// picks the shard) is computed outside the shard lock.
+  /// atomic per shard. The state is probed once (canonical image, key
+  /// bytes and the fingerprint that picks the shard) outside the lock.
   bool insert(const exec::Machine &M, const exec::State &S) {
-    unsigned PermIdx = Canonicalizer::IdentityPerm;
-    const int64_t *W = Canon ? Canon->canonicalize(S.words(), PermIdx)
-                             : S.words();
-    uint64_t Fp = M.fingerprintWordsWith(W, Hash);
-    ShardT &Shard = Shards[Fp & (NumShards - 1)];
+    StateProbe P = probeState(M, S, Canon, Hash);
+    noteEntered(M, Canon, P);
+    ShardT &Shard = Shards[P.Key.Fp & (NumShards - 1)];
     std::lock_guard<std::mutex> Lock(Shard.Mu);
-    bool Fresh = Shard.Cell.insert(Mode, Audit, AuditBudget, Fp,
-                                   keyView(M, W));
+    bool Fresh = Shard.Cell.insert(Mode, Audit, AuditBudget, P.Key.Fp,
+                                   P.Key.Bytes);
     if (Shard.Cell.overBudget())
       AnyOverBudget.store(true, std::memory_order_relaxed);
     return Fresh;
@@ -826,13 +860,10 @@ public:
   /// Canonicalization keeps that argument intact: both the insert and
   /// the probe key on the same canonical image.
   bool contains(const exec::Machine &M, const exec::State &S) const {
-    unsigned PermIdx = Canonicalizer::IdentityPerm;
-    const int64_t *W = Canon ? Canon->canonicalize(S.words(), PermIdx)
-                             : S.words();
-    uint64_t Fp = M.fingerprintWordsWith(W, Hash);
-    const ShardT &Shard = Shards[Fp & (NumShards - 1)];
+    StateProbe P = probeState(M, S, Canon, Hash);
+    const ShardT &Shard = Shards[P.Key.Fp & (NumShards - 1)];
     std::lock_guard<std::mutex> Lock(Shard.Mu);
-    return Shard.Cell.contains(Mode, Fp, keyView(M, W));
+    return Shard.Cell.contains(Mode, P.Key.Fp, P.Key.Bytes);
   }
 
   /// Batched check-and-insert over an ALREADY-canonicalized word-major
@@ -847,7 +878,8 @@ public:
   /// returned. \p AoS, when non-null, points at the lanes' row-major
   /// states and must hold the same words as \p B (the
   /// no-canonicalization case): keys are then viewed straight from the
-  /// states, skipping the per-lane SoA gather.
+  /// states, skipping the per-lane SoA gather. Like the sequential batch
+  /// probes, it leaves escape and rewrite counting to its caller.
   void insertBatch(const exec::Machine &M, const exec::SchedBlock &B,
                    unsigned Lanes, const uint64_t *Fp, uint8_t *Fresh,
                    const exec::State *AoS = nullptr) {
@@ -943,11 +975,6 @@ private:
     mutable std::mutex Mu;
     VisitedCell Cell;
   };
-
-  std::string_view keyView(const exec::Machine &M, const int64_t *W) const {
-    return Mode == VisitedMode::Exact || Audit ? M.encodeWordsView(W)
-                                               : std::string_view();
-  }
 
   VisitedMode Mode;
   bool Audit;

@@ -11,9 +11,10 @@
 //    canonical words as scalar canonicalize on every lane;
 //  * fingerprintBatchWith matches fingerprintWordsWith lane for lane,
 //    for the builtin and a foreign hash, raw and packed keys;
-//  * the precomputed commute and independence tables agree with the
-//    footprint recompute they cache, over every pc pair in range, on
-//    plain and on lock- and heap-tuned machines;
+//  * the footprint-class conflict matrix behind commutes and
+//    singletonIndependent agrees with the footprint recompute, over
+//    every pc pair in range, on plain and on lock- and heap-tuned
+//    machines, fineset1 ar(aaaa|rrrr) included;
 //  * scalar (BatchWidth=1) and batched (BatchWidth=16) checks agree on
 //    verdict and byte-identical counterexample across suite rows,
 //    candidates, POR modes, symmetry modes, search orders, and worker
@@ -324,6 +325,29 @@ TEST(BatchTables, CommuteTableMatchesFootprintRecompute) {
   }
   EXPECT_TRUE(SawLocks) << "no row exercised lock-discounted footprints";
   EXPECT_TRUE(SawSites) << "no row exercised the heap partition";
+
+  // The heaviest table build of the suite: four adds racing four
+  // removes over the fine-grained set, plain and tuned.
+  std::optional<bench::SuiteEntry> Wide;
+  for (const bench::SuiteEntry &E : bench::paperSuite("fineset1"))
+    if (E.Test == "ar(aaaa|rrrr)")
+      Wide = E;
+  ASSERT_TRUE(Wide.has_value());
+  auto WP = Wide->Build();
+  flat::FlatProgram WFP = flat::flatten(*WP);
+  ir::HoleAssignment WRef = Wide->Reference
+                                ? Wide->Reference(*WP)
+                                : ir::HoleAssignment(WP->holes().size(), 0);
+  exec::Machine WM(WFP, WRef);
+  expectRelationsMatchFootprints(WM, "fineset1 ar(aaaa|rrrr)");
+  analysis::CandidateFacts WFacts = analysis::analyzeCandidate(*WP, WFP, WRef);
+  ASSERT_FALSE(WFacts.Refuted);
+  exec::MachineTuning WTuning;
+  WTuning.Locks = &WFacts.Locks;
+  if (!WFacts.Heap.empty())
+    WTuning.Heap = &WFacts.Heap;
+  exec::Machine WTM(WFP, WRef, WTuning);
+  expectRelationsMatchFootprints(WTM, "fineset1 ar(aaaa|rrrr)/tuned");
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,7 +5,12 @@
 //
 // The engine-equivalence guarantees under test:
 //  * the undo-log DFS and the legacy copy-per-successor DFS are
-//    observationally identical (verdict, counterexample, state counts);
+//    observationally identical (verdict, counterexample, state counts),
+//    on a counter program and on suite rows under ample POR, symmetry
+//    and packed keys;
+//  * Machine::stateKey renders raw, packed and escaped keys exactly as
+//    encodeWords / fingerprintWordsWith do, and the checker counts one
+//    escape per entered state, in every engine;
 //  * randomized step/undo sequences restore states bit-for-bit;
 //  * Exact and Fingerprint visited modes agree on verdict and canonical
 //    counterexample across worker counts (absent hash collisions);
@@ -14,13 +19,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AbsInt.h"
 #include "benchmarks/Suite.h"
 #include "desugar/Flatten.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
 #include "verify/ModelChecker.h"
 #include "verify/Visited.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
+#include <set>
 
 using namespace psketch;
 using namespace psketch::ir;
@@ -71,6 +82,39 @@ ir::HoleAssignment randomAssignment(const ir::Program &P, Rng &R) {
   for (size_t H = 0; H < A.size(); ++H)
     A[H] = R.below(P.holes()[H].NumChoices);
   return A;
+}
+
+/// Collects \p Want states by random walk from the initial state (the
+/// walk restarts when a step reports anything but Ok).
+std::vector<exec::State> randomWalkStates(const exec::Machine &M,
+                                          unsigned Want, uint64_t Seed) {
+  std::vector<exec::State> Out;
+  Rng R(Seed);
+  exec::State S = M.initialState();
+  while (Out.size() < Want) {
+    unsigned Ctx = static_cast<unsigned>(R.below(M.numContexts()));
+    exec::Violation V;
+    if (M.execStep(S, Ctx, V).Result != exec::StepResult::Ok) {
+      S = M.initialState();
+      continue;
+    }
+    Out.push_back(S);
+  }
+  return Out;
+}
+
+/// Value bounds that every reachable state of \p M violates: each
+/// global slot is claimed constant at a value no counter program
+/// reaches, so every key takes the escape path.
+exec::ValueBounds escapingBounds(const exec::Machine &M) {
+  exec::ValueBounds Lies;
+  for (unsigned G = 0; G < M.globalSlots(); ++G)
+    Lies.GlobalSlots.push_back({1000, 1000});
+  exec::State Shape = M.initialState();
+  Lies.Locals.resize(M.numContexts());
+  for (unsigned Ctx = 0; Ctx < M.numContexts(); ++Ctx)
+    Lies.Locals[Ctx].resize(Shape.numLocals(Ctx), {0, 0});
+  return Lies;
 }
 
 void expectSameCex(const CheckResult &A, const CheckResult &B,
@@ -145,6 +189,29 @@ TEST(StateEngine, CopiesDetachFromUndoLog) {
 // Undo-log DFS vs legacy copy DFS: observationally identical.
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Runs \p Cfg on \p M with the undo-log DFS and with the copy DFS and
+/// demands identical verdicts, search counters and counterexamples.
+void expectUndoMatchesCopy(const exec::Machine &M, CheckerConfig Cfg,
+                           const std::string &Tag) {
+  Cfg.UseRandomFalsifier = false; // isolate the exhaustive phase
+  Cfg.UseUndoLog = true;
+  CheckResult RU = checkCandidate(M, Cfg);
+  Cfg.UseUndoLog = false;
+  CheckResult RC = checkCandidate(M, Cfg);
+  EXPECT_EQ(RU.Ok, RC.Ok) << Tag;
+  EXPECT_EQ(RU.StatesExplored, RC.StatesExplored) << Tag;
+  EXPECT_EQ(RU.StatesDeduped, RC.StatesDeduped) << Tag;
+  EXPECT_EQ(RU.AmpleStates, RC.AmpleStates) << Tag;
+  EXPECT_EQ(RU.FullExpansions, RC.FullExpansions) << Tag;
+  EXPECT_EQ(RU.SleepSkips, RC.SleepSkips) << Tag;
+  EXPECT_EQ(RU.Exhausted, RC.Exhausted) << Tag;
+  expectSameCex(RU, RC, Tag);
+}
+
+} // namespace
+
 TEST(StateEngine, UndoDfsMatchesCopyDfs) {
   struct Scenario {
     bool Atomic;
@@ -185,6 +252,168 @@ TEST(StateEngine, UndoDfsMatchesCopyDfs) {
     EXPECT_EQ(RU.SleepSkips, RC.SleepSkips) << Tag;
     EXPECT_EQ(RU.Exhausted, RC.Exhausted) << Tag;
     expectSameCex(RU, RC, Tag);
+  }
+
+  // Suite rows build deep stacks, reduced frames and (under symmetry)
+  // canonical keys: the reference and the all-zero candidate of the
+  // lightest row of three families, under ample POR with symmetry off
+  // and on, plus the analysis-tuned machine CEGIS would build for the
+  // reference (packed keys, lock and heap footprints).
+  bool SawPacked = false;
+  for (const char *FamilyName : {"barrier1", "lazyset", "dinphilo"}) {
+    std::string Family = FamilyName;
+    auto Row = lightestRow(Family);
+    ASSERT_TRUE(Row.has_value()) << Family;
+    auto P = Row->Build();
+    flat::FlatProgram FP = flat::flatten(*P);
+    ir::HoleAssignment Ref = Row->Reference
+                                 ? Row->Reference(*P)
+                                 : ir::HoleAssignment(P->holes().size(), 0);
+    ir::HoleAssignment Zero(P->holes().size(), 0);
+    analysis::CandidateFacts Facts = analysis::analyzeCandidate(*P, FP, Ref);
+    ASSERT_FALSE(Facts.Refuted) << Family;
+    exec::MachineTuning Tuning;
+    Tuning.Locks = &Facts.Locks;
+    Tuning.Bounds = &Facts.Bounds;
+    if (!Facts.Heap.empty())
+      Tuning.Heap = &Facts.Heap;
+    exec::Machine MRef(FP, Ref), MZero(FP, Zero), MTuned(FP, Ref, Tuning);
+    SawPacked = SawPacked || MTuned.packedLayout().Enabled;
+    for (SymmetryMode Sym : {SymmetryMode::Off, SymmetryMode::Orbit}) {
+      CheckerConfig Cfg;
+      Cfg.Por = PorMode::Ample;
+      Cfg.Symmetry = Sym;
+      std::string SymTag = Sym == SymmetryMode::Orbit ? "/sym" : "/nosym";
+      expectUndoMatchesCopy(MRef, Cfg, Family + "/ref" + SymTag);
+      expectUndoMatchesCopy(MZero, Cfg, Family + "/zero" + SymTag);
+      expectUndoMatchesCopy(MTuned, Cfg, Family + "/tuned" + SymTag);
+    }
+  }
+  EXPECT_TRUE(SawPacked) << "no tuned row packed its keys";
+}
+
+//===----------------------------------------------------------------------===//
+// The key routine: one rendering serves both visited keys.
+//===----------------------------------------------------------------------===//
+
+TEST(StateEngine, StateKeyMatchesRawPackedAndEscapedKeys) {
+  Program P;
+  buildCounter(P, /*Atomic=*/false, 2, 4);
+  flat::FlatProgram FP = flat::flatten(P);
+  exec::Machine Raw(FP, {});
+  const unsigned NW = Raw.schedWords();
+  const size_t RawBytes = size_t{NW} * sizeof(int64_t);
+
+  // Sound bounds for this program: x and each tmp stay within [0, 4].
+  exec::ValueBounds Sound;
+  Sound.GlobalSlots.assign(Raw.globalSlots(), {0, 4});
+  exec::State Shape = Raw.initialState();
+  Sound.Locals.resize(Raw.numContexts());
+  for (unsigned Ctx = 0; Ctx < Raw.numContexts(); ++Ctx)
+    Sound.Locals[Ctx].assign(Shape.numLocals(Ctx), {0, 4});
+  exec::MachineTuning Tuning;
+  Tuning.Bounds = &Sound;
+  exec::Machine Packed(FP, {}, Tuning);
+  ASSERT_TRUE(Packed.packedLayout().Enabled);
+  const exec::PackedLayout &PL = Packed.packedLayout();
+
+  exec::ValueBounds Lies = escapingBounds(Raw);
+  Tuning.Bounds = &Lies;
+  exec::Machine Escaping(FP, {}, Tuning);
+  ASSERT_TRUE(Escaping.packedLayout().Enabled);
+
+  std::vector<exec::State> States = randomWalkStates(Raw, 200, 0x5EEDull);
+  std::map<std::vector<int64_t>, std::string> KeyOf;
+  std::set<std::string> Keys;
+  for (const exec::State &S : States) {
+    const int64_t *W = S.words();
+    std::string Tag = "state " + std::to_string(KeyOf.size());
+
+    // A raw layout views the words themselves under the plain hash.
+    exec::Machine::StateKey K = Raw.stateKey(W, &hashWords);
+    EXPECT_EQ(K.Bytes.data(), reinterpret_cast<const char *>(W)) << Tag;
+    EXPECT_EQ(K.Bytes.size(), RawBytes) << Tag;
+    EXPECT_EQ(K.Fp, hashWords(W, NW)) << Tag;
+    EXPECT_FALSE(K.Escaped) << Tag;
+
+    // In range: KeyBytes packed bytes, hashed over KeyWords words.
+    K = Packed.stateKey(W, &hashWords);
+    ASSERT_FALSE(K.Escaped) << Tag;
+    ASSERT_EQ(K.Bytes.size(), PL.KeyBytes) << Tag;
+    std::vector<uint64_t> Words(PL.KeyWords, 0);
+    std::memcpy(Words.data(), K.Bytes.data(), K.Bytes.size());
+    EXPECT_EQ(K.Fp,
+              hashWords(reinterpret_cast<const int64_t *>(Words.data()),
+                        PL.KeyWords))
+        << Tag;
+    std::string Key(K.Bytes);
+    EXPECT_EQ(Key, Packed.encodeWords(W)) << Tag;
+    EXPECT_EQ(K.Fp, Packed.fingerprintWords(W)) << Tag;
+    std::vector<int64_t> Sched(W, W + NW);
+    auto [It, New] = KeyOf.emplace(Sched, Key);
+    if (New)
+      EXPECT_TRUE(Keys.insert(Key).second) << Tag << ": packed key collides";
+    else
+      EXPECT_EQ(It->second, Key) << Tag;
+
+    // Escaped: the raw bytes plus the marker, under the salted hash.
+    K = Escaping.stateKey(W, &hashWords);
+    EXPECT_TRUE(K.Escaped) << Tag;
+    ASSERT_EQ(K.Bytes.size(), RawBytes + 1) << Tag;
+    EXPECT_EQ(std::memcmp(K.Bytes.data(), W, RawBytes), 0) << Tag;
+    EXPECT_EQ(K.Bytes[RawBytes], '\x1b') << Tag;
+    EXPECT_EQ(K.Fp, hashWords(W, NW) ^ 0x9e3779b97f4a7c15ull) << Tag;
+    EXPECT_EQ(std::string(K.Bytes), Escaping.encodeWords(W)) << Tag;
+  }
+  EXPECT_GT(KeyOf.size(), 10u) << "the walk should reach distinct states";
+  // Rendering a key is not entering a state: nothing was counted.
+  EXPECT_EQ(Escaping.packEscapes(), 0u);
+}
+
+TEST(StateEngine, PackEscapesCountEachEnteredStateOnce) {
+  // Every key escapes, so each state a check enters must add exactly
+  // one escape, however many probes (cycle proviso, membership, insert)
+  // the engine spends on it: PackEscapes == StatesExplored +
+  // StatesDeduped, for the racy program (a violation, so the Local
+  // re-derivation runs too) and the atomic one, in every W=1 engine.
+  struct Engine {
+    const char *Name;
+    PorMode Por;
+    SearchOrder Order;
+    bool UndoLog;
+    unsigned BatchWidth;
+  } Engines[] = {
+      {"ample undo DFS", PorMode::Ample, SearchOrder::Dfs, true, 1},
+      {"ample copy DFS", PorMode::Ample, SearchOrder::Dfs, false, 1},
+      {"ample BFS", PorMode::Ample, SearchOrder::Bfs, true, 1},
+      {"ample batched DFS", PorMode::Ample, SearchOrder::Dfs, true, 16},
+      {"local undo DFS", PorMode::Local, SearchOrder::Dfs, true, 1},
+      {"local batched BFS", PorMode::Local, SearchOrder::Bfs, true, 16},
+  };
+  for (bool Atomic : {true, false}) {
+    Program P;
+    buildCounter(P, Atomic, 2, 4);
+    flat::FlatProgram FP = flat::flatten(P);
+    exec::Machine Plain(FP, {});
+    exec::ValueBounds Lies = escapingBounds(Plain);
+    exec::MachineTuning Tuning;
+    Tuning.Bounds = &Lies;
+    for (const Engine &E : Engines) {
+      exec::Machine M(FP, {}, Tuning);
+      ASSERT_TRUE(M.packedLayout().Enabled);
+      CheckerConfig Cfg;
+      Cfg.NumThreads = 1;
+      Cfg.UseRandomFalsifier = false;
+      Cfg.Por = E.Por;
+      Cfg.Order = E.Order;
+      Cfg.UseUndoLog = E.UndoLog;
+      Cfg.BatchWidth = E.BatchWidth;
+      CheckResult R = checkCandidate(M, Cfg);
+      std::string Tag = std::string(E.Name) + (Atomic ? " atomic" : " racy");
+      EXPECT_EQ(R.Ok, Atomic) << Tag;
+      EXPECT_GT(R.StatesExplored, 0u) << Tag;
+      EXPECT_EQ(R.PackEscapes, R.StatesExplored + R.StatesDeduped) << Tag;
+    }
   }
 }
 
