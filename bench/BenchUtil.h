@@ -184,8 +184,8 @@ inline void cpuInfo(std::string &Model, std::string &Flags) {
     if (Model.empty() && Key == "model name")
       Model = Value;
     if (Flags.empty() && Key == "flags") {
-      // Keep only the vector-ISA flags the SIMD kernels care about; the
-      // full flag list is ~1 KiB of noise.
+      // Keep only the vector-ISA flags; the full flag list is ~1 KiB of
+      // noise.
       std::istringstream Words(Value);
       std::string W;
       while (Words >> W)
@@ -205,7 +205,7 @@ inline void cpuInfo(std::string &Model, std::string &Flags) {
 /// ("memory" or "spill"; docs/SPILL.md), and peak_rss_mib records the
 /// process's peak resident set at emission time — together they let the
 /// regression tooling tell an in-RAM measurement from an out-of-core one.
-inline JsonObject provenanceJson(unsigned Workers, unsigned BatchWidth,
+inline JsonObject provenanceJson(unsigned Workers,
                                  const char *VisitedStore = "memory") {
   std::string Model, Flags;
   cpuInfo(Model, Flags);
@@ -214,7 +214,6 @@ inline JsonObject provenanceJson(unsigned Workers, unsigned BatchWidth,
       .field("cpu_model", Model)
       .field("cpu_flags", Flags)
       .field("simd", psketch::simdMode())
-      .field("batch_width", BatchWidth)
       .field("workers", Workers)
       .field("visited_store", VisitedStore)
       .field("peak_rss_mib", peakRSSMiB());

@@ -124,7 +124,7 @@ int main(int Argc, char **Argv) {
       Smoke = true;
 
   JsonReport Json(Opts);
-  Json.add(provenanceJson(Opts.Jobs ? Opts.Jobs : 1, 1));
+  Json.add(provenanceJson(Opts.Jobs ? Opts.Jobs : 1));
 
   struct RowSpec {
     const char *Family;

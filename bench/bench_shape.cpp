@@ -234,7 +234,7 @@ int main(int Argc, char **Argv) {
   Opts.Json = true;
 
   JsonReport Json(Opts);
-  Json.add(provenanceJson(Opts.Jobs, 1));
+  Json.add(provenanceJson(Opts.Jobs));
   bool Gate = true;
 
   std::printf("Allocation-site heap-partition microbenchmark%s\n\n",

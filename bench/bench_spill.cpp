@@ -145,7 +145,7 @@ int main(int Argc, char **Argv) {
   }
 
   JsonReport Json(Opts);
-  Json.add(provenanceJson(Opts.Jobs, 1, "spill"));
+  Json.add(provenanceJson(Opts.Jobs, "spill"));
 
   std::printf("Out-of-core visited store benchmark%s\n\n",
               Smoke ? " [smoke]" : "");

@@ -20,28 +20,8 @@
 //    agree on every verdict; any disagreement makes the exit status
 //    nonzero, so the CI smoke run doubles as a correctness gate.
 //
-//  * Part C, batched frontier throughput: each row (plus a word-heavy
-//    queue row) run scalar (BatchWidth=1) and batched
-//    (DefaultBatchWidth) under three engine shapes — DFS with Por off +
-//    symmetry off (pure expand/hash/probe), DFS with Por ample +
-//    symmetry on (canonicalization + readiness reuse), and BFS with Por
-//    off (cross-parent successor pooling: the only shape whose batches
-//    reach full SIMD width on the suite's 2-5-thread programs;
-//    docs/BATCHING.md). Non-smoke cells run twice and keep the faster
-//    run. Non-smoke runs gate on the batched engine reaching >= 1.3x
-//    states/sec on at least two rows (verify/FrontierBatch.h).
-//
-//  * Part D, batched agreement: scalar vs batched verdicts AND
-//    byte-identical counterexamples across workers {1,2,4} x Por
-//    {off,ample} x symmetry {off,on} (plus the pooled-BFS shape at one
-//    worker — the parallel engine has no BFS mode), on both the
-//    reference candidate (expected clean) and the all-zeros candidate
-//    (usually violating, so the deterministic-cex contract is actually
-//    exercised). Any disagreement makes the exit status nonzero.
-//
-// Flags: --smoke (light rows, ratio gate reported but not enforced —
-// the CI configuration), --json[=path] (rows to
-// BENCH_state_engine.json, provenance row first).
+// Flags: --smoke (light rows — the CI configuration), --json[=path]
+// (rows to BENCH_state_engine.json, provenance row first).
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,48 +76,15 @@ Measurement timeCheck(const exec::Machine &M, const CheckerConfig &Cfg) {
   return Out;
 }
 
-/// Byte-identical counterexample comparison: same presence, same step
-/// sequence, same violation kind/label/location, same deadlock set.
-bool cexEqual(const CheckResult &A, const CheckResult &B) {
-  if (A.Cex.has_value() != B.Cex.has_value())
-    return false;
-  if (!A.Cex)
-    return true;
-  const Counterexample &X = *A.Cex, &Y = *B.Cex;
-  if (X.Steps.size() != Y.Steps.size() ||
-      X.DeadlockSet.size() != Y.DeadlockSet.size())
-    return false;
-  for (size_t I = 0; I < X.Steps.size(); ++I)
-    if (X.Steps[I].Thread != Y.Steps[I].Thread ||
-        X.Steps[I].Pc != Y.Steps[I].Pc)
-      return false;
-  for (size_t I = 0; I < X.DeadlockSet.size(); ++I)
-    if (X.DeadlockSet[I].Thread != Y.DeadlockSet[I].Thread ||
-        X.DeadlockSet[I].Pc != Y.DeadlockSet[I].Pc)
-      return false;
-  return X.V.VKind == Y.V.VKind && X.V.Label == Y.V.Label &&
-         X.Where == Y.Where;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts =
-      parseBenchOptions(Argc, Argv, "state_engine", {"--smoke", "--batch"});
+      parseBenchOptions(Argc, Argv, "state_engine", {"--smoke"});
   bool Smoke = false;
-  unsigned Width = DefaultBatchWidth;
-  for (int I = 1; I < Argc; ++I) {
+  for (int I = 1; I < Argc; ++I)
     if (std::strcmp(Argv[I], "--smoke") == 0)
       Smoke = true;
-    else if (std::strcmp(Argv[I], "--batch") == 0 && I + 1 < Argc)
-      Width = static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
-    else if (std::strncmp(Argv[I], "--batch=", 8) == 0)
-      Width = static_cast<unsigned>(std::strtoul(Argv[I] + 8, nullptr, 10));
-  }
-  if (Width < 2) {
-    std::fprintf(stderr, "error: --batch: width must be >= 2\n");
-    return 2;
-  }
 
   std::vector<SuiteEntry> Rows;
   if (Smoke) {
@@ -158,7 +105,7 @@ int main(int Argc, char **Argv) {
   };
 
   JsonReport Json(Opts);
-  Json.add(provenanceJson(Opts.Jobs, Width));
+  Json.add(provenanceJson(Opts.Jobs));
 
   std::printf("State engine microbenchmark%s\n\n", Smoke ? " [smoke]" : "");
   std::printf("Part A: sequential run-to-exhaustion, reference candidate, "
@@ -262,189 +209,15 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Part C: batched frontier throughput. Three engine shapes per row;
-  // the gate counts rows whose best scalar-vs-batched ratio reaches
-  // 1.3x. A word-heavy queue row joins the Part A/B rows: fingerprint
-  // and key traffic scale with schedWords(), which is where batching
-  // pays, and the gate should cover more than one word-count regime.
-  struct ShapeConfig {
-    const char *Label;
-    SearchOrder Order;
-    PorMode Por;
-    SymmetryMode Symmetry;
-  };
-  const ShapeConfig Shapes[] = {
-      {"off/off", SearchOrder::Dfs, PorMode::Off, SymmetryMode::Off},
-      {"ample/sym", SearchOrder::Dfs, PorMode::Ample, SymmetryMode::Orbit},
-      {"bfs", SearchOrder::Bfs, PorMode::Off, SymmetryMode::Off},
-  };
-
-  std::vector<SuiteEntry> CRows = Rows;
-  CRows.push_back(Smoke ? findRow("queueE2", "ed(ed|ed)")
-                        : findRow("queueDE2", "ed(ed|ed)"));
-
-  std::printf("\nPart C: scalar vs batched frontier (width %u, SIMD %s)\n",
-              Width, psketch::simdMode());
-  std::printf("%-9s %-9s %-9s | %11s %11s | %7s\n", "sketch", "test",
-              "shape", "scalar st/s", "batch st/s", "ratio");
-  std::printf("--------------------------------------------------------------"
-              "----\n");
-
-  // Single runs wobble +/-5-10% on a busy host; non-smoke cells run
-  // twice per side and keep the faster run of each.
-  const int CReps = Smoke ? 1 : 2;
-  auto BestOf = [&](const exec::Machine &M, const CheckerConfig &Cfg) {
-    Measurement Best = timeCheck(M, Cfg);
-    for (int R = 1; R < CReps; ++R) {
-      Measurement Again = timeCheck(M, Cfg);
-      if (Again.Seconds < Best.Seconds)
-        Best = Again;
-    }
-    return Best;
-  };
-
-  unsigned RowsAtGate = 0;
-  for (const SuiteEntry &E : CRows) {
-    auto P = E.Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    exec::Machine M(FP, referenceCandidate(E, *P));
-    double Best = 0.0;
-    for (const ShapeConfig &C : Shapes) {
-      CheckerConfig Cfg;
-      Cfg.UseRandomFalsifier = false;
-      Cfg.Order = C.Order;
-      Cfg.Por = C.Por;
-      Cfg.Symmetry = C.Symmetry;
-      Cfg.BatchWidth = 1;
-      Measurement Scalar = BestOf(M, Cfg);
-      Cfg.BatchWidth = Width;
-      Measurement Batched = BestOf(M, Cfg);
-      double ScalarRate =
-          Scalar.Seconds > 0.0 ? Scalar.R.StatesExplored / Scalar.Seconds
-                               : 0.0;
-      double BatchRate =
-          Batched.Seconds > 0.0 ? Batched.R.StatesExplored / Batched.Seconds
-                                : 0.0;
-      double Ratio = ScalarRate > 0.0 ? BatchRate / ScalarRate : 0.0;
-      Best = Ratio > Best ? Ratio : Best;
-      std::printf("%-9s %-9s %-9s | %11.0f %11.0f | %6.2fx\n",
-                  E.Sketch.c_str(), E.Test.c_str(), C.Label, ScalarRate,
-                  BatchRate, Ratio);
-      std::fflush(stdout);
-
-      JsonObject O;
-      O.field("kind", "batch_micro")
-          .field("sketch", E.Sketch)
-          .field("test", E.Test)
-          .field("shape", C.Label)
-          .field("batch_width", Width)
-          .field("scalar_seconds", Scalar.Seconds)
-          .field("batched_seconds", Batched.Seconds)
-          .field("scalar_states_per_sec", ScalarRate)
-          .field("batched_states_per_sec", BatchRate)
-          .field("batch_speedup", Ratio)
-          .field("smoke", Smoke);
-      Json.add(O);
-    }
-    if (Best >= 1.3)
-      ++RowsAtGate;
-  }
-
-  // Part D: scalar vs batched agreement — verdict and byte-identical
-  // counterexample, on the reference and the all-zeros candidate.
-  std::printf("\nPart D: scalar vs batched agreement (width %u)\n", Width);
-  std::string BLabel = "b=" + std::to_string(Width);
-  std::printf("%-9s %-9s %-5s %3s %-9s | %-6s %-6s %-9s\n", "sketch", "test",
-              "cand", "W", "por/sym", "b=1", BLabel.c_str(), "agree");
-  std::printf("--------------------------------------------------------------"
-              "--\n");
-
-  unsigned BCells = 0, BAgreed = 0;
-  for (const SuiteEntry &E : Rows) {
-    auto P = E.Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    ir::HoleAssignment Ref = referenceCandidate(E, *P);
-    ir::HoleAssignment Zero(P->holes().size(), 0);
-    struct Cand {
-      const char *Label;
-      const ir::HoleAssignment *A;
-    } Cands[] = {{"ref", &Ref}, {"zero", &Zero}};
-    for (const Cand &Ca : Cands) {
-      exec::Machine M(FP, *Ca.A);
-      for (unsigned W : {1u, 2u, 4u}) {
-        for (const ShapeConfig &C : Shapes) {
-          // The parallel engine has no BFS mode (Order is a sequential
-          // knob), so the pooled-BFS shape is a one-worker cell.
-          if (C.Order == SearchOrder::Bfs && W > 1)
-            continue;
-          CheckerConfig Cfg;
-          Cfg.NumThreads = W;
-          Cfg.Order = C.Order;
-          Cfg.Por = C.Por;
-          Cfg.Symmetry = C.Symmetry;
-          Cfg.BatchWidth = 1;
-          CheckResult RS = checkCandidate(M, Cfg);
-          Cfg.BatchWidth = Width;
-          CheckResult RB = checkCandidate(M, Cfg);
-          bool Agree = RS.Ok == RB.Ok && cexEqual(RS, RB);
-          ++BCells;
-          BAgreed += Agree;
-          std::printf("%-9s %-9s %-5s %3u %-9s | %-6s %-6s %-9s\n",
-                      E.Sketch.c_str(), E.Test.c_str(), Ca.Label, W, C.Label,
-                      RS.Ok ? "ok" : "fail", RB.Ok ? "ok" : "fail",
-                      Agree ? "yes" : "DISAGREE");
-          std::fflush(stdout);
-
-          JsonObject O;
-          O.field("kind", "batch_agreement")
-              .field("sketch", E.Sketch)
-              .field("test", E.Test)
-              .field("candidate", Ca.Label)
-              .field("workers", W)
-              .field("shape", C.Label)
-              .field("scalar_ok", RS.Ok)
-              .field("batched_ok", RB.Ok)
-              .field("agrees", Agree)
-              .field("smoke", Smoke);
-          Json.add(O);
-        }
-      }
-    }
-  }
-
   Json.write();
-  bool Failed = false;
   if (Agreed != Cells) {
     std::fprintf(stderr,
                  "error: %u/%u agreement cells disagree (see DISAGREE "
                  "rows)\n",
                  Cells - Agreed, Cells);
-    Failed = true;
-  }
-  if (BAgreed != BCells) {
-    std::fprintf(stderr,
-                 "error: %u/%u batched agreement cells disagree (see "
-                 "DISAGREE rows)\n",
-                 BCells - BAgreed, BCells);
-    Failed = true;
-  }
-  if (RowsAtGate < 2) {
-    if (Smoke) {
-      std::printf("\nbatched >=1.3x on %u/2 rows (gate not enforced in "
-                  "--smoke)\n",
-                  RowsAtGate);
-    } else {
-      std::fprintf(stderr,
-                   "error: batched frontier reached >=1.3x states/sec on "
-                   "only %u row(s); the gate requires 2\n",
-                   RowsAtGate);
-      Failed = true;
-    }
-  }
-  if (Failed)
     return 1;
-  std::printf("\n%u/%u verdict agreement across modes and worker counts; "
-              "%u/%u batched agreement; batched >=1.3x on %u rows\n",
-              Agreed, Cells, BAgreed, BCells, RowsAtGate);
+  }
+  std::printf("\n%u/%u verdict agreement across modes and worker counts\n",
+              Agreed, Cells);
   return 0;
 }

@@ -67,7 +67,6 @@
 #include "cegis/Cegis.h"
 #include "desugar/Flatten.h"
 #include "frontend/Parser.h"
-#include "support/Hash.h"
 
 #include <cctype>
 #include <cerrno>
@@ -417,7 +416,7 @@ int main(int Argc, char **Argv) {
   bool Shape = analysis::defaultShape();
   bool WarmStart = synth::defaultWarmStart();
   std::string DumpCnfPath;
-  uint64_t Jobs = 1, Seed = 1, Batch = 1, SpillBudgetMb = 0;
+  uint64_t Jobs = 1, Seed = 1, SpillBudgetMb = 0;
   verify::VisitedMode Visited = verify::VisitedMode::Exact;
   verify::VisitedStore Store = verify::VisitedStore::Memory;
   std::string SpillDir;
@@ -516,19 +515,12 @@ int main(int Argc, char **Argv) {
                    "--dump-cnf requires an output path", ""});
         return 1;
       }
-    } else if (std::strcmp(Argv[I], "--batch") == 0) {
-      if (!parseUnsigned("--batch", I + 1 < Argc ? Argv[++I] : nullptr,
-                         1u << 12, Batch))
-        return 1;
-    } else if (std::strncmp(Argv[I], "--batch=", 8) == 0) {
-      if (!parseUnsigned("--batch", Argv[I] + 8, 1u << 12, Batch))
-        return 1;
     } else if (std::strcmp(Argv[I], "--stats") == 0) {
       Stats = true;
     } else if (std::strncmp(Argv[I], "--", 2) == 0) {
       std::fprintf(stderr,
                    "usage: psketch_tool [--lint] [--no-prescreen] "
-                   "[--jobs N] [--seed S] [--batch N] "
+                   "[--jobs N] [--seed S] "
                    "[--visited exact|fingerprint] "
                    "[--visited-store memory|spill] [--spill-dir path] "
                    "[--spill-budget-mb N] "
@@ -540,14 +532,6 @@ int main(int Argc, char **Argv) {
       return 1;
     } else
       Files.push_back(Argv[I]);
-  }
-
-  if (Batch == 0) {
-    printDiag({analysis::Severity::Error, "cli",
-               "--batch: bad value '0' (expected a positive width; 1 = "
-               "scalar)",
-               ""});
-    return 1;
   }
 
   if (Lint) {
@@ -583,10 +567,6 @@ int main(int Argc, char **Argv) {
   Cfg.Prescreen = Prescreen;
   Cfg.Checker.NumThreads = static_cast<unsigned>(Jobs);
   Cfg.Checker.Seed = Seed;
-  Cfg.Checker.BatchWidth = static_cast<unsigned>(Batch);
-  if (Batch >= 2)
-    std::printf("checker: batched frontier, width %u (SIMD %s)\n",
-                static_cast<unsigned>(Batch), psketch::simdMode());
   Cfg.Checker.Visited = Visited;
   if (Visited == verify::VisitedMode::Fingerprint)
     std::printf("checker: fingerprint visited set (64-bit hash "

@@ -3,7 +3,7 @@
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance F]
 
-Guards the batched/state-engine throughput numbers against silent decay:
+Guards the state-engine throughput numbers against silent decay:
 a row whose states/sec falls more than the tolerance (default 30%) below
 the baseline fails the run. Throughput is machine-dependent, so when the
 two reports' provenance rows disagree on the CPU model or active SIMD
@@ -38,7 +38,6 @@ import sys
 # throughput claim and are skipped.
 METRICS = {
     "micro": (("sketch", "test", "engine"), "states_per_sec"),
-    "batch_micro": (("sketch", "test", "shape"), "batched_states_per_sec"),
     # Warm-started solver: total Ssolve over the bench's rows, cold over
     # warm, one row per mode (full or smoke). The ratio is already
     # normalized, but it is still timing-derived, hence kept behind the

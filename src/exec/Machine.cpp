@@ -780,26 +780,6 @@ ExecOutcome Machine::execStep(State &S, unsigned Ctx, Violation &V) const {
   return ExecOutcome{StepResult::Ok, Pc};
 }
 
-void Machine::expandBatch(const State &Parent, const unsigned *Ctxs,
-                          unsigned N, State *Lanes, ExecOutcome *Outcomes,
-                          Violation *Viols) const {
-  for (unsigned I = 0; I < N; ++I) {
-    Lanes[I] = Parent; // vector assignment reuses the lane's buffer
-    Viols[I] = Violation{};
-    Outcomes[I] = execStep(Lanes[I], Ctxs[I], Viols[I]);
-  }
-}
-
-void Machine::expandBatch(const State *const *Parents, const unsigned *Ctxs,
-                          unsigned N, State *Lanes, ExecOutcome *Outcomes,
-                          Violation *Viols) const {
-  for (unsigned I = 0; I < N; ++I) {
-    Lanes[I] = *Parents[I]; // vector assignment reuses the lane's buffer
-    Viols[I] = Violation{};
-    Outcomes[I] = execStep(Lanes[I], Ctxs[I], Viols[I]);
-  }
-}
-
 bool Machine::runToCompletion(State &S, unsigned Ctx, Violation &V) const {
   for (;;) {
     ExecOutcome Out = execStep(S, Ctx, V);
@@ -827,11 +807,11 @@ uint64_t Machine::fingerprintState(const State &S) const {
 }
 
 std::string Machine::encodeWords(const int64_t *Words) const {
-  return std::string(encodeWordsView(Words));
+  return std::string(stateKey(Words, nullptr).Bytes);
 }
 
 uint64_t Machine::fingerprintWords(const int64_t *Words) const {
-  return fingerprintWordsWith(Words, &hashWords);
+  return stateKey(Words, &hashWords).Fp;
 }
 
 Machine::StateKey
@@ -871,45 +851,3 @@ Machine::stateKey(const int64_t *Words,
   return K;
 }
 
-void Machine::fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
-                                   uint64_t (*Hash)(const int64_t *, size_t),
-                                   uint64_t *Out, uint8_t *Escaped) const {
-  assert(B.numWords() == Layout.SchedWords && "block/layout shape mismatch");
-  if (!Packed.Enabled && Hash == &hashWords) {
-    hashWordsBatch(B.data(), Layout.SchedWords, Lanes, B.stride(), Out);
-    if (Escaped)
-      std::fill(Escaped, Escaped + Lanes, 0);
-    return;
-  }
-  // Packed layouts (and injected audit hashes) go through the scalar
-  // per-lane path so escapes and salting behave exactly as unbatched.
-  static thread_local std::vector<int64_t> Tmp;
-  Tmp.resize(Layout.SchedWords);
-  for (unsigned K = 0; K < Lanes; ++K) {
-    B.gatherLane(K, Tmp.data());
-    StateKey Key = stateKey(Tmp.data(), Hash);
-    Out[K] = Key.Fp;
-    if (Escaped)
-      Escaped[K] = Key.Escaped;
-  }
-}
-
-void Machine::fingerprintBatchPtrsWith(const int64_t *const *W,
-                                       unsigned Lanes,
-                                       uint64_t (*Hash)(const int64_t *,
-                                                        size_t),
-                                       uint64_t *Out,
-                                       uint8_t *Escaped) const {
-  if (!Packed.Enabled && Hash == &hashWords) {
-    hashWordsBatchPtrs(W, Layout.SchedWords, Lanes, Out);
-    if (Escaped)
-      std::fill(Escaped, Escaped + Lanes, 0);
-    return;
-  }
-  for (unsigned K = 0; K < Lanes; ++K) {
-    StateKey Key = stateKey(W[K], Hash);
-    Out[K] = Key.Fp;
-    if (Escaped)
-      Escaped[K] = Key.Escaped;
-  }
-}

@@ -115,24 +115,6 @@ public:
   /// failure (the PC is left at the violating step).
   ExecOutcome execStep(State &S, unsigned Ctx, Violation &V) const;
 
-  /// Batched successor generation (the frontier engine's expansion step):
-  /// for each I in [0, N), Lanes[I] becomes \p Parent advanced one step by
-  /// context Ctxs[I], with Outcomes[I] / Viols[I] mirroring execStep's
-  /// result for that lane. Lane states are assigned in place, so their
-  /// buffers are reused across calls; semantics are exactly per-lane
-  /// copy + execStep.
-  void expandBatch(const State &Parent, const unsigned *Ctxs, unsigned N,
-                   State *Lanes, ExecOutcome *Outcomes,
-                   Violation *Viols) const;
-
-  /// Multi-parent variant: lane I expands *Parents[I] by Ctxs[I]. This is
-  /// what lets a frontier engine fill wide batches on few-threaded
-  /// programs — one parent contributes at most numThreads() lanes, so
-  /// full-width batches must pool successors across parents.
-  void expandBatch(const State *const *Parents, const unsigned *Ctxs,
-                   unsigned N, State *Lanes, ExecOutcome *Outcomes,
-                   Violation *Viols) const;
-
   /// Runs a single-threaded context to completion. \returns false and
   /// fills \p V on violation (a conditional atomic blocking in a
   /// single-threaded phase is reported as a deadlock).
@@ -171,7 +153,7 @@ public:
     /// and a per-thread scratch buffer otherwise, valid until the next
     /// stateKey call on the same thread.
     std::string_view Bytes;
-    uint64_t Fp = 0;      ///< the fingerprintWordsWith value
+    uint64_t Fp = 0;      ///< Hash over the same rendering (0 if null)
     bool Escaped = false; ///< a word left its proven interval
   };
 
@@ -184,43 +166,6 @@ public:
   /// (notePackEscape).
   StateKey stateKey(const int64_t *Words,
                     uint64_t (*Hash)(const int64_t *, size_t)) const;
-
-  /// stateKey's Bytes alone: encodeWords without materializing a
-  /// std::string, with the same lifetime rules.
-  std::string_view encodeWordsView(const int64_t *Words) const {
-    return stateKey(Words, nullptr).Bytes;
-  }
-
-  /// stateKey's Fp alone, with an injected word-hash (the visited tables'
-  /// pluggable hash; verify/Visited.h).
-  uint64_t fingerprintWordsWith(const int64_t *Words,
-                                uint64_t (*Hash)(const int64_t *,
-                                                 size_t)) const {
-    return stateKey(Words, Hash).Fp;
-  }
-
-  /// Batched fingerprintWordsWith over a word-major SoA block: Out[K] is
-  /// bit-identical to fingerprintWordsWith on lane K's gathered words, for
-  /// each of the first \p Lanes lanes. Unpacked layouts under the default
-  /// hash run one hashWordsBatch sweep over the transposed words (the
-  /// SIMD path); packed layouts — and injected audit hashes — gather and
-  /// pack each lane through the exact scalar path. \p Escaped, when
-  /// non-null, receives each lane's StateKey::Escaped (all 0 unpacked).
-  void fingerprintBatchWith(const SchedBlock &B, unsigned Lanes,
-                            uint64_t (*Hash)(const int64_t *, size_t),
-                            uint64_t *Out, uint8_t *Escaped = nullptr) const;
-
-  /// Batched fingerprintWordsWith straight from per-lane word pointers
-  /// (lane K's scheduler words at W[K]): no SoA block involved. Unpacked
-  /// layouts under the default hash run the register-transposing SIMD
-  /// kernel (hashWordsBatchPtrs); packed layouts and injected hashes
-  /// fall back to the exact scalar path per lane. Out[K] is bit-identical
-  /// to fingerprintWordsWith(W[K], Hash) either way; \p Escaped as in
-  /// fingerprintBatchWith.
-  void fingerprintBatchPtrsWith(const int64_t *const *W, unsigned Lanes,
-                                uint64_t (*Hash)(const int64_t *, size_t),
-                                uint64_t *Out,
-                                uint8_t *Escaped = nullptr) const;
 
   /// The packed key layout (Enabled == false without ValueBounds tuning).
   const PackedLayout &packedLayout() const { return Packed; }
@@ -374,9 +319,7 @@ private:
   /// (conflictsWithUnprotected). commutes() and singletonIndependent()
   /// read it through the class ids. More than MaxRelationBits class
   /// pairs leaves the tables empty; empty tables, and queries involving
-  /// the prologue or epilogue, recompute from footprints. Both engines —
-  /// scalar and batched — consult the same tables, so their POR
-  /// decisions agree by construction.
+  /// the prologue or epilogue, recompute from footprints.
   static constexpr size_t MaxRelationBits = 1u << 22;
   std::vector<std::vector<uint32_t>> StepCls, SuffixCls;
   std::vector<uint64_t> Indep;

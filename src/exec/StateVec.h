@@ -85,66 +85,6 @@ struct PackedLayout {
   bool Enabled = false;
 };
 
-/// A word-major structure-of-arrays block over the scheduler prefixes of
-/// up to `capacity()` states ("lanes"). Word W of lane K lives at
-/// `data()[W * stride() + K]`, so one scheduler word across all lanes is
-/// contiguous — the shape the batched hash (support/Hash.h
-/// hashWordsBatch) and the batched orbit kernel (verify/Canon) consume
-/// directly. Only the SchedWords prefix is transposed; full states stay
-/// AoS in their owning State objects (traces, expansion, and epilogue
-/// checks all want whole states).
-class SchedBlock {
-public:
-  /// Re-shapes the block for \p NWords scheduler words across up to
-  /// \p LaneCapacity lanes. The backing buffer is reused across calls
-  /// (grow-only), so a frame-local block allocates only on growth, and
-  /// the contents are NOT cleared: lanes hold garbage until setLane —
-  /// every producer overwrites all the lanes it later reads.
-  void reset(unsigned NWords, unsigned LaneCapacity) {
-    Words = NWords;
-    Cap = LaneCapacity;
-    size_t Need = static_cast<size_t>(NWords) * LaneCapacity;
-    if (Buf.size() < Need)
-      Buf.resize(Need);
-  }
-
-  /// Scatters one state's scheduler prefix (\p SrcWords, `numWords()`
-  /// long) into lane \p Lane.
-  void setLane(unsigned Lane, const int64_t *SrcWords) {
-    assert(Lane < Cap && "lane out of range");
-    for (unsigned W = 0; W < Words; ++W)
-      Buf[static_cast<size_t>(W) * Cap + Lane] = SrcWords[W];
-  }
-
-  /// Gathers lane \p Lane back into contiguous AoS form (\p Out must hold
-  /// `numWords()` words). Used by Exact-mode visited probes, which need a
-  /// contiguous key.
-  void gatherLane(unsigned Lane, int64_t *Out) const {
-    assert(Lane < Cap && "lane out of range");
-    for (unsigned W = 0; W < Words; ++W)
-      Out[W] = Buf[static_cast<size_t>(W) * Cap + Lane];
-  }
-
-  int64_t word(unsigned W, unsigned Lane) const {
-    return Buf[static_cast<size_t>(W) * Cap + Lane];
-  }
-  void setWord(unsigned W, unsigned Lane, int64_t V) {
-    Buf[static_cast<size_t>(W) * Cap + Lane] = V;
-  }
-
-  int64_t *data() { return Buf.data(); }
-  const int64_t *data() const { return Buf.data(); }
-  /// Lane count between consecutive words of the same lane (== capacity).
-  unsigned stride() const { return Cap; }
-  unsigned numWords() const { return Words; }
-  unsigned capacity() const { return Cap; }
-
-private:
-  std::vector<int64_t> Buf;
-  unsigned Words = 0;
-  unsigned Cap = 0;
-};
-
 /// A log of (word, previous value) pairs recorded by State's mutating
 /// accessors, enabling O(changed-words) backtracking in the DFS.
 class UndoLog {

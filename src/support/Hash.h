@@ -40,46 +40,10 @@ inline uint64_t hashWords(const int64_t *W, size_t N) {
   return H;
 }
 
-namespace hashdetail {
-
-/// Portable scalar twin of the batched kernel. Lane K of a word-major SoA
-/// block stores its words at W[I * Stride + K]; the per-lane chain is the
-/// exact hashWords recurrence, so Out[K] == hashWords(lane K) bit for bit.
-inline void hashWordsBatchScalar(const int64_t *W, size_t NWords,
-                                 size_t Lanes, size_t Stride, uint64_t *Out) {
-  for (size_t K = 0; K < Lanes; ++K)
-    Out[K] = 0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(NWords);
-  for (size_t I = 0; I < NWords; ++I) {
-    const int64_t *Row = W + I * Stride;
-    for (size_t K = 0; K < Lanes; ++K)
-      Out[K] =
-          mix64(Out[K] + 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(Row[K]));
-  }
-}
-
-} // namespace hashdetail
-
-/// Fingerprints \p Lanes states held word-major in a SoA block (word I of
-/// lane K at W[I * Stride + K]). Each Out[K] is bit-identical to
-/// hashWords over lane K's words. Dispatches to an AVX2 kernel when the
-/// build and CPU allow it (-DPSKETCH_SIMD=auto|avx2), otherwise runs the
-/// scalar twin above; both paths produce the same bits.
-void hashWordsBatch(const int64_t *W, size_t NWords, size_t Lanes,
-                    size_t Stride, uint64_t *Out);
-
-/// Fingerprints \p Lanes states held as independent AoS word arrays (lane
-/// K's words at W[K][0..NWords)): Out[K] == hashWords(W[K], NWords) bit
-/// for bit. The AVX2 kernel transposes in registers as it goes, so
-/// callers that keep whole states (the frontier engine's
-/// no-canonicalization path) skip the word-major staging copy entirely —
-/// the SoA entry point above is for producers whose data is already
-/// transposed (the batched orbit canonicalizer).
-void hashWordsBatchPtrs(const int64_t *const *W, size_t NWords,
-                        size_t Lanes, uint64_t *Out);
-
-/// The SIMD kernel variant the process will actually run: "avx2" when the
-/// build enables it and the CPU supports it, else "scalar". Stable for the
-/// process lifetime; benches embed it in their JSON provenance.
+/// The CPU's vector extension as benches record it in their JSON
+/// provenance: "avx2" when the CPU reports AVX2, else "scalar". It
+/// describes the machine, not a kernel choice: no code path depends on
+/// it. Stable for the process lifetime.
 const char *simdMode();
 
 } // namespace psketch

@@ -60,14 +60,6 @@ public:
   const void *data() const { return Data; }
   size_t size() const { return Size; }
 
-  /// Hints the kernel to start paging in the line around \p Offset —
-  /// best-effort (a plain prefetch of the mapped address), used by the
-  /// batched probe sweep to overlap run-page faults across lanes.
-  void prefetch(size_t Offset) const {
-    if (Data && Offset < Size)
-      __builtin_prefetch(static_cast<const char *>(Data) + Offset);
-  }
-
 private:
   void *Data = nullptr;
   size_t Size = 0;

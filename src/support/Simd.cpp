@@ -1,221 +1,22 @@
-//===- support/Simd.cpp - Batched hash kernels with AVX2 dispatch ---------===//
+//===- support/Simd.cpp - CPU vector-extension report ---------------------===//
 //
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
 //
 //===----------------------------------------------------------------------===//
-///
-/// \file
-/// Runtime-dispatched batched fingerprinting. The AVX2 kernel is compiled
-/// with a per-function target attribute (no global -mavx2), so one binary
-/// carries both paths and picks at runtime via __builtin_cpu_supports. The
-/// scalar twin in support/Hash.h is the semantic reference: the vector
-/// kernel mirrors its recurrence lane for lane, so the two are bit-identical
-/// and the differential tests can compare them directly.
-///
-/// Build-time policy comes in as PSKETCH_SIMD_MODE:
-///   0 = off   (always scalar)
-///   1 = auto  (AVX2 iff the CPU reports it; the default)
-///   2 = avx2  (unconditional AVX2 — for CI jobs pinning the vector path)
-///
-//===----------------------------------------------------------------------===//
 
 #include "support/Hash.h"
 
-#ifndef PSKETCH_SIMD_MODE
-#define PSKETCH_SIMD_MODE 1
-#endif
-
-#if PSKETCH_SIMD_MODE != 0 && (defined(__x86_64__) || defined(__i386__)) &&    \
-    (defined(__GNUC__) || defined(__clang__))
-#define PSKETCH_SIMD_X86 1
-#else
-#define PSKETCH_SIMD_X86 0
-#endif
-
-#if PSKETCH_SIMD_X86
-#include <immintrin.h>
-#endif
-
 namespace psketch {
 
-#if PSKETCH_SIMD_X86
-
-namespace {
-
-/// Full 64x64->64 low multiply by a compile-time-constant \p B from
-/// AVX2's 32-bit primitives:
-/// lo(a*b) = lo32(a)*lo32(b) + ((lo32(a)*hi32(b) + hi32(a)*lo32(b)) << 32).
-/// With the multiplier constant its halves are pre-splat vectors, so the
-/// cross terms come from two vpmuludq instead of a vpmullds, and a_hi
-/// reaches vpmuludq's low dword via a dword shuffle (shuffle port)
-/// rather than a 64-bit shift — fewer uops on the multiply/shift port,
-/// which is what bounds the interleaved-chain throughput.
-template <uint64_t B>
-__attribute__((target("avx2"))) inline __m256i mulC64(__m256i A) {
-  const __m256i BLo = _mm256_set1_epi64x(static_cast<long long>(B & 0xffffffffull));
-  const __m256i BHi = _mm256_set1_epi64x(static_cast<long long>(B >> 32));
-  __m256i AHi = _mm256_shuffle_epi32(A, 0xB1); // a_hi in each low dword
-  __m256i Low = _mm256_mul_epu32(A, BLo);      // a_lo * b_lo, full 64 bits
-  __m256i Cross = _mm256_add_epi64(_mm256_mul_epu32(A, BHi),    // a_lo*b_hi
-                                   _mm256_mul_epu32(AHi, BLo)); // a_hi*b_lo
-  return _mm256_add_epi64(Low, _mm256_slli_epi64(Cross, 32));
-}
-
-/// Four-lane SplitMix64 finalizer; mirrors mix64 in support/Hash.h.
-__attribute__((target("avx2"))) inline __m256i mix64x4(__m256i Z) {
-  Z = mulC64<0xbf58476d1ce4e5b9ull>(_mm256_xor_si256(Z, _mm256_srli_epi64(Z, 30)));
-  Z = mulC64<0x94d049bb133111ebull>(_mm256_xor_si256(Z, _mm256_srli_epi64(Z, 27)));
-  return _mm256_xor_si256(Z, _mm256_srli_epi64(Z, 31));
-}
-
-__attribute__((target("avx2"))) void
-hashWordsBatchAvx2(const int64_t *W, size_t NWords, size_t Lanes,
-                   size_t Stride, uint64_t *Out) {
-  const __m256i Golden =
-      _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ull));
-  size_t K = 0;
-  // 16 lanes per pass: four independent SplitMix chains in flight, so
-  // the serial multiply latency of one chain is hidden behind the other
-  // three. Same recurrence as the 4-lane loop, word for word.
-  for (; K + 16 <= Lanes; K += 16) {
-    __m256i H0 = _mm256_xor_si256(
-        Golden, _mm256_set1_epi64x(static_cast<long long>(NWords)));
-    __m256i H1 = H0, H2 = H0, H3 = H0;
-    for (size_t I = 0; I < NWords; ++I) {
-      const int64_t *Row = W + I * Stride + K;
-      __m256i R0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Row + 0));
-      __m256i R1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Row + 4));
-      __m256i R2 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Row + 8));
-      __m256i R3 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Row + 12));
-      H0 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H0, Golden), R0));
-      H1 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H1, Golden), R1));
-      H2 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H2, Golden), R2));
-      H3 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H3, Golden), R3));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 0), H0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 4), H1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 8), H2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 12), H3);
-  }
-  for (; K + 4 <= Lanes; K += 4) {
-    __m256i H = _mm256_xor_si256(
-        Golden, _mm256_set1_epi64x(static_cast<long long>(NWords)));
-    for (size_t I = 0; I < NWords; ++I) {
-      __m256i Row = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i *>(W + I * Stride + K));
-      H = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H, Golden), Row));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K), H);
-  }
-  if (K < Lanes) { // remainder lanes run the scalar twin
-    for (size_t R = K; R < Lanes; ++R)
-      Out[R] = 0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(NWords);
-    for (size_t I = 0; I < NWords; ++I)
-      for (size_t R = K; R < Lanes; ++R)
-        Out[R] = mix64(Out[R] + 0x9e3779b97f4a7c15ull +
-                       static_cast<uint64_t>(W[I * Stride + R]));
-  }
-}
-
-/// Gathers word \p I of four consecutive lanes starting at \p W[K] into
-/// one vector — the register-transpose step of the pointer kernel.
-__attribute__((target("avx2"))) inline __m256i
-gatherWord4(const int64_t *const *W, size_t K, size_t I) {
-  return _mm256_set_epi64x(W[K + 3][I], W[K + 2][I], W[K + 1][I], W[K + 0][I]);
-}
-
-__attribute__((target("avx2"))) void
-hashWordsBatchPtrsAvx2(const int64_t *const *W, size_t NWords, size_t Lanes,
-                       uint64_t *Out) {
-  const __m256i Golden =
-      _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ull));
-  size_t K = 0;
-  // Same chain structure as the SoA kernel: four independent SplitMix
-  // chains hide the serial multiply latency; the lane gather replaces
-  // the SoA row load.
-  for (; K + 16 <= Lanes; K += 16) {
-    __m256i H0 = _mm256_xor_si256(
-        Golden, _mm256_set1_epi64x(static_cast<long long>(NWords)));
-    __m256i H1 = H0, H2 = H0, H3 = H0;
-    for (size_t I = 0; I < NWords; ++I) {
-      H0 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H0, Golden),
-                                    gatherWord4(W, K + 0, I)));
-      H1 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H1, Golden),
-                                    gatherWord4(W, K + 4, I)));
-      H2 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H2, Golden),
-                                    gatherWord4(W, K + 8, I)));
-      H3 = mix64x4(_mm256_add_epi64(_mm256_add_epi64(H3, Golden),
-                                    gatherWord4(W, K + 12, I)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 0), H0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 4), H1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 8), H2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K + 12), H3);
-  }
-  for (; K + 4 <= Lanes; K += 4) {
-    __m256i H = _mm256_xor_si256(
-        Golden, _mm256_set1_epi64x(static_cast<long long>(NWords)));
-    for (size_t I = 0; I < NWords; ++I)
-      H = mix64x4(
-          _mm256_add_epi64(_mm256_add_epi64(H, Golden), gatherWord4(W, K, I)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + K), H);
-  }
-  for (; K < Lanes; ++K) // remainder lanes run the scalar reference
-    Out[K] = hashWords(W[K], NWords);
-}
-
-bool avx2Active() {
-#if PSKETCH_SIMD_MODE == 2
-  return true;
+const char *simdMode() {
+#if (defined(__x86_64__) || defined(__i386__)) &&                              \
+    (defined(__GNUC__) || defined(__clang__))
+  static const bool Avx2 = __builtin_cpu_supports("avx2");
+  return Avx2 ? "avx2" : "scalar";
 #else
-  static const bool Avail = __builtin_cpu_supports("avx2");
-  return Avail;
+  return "scalar";
 #endif
 }
-
-} // namespace
-
-void hashWordsBatch(const int64_t *W, size_t NWords, size_t Lanes,
-                    size_t Stride, uint64_t *Out) {
-  if (avx2Active() && Lanes >= 4) {
-    hashWordsBatchAvx2(W, NWords, Lanes, Stride, Out);
-    return;
-  }
-  hashdetail::hashWordsBatchScalar(W, NWords, Lanes, Stride, Out);
-}
-
-void hashWordsBatchPtrs(const int64_t *const *W, size_t NWords, size_t Lanes,
-                        uint64_t *Out) {
-  if (avx2Active() && Lanes >= 4) {
-    hashWordsBatchPtrsAvx2(W, NWords, Lanes, Out);
-    return;
-  }
-  for (size_t K = 0; K < Lanes; ++K)
-    Out[K] = hashWords(W[K], NWords);
-}
-
-const char *simdMode() { return avx2Active() ? "avx2" : "scalar"; }
-
-#else // !PSKETCH_SIMD_X86
-
-void hashWordsBatch(const int64_t *W, size_t NWords, size_t Lanes,
-                    size_t Stride, uint64_t *Out) {
-  hashdetail::hashWordsBatchScalar(W, NWords, Lanes, Stride, Out);
-}
-
-void hashWordsBatchPtrs(const int64_t *const *W, size_t NWords, size_t Lanes,
-                        uint64_t *Out) {
-  for (size_t K = 0; K < Lanes; ++K)
-    Out[K] = hashWords(W[K], NWords);
-}
-
-const char *simdMode() { return "scalar"; }
-
-#endif // PSKETCH_SIMD_X86
 
 } // namespace psketch

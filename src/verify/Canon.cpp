@@ -110,73 +110,6 @@ const int64_t *Canonicalizer::canonicalize(const int64_t *Words,
   return Min;
 }
 
-void Canonicalizer::canonicalizeBatch(const exec::SchedBlock &In,
-                                      unsigned Lanes, exec::SchedBlock &Out,
-                                      unsigned *PermIdx) const {
-  const unsigned Stride = In.stride();
-  Out.reset(SchedWords, Stride);
-  std::memcpy(Out.data(), In.data(),
-              sizeof(int64_t) * static_cast<size_t>(SchedWords) * Stride);
-  for (unsigned K = 0; K < Lanes; ++K)
-    PermIdx[K] = IdentityPerm;
-  if (Perms.empty() || Lanes == 0)
-    return;
-
-  // One word-major image block per automorphism, built from the RAW input
-  // (scalar semantics apply each perm to the original words, not to the
-  // running minimum). Cmp[K] tracks the streaming lexicographic verdict
-  // of image lane K against the current best lane K: 0 = still equal,
-  // 1 = image smaller, -1 = image greater.
-  static thread_local std::vector<int64_t> Img;
-  static thread_local std::vector<int8_t> Cmp;
-  Img.resize(static_cast<size_t>(SchedWords) * Stride);
-  Cmp.resize(Lanes);
-
-  for (unsigned I = 0; I < Perms.size(); ++I) {
-    const Compiled &C = Perms[I];
-    for (uint32_t W = 0; W < SchedWords; ++W) {
-      const int64_t *SrcRow = In.data() + static_cast<size_t>(C.Src[W]) * Stride;
-      int64_t *DstRow = Img.data() + static_cast<size_t>(W) * Stride;
-      if (C.Val[W] < 0) {
-        std::memcpy(DstRow, SrcRow, sizeof(int64_t) * Stride);
-        continue;
-      }
-      const auto &Map = C.ValTables[static_cast<size_t>(C.Val[W])];
-      for (unsigned K = 0; K < Lanes; ++K) {
-        int64_t V = SrcRow[K];
-        auto It = std::lower_bound(
-            Map.begin(), Map.end(), V,
-            [](const std::pair<int64_t, int64_t> &E, int64_t X) {
-              return E.first < X;
-            });
-        DstRow[K] = (It != Map.end() && It->first == V) ? It->second : V;
-      }
-    }
-
-    std::fill(Cmp.begin(), Cmp.end(), static_cast<int8_t>(0));
-    unsigned Undecided = Lanes;
-    for (uint32_t W = 0; W < SchedWords && Undecided; ++W) {
-      const int64_t *ImgRow = Img.data() + static_cast<size_t>(W) * Stride;
-      const int64_t *BestRow = Out.data() + static_cast<size_t>(W) * Stride;
-      for (unsigned K = 0; K < Lanes; ++K) {
-        if (Cmp[K] != 0)
-          continue;
-        if (ImgRow[K] != BestRow[K]) {
-          Cmp[K] = ImgRow[K] < BestRow[K] ? 1 : -1;
-          --Undecided;
-        }
-      }
-    }
-    for (unsigned K = 0; K < Lanes; ++K) {
-      if (Cmp[K] != 1)
-        continue; // only a strictly smaller image replaces the minimum
-      for (uint32_t W = 0; W < SchedWords; ++W)
-        Out.setWord(W, K, Img[static_cast<size_t>(W) * Stride + K]);
-      PermIdx[K] = I;
-    }
-  }
-}
-
 uint64_t Canonicalizer::maskToCanonical(unsigned PermIdx,
                                         uint64_t Raw) const {
   if (PermIdx == IdentityPerm || Raw == 0)

@@ -71,17 +71,6 @@ public:
   /// \p Out. Exposed for the canon(permute(s)) == canon(s) property test.
   void apply(unsigned PermIdx, const int64_t *In, int64_t *Out) const;
 
-  /// Batched canonicalize over a word-major SoA block: lane K of \p Out
-  /// receives the orbit representative of lane K of \p In, and PermIdx[K]
-  /// the chosen automorphism (IdentityPerm when the raw lane already
-  /// wins), for each of the first \p Lanes lanes. The per-lane tie-break
-  /// is exactly canonicalize()'s — automorphisms tried in compile order,
-  /// each applied to the RAW lane, and only a strictly smaller image
-  /// replaces the current minimum — so every lane is bit-identical to the
-  /// scalar path. \p Out is reshaped to \p In's geometry.
-  void canonicalizeBatch(const exec::SchedBlock &In, unsigned Lanes,
-                         exec::SchedBlock &Out, unsigned *PermIdx) const;
-
   /// Translates a per-thread bitmask (sleep/wake sets) into the
   /// coordinates of the canonical image chosen for a state: raw thread t
   /// becomes canonical thread CtxMap[t]. IdentityPerm is a no-op.
@@ -97,13 +86,10 @@ public:
     return Hits.load(std::memory_order_relaxed);
   }
 
-  /// Counts \p N entered states whose key canonicalization rewrote (the
+  /// Counts one entered state whose key canonicalization rewrote (the
   /// visited tables' insert paths call this; canonicalize() itself counts
   /// nothing, so extra membership probes never inflate the figure).
-  void noteHits(uint64_t N) const {
-    if (N)
-      Hits.fetch_add(N, std::memory_order_relaxed);
-  }
+  void noteHit() const { Hits.fetch_add(1, std::memory_order_relaxed); }
 
 private:
   /// One automorphism compiled against the StateLayout: canonical word w

@@ -9,13 +9,11 @@
 #include "support/Rng.h"
 #include "support/StrUtil.h"
 #include "verify/Canon.h"
-#include "verify/FrontierBatch.h"
 #include "verify/SearchCore.h"
 #include "verify/Visited.h"
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -120,15 +118,6 @@ private:
   /// Keeps per-node copies (parent links need live states).
   bool bfs(const State &Start, Counterexample &Cex);
 
-  /// Exhaustive DFS over SoA successor batches (BatchWidth >= 2;
-  /// docs/BATCHING.md). Same reduction decisions and sleep protocol as
-  /// dfs()/dfsUndo(); sibling successors are generated, canonicalized,
-  /// fingerprinted and probed as one batch, so the visited table fills
-  /// eagerly and the search-tree shape (hence which violation is found
-  /// first, and the dedup-attribution split of the state counts) can
-  /// differ from the scalar engines — the verdict cannot, and
-  /// DeterministicCex restores the scalar trace.
-  bool dfsBatched(const State &Start, Counterexample &Cex);
 };
 
 bool Checker::bfs(const State &Start, Counterexample &Cex) {
@@ -142,8 +131,6 @@ bool Checker::bfs(const State &Start, Counterexample &Cex) {
   std::vector<Node> Nodes;
 
   const bool Ample = Cfg.Por == PorMode::Ample;
-  const Canonicalizer *Cn = Canon && Canon->active() ? Canon.get() : nullptr;
-  detail::FrontierBatch Batch; ///< BatchWidth >= 2: batched full expansion
 
   auto ReconstructTo = [&](int Index, std::vector<TraceStep> &Out) {
     std::vector<int> Chain;
@@ -192,86 +179,10 @@ bool Checker::bfs(const State &Start, Counterexample &Cex) {
   if (!Enter(Start, -1, {}))
     return false;
 
-  // Cross-parent successor pooling (BatchWidth >= 2): one parent yields
-  // at most numThreads() children, far below a SIMD-profitable width on
-  // the paper's 2-5-thread benchmarks, so full expansions are queued as
-  // (parent, ctx) lanes and flushed through the SoA pipeline in
-  // full-width batches spanning many parents. Lanes flush in FIFO
-  // order, so children enter the visited table and the frontier in
-  // exactly scalar BFS's order — the explored set, dedup decisions, and
-  // node numbering are unchanged; only the moment a child enters the
-  // table moves (docs/BATCHING.md).
-  std::vector<std::pair<int, unsigned>> Pending;
-  std::vector<const State *> PoolParents;
-  std::vector<unsigned> PoolCtxs;
-
-  // Flushes pooled lanes in batch-width sub-batches; a non-final flush
-  // keeps the ragged tail pooled so only full-width batches run.
-  auto Flush = [&](bool Final) -> bool {
-    size_t At = 0;
-    while (!Result.Exhausted &&
-           (Pending.size() - At >= Cfg.BatchWidth ||
-            (Final && At < Pending.size()))) {
-      unsigned NGen = static_cast<unsigned>(
-          std::min<size_t>(Cfg.BatchWidth, Pending.size() - At));
-      PoolParents.resize(NGen);
-      PoolCtxs.resize(NGen);
-      for (unsigned I = 0; I < NGen; ++I) {
-        PoolParents[I] = &Nodes[Pending[At + I].first].S;
-        PoolCtxs[I] = Pending[At + I].second;
-      }
-      Counterexample GenCex;
-      unsigned FailLane = 0;
-      if (!Batch.generateMulti(M, Cfg.Por, PoolParents.data(),
-                               PoolCtxs.data(), NGen, GenCex, FailLane)) {
-        std::vector<TraceStep> Extra = std::move(GenCex.Steps);
-        ReconstructTo(Pending[At + FailLane].first, Cex.Steps);
-        Cex.Steps.insert(Cex.Steps.end(), Extra.begin(), Extra.end());
-        Cex.V = GenCex.V;
-        Cex.Where = GenCex.Where;
-        Cex.DeadlockSet = GenCex.DeadlockSet;
-        return false;
-      }
-      Batch.fingerprint(M, Cn, Visited.hashFn());
-      Batch.probeMask(M, Visited);
-      for (unsigned K = 0; K < NGen; ++K) {
-        if (Batch.ins(K) != detail::InsertOutcome::Fresh) {
-          ++Result.StatesDeduped;
-          continue;
-        }
-        ++Result.StatesExplored;
-        if (Result.StatesExplored >= Cfg.MaxStates || Visited.overBudget())
-          Result.Exhausted = true;
-        Node Child;
-        Child.S = std::move(Batch.state(K));
-        Child.Parent = Pending[At + K].first;
-        Child.Steps = Batch.suffix(K);
-        Nodes.push_back(std::move(Child));
-      }
-      At += NGen;
-    }
-    Pending.erase(Pending.begin(), Pending.begin() + At);
-    return true;
-  };
-
-  for (size_t Head = 0; !Result.Exhausted; ++Head) {
-    if (Head == Nodes.size()) {
-      // Frontier drained; the pooled tail may extend it.
-      if (Pending.empty())
-        break;
-      if (!Flush(/*Final=*/true))
-        return false;
-      if (Head == Nodes.size())
-        break; // every pooled lane was a dup
-    }
+  for (size_t Head = 0; Head < Nodes.size() && !Result.Exhausted; ++Head) {
     std::vector<unsigned> Ready;
     std::vector<TraceStep> Blocked;
     std::vector<TraceStep> Path; // only needed on failure
-    // Classify the STORED node: classifyAll normalizes every thread's pc
-    // in place, and the pooled lanes expand from Nodes[Head].S later —
-    // they must step from exactly the normalized state the scalar paths
-    // step from, or children pick up differently-encoded pcs and the
-    // visited keys (hence the explored set) diverge.
     if (!detail::classifyAll(M, Nodes[Head].S, Ready, Blocked, Path, Cex)) {
       std::vector<TraceStep> Extra = std::move(Cex.Steps);
       ReconstructTo(static_cast<int>(Head), Cex.Steps);
@@ -337,22 +248,8 @@ bool Checker::bfs(const State &Start, Counterexample &Cex) {
         ++Result.FullExpansions;
       }
     }
-    if (Cfg.BatchWidth >= 2) {
-      // Batched full expansion (docs/BATCHING.md): queue the ready
-      // children as pooled lanes and flush whole batches — one
-      // transpose, one (optional) orbit canonicalization, one
-      // fingerprint sweep, one visited call per full-width batch.
-      // Sleep masks are all zero in BFS, so the mask probe degenerates
-      // to exactly Enter()'s Fresh/Prune dedup.
-      for (unsigned Ctx : Ready)
-        Pending.push_back({static_cast<int>(Head), Ctx});
-      if (Pending.size() >= Cfg.BatchWidth && !Flush(/*Final=*/false))
-        return false;
-      continue;
-    }
-    // Scalar expansion copies the head out once: Enter() appends to
-    // Nodes and may reallocate it. The pooled path above never needs a
-    // copy at all — lanes read Nodes[Head].S by index at flush time.
+    // Copy the head out once: Enter() appends to Nodes and may
+    // reallocate it.
     State S = Nodes[Head].S;
     for (unsigned Ctx : Ready) {
       State Next = S;
@@ -725,181 +622,6 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
   return true;
 }
 
-// The batched frontier engine (CheckerConfig::BatchWidth >= 2;
-// docs/BATCHING.md). Structurally a dfs() whose per-choice work is
-// regrouped: up to BatchWidth pending choices of the top frame are
-// generated into one FrontierBatch (SoA transpose -> batched orbit
-// canonicalization -> batched fingerprint -> one batched visited probe),
-// then descended into one by one in choice order. The OnStack cycle
-// proviso and the sleep protocol are the scalar DFS's; the canonical
-// fingerprints the batch computed serve both the on-stack keys and the
-// table probe, as the scalar undo-log engine's single probe does.
-// Sub-batching — at most
-// BatchWidth lanes per generation round — keeps a C2 upgrade's appended
-// choices flowing through the same machinery and bounds per-frame
-// memory; every generated lane is descended into before the next round,
-// which is what keeps the Wake protocol's commitment (a Wake probe
-// shrinks the stored mask, promising the woken transitions run).
-bool Checker::dfsBatched(const State &Start, Counterexample &Cex) {
-  struct BFrame {
-    State S;
-    std::vector<unsigned> Choices;
-    size_t NextGen = 0; ///< next choice to generate
-    size_t PathLen = 0;
-    PorFrame Por;
-    std::vector<uint8_t> Verdicts; ///< per-thread readiness cache
-    detail::FrontierBatch Batch;
-    unsigned NextLane = 0; ///< next generated lane to descend into
-  };
-
-  const bool Ample =
-      Cfg.Por == PorMode::Ample && M.numThreads() <= detail::MaxSleepThreads;
-  const unsigned Width = std::max(2u, Cfg.BatchWidth);
-  const Canonicalizer *Cn = Canon && Canon->active() ? Canon.get() : nullptr;
-
-  // Frames are pooled: Depth is the live stack height, frames above it
-  // keep their buffers (state, choice list, batch lanes) for reuse. A
-  // deque keeps frame references stable while a child is acquired
-  // mid-descent.
-  std::deque<BFrame> Stack;
-  size_t Depth = 0;
-  std::vector<TraceStep> Path;
-  std::unordered_map<uint64_t, unsigned> OnStack; ///< fp -> frames (Ample)
-
-  std::vector<unsigned> Ready;
-  std::vector<TraceStep> Blocked;
-  std::vector<uint8_t> Verdicts;
-  std::vector<unsigned> GenCtx;
-  std::vector<uint64_t> GenSleep;
-
-  // Descends into live lane K of B (Path already carries its suffix):
-  // memoized classification, terminal handling, choice planning, frame
-  // push — the post-insert half of the scalar PushState.
-  auto EnterLane = [&](detail::FrontierBatch &B, unsigned K,
-                       const uint8_t *ParentV) -> bool {
-    if (!B.classify(K, M, ParentV, Ready, Blocked, Verdicts, Path, Cex))
-      return false;
-    if (Ready.empty()) {
-      if (!Blocked.empty()) {
-        Cex.Steps = Path;
-        Cex.V.VKind = Violation::Kind::Deadlock;
-        Cex.V.Label = "deadlock: all live threads blocked";
-        Cex.Where = Counterexample::Phase::Parallel;
-        Cex.DeadlockSet = Blocked;
-        return false;
-      }
-      return detail::checkEpilogue(M, B.state(K), Path, Cex);
-    }
-    if (Depth == Stack.size())
-      Stack.emplace_back();
-    BFrame &F = Stack[Depth];
-    F.Por = PorFrame();
-    F.Por.Fp = B.fp(K);
-    bool IsWake = B.ins(K) == detail::InsertOutcome::Wake;
-    F.Choices = planChoices(M, B.state(K), Ample, std::move(Ready),
-                            B.sleep(K), IsWake, B.wake(K), F.Por, Result);
-    if (F.Choices.empty())
-      return true; // every transition here is covered elsewhere (sleep)
-    std::swap(F.S, B.state(K)); // recycle the frame's old state buffer
-    F.Verdicts = Verdicts;
-    F.PathLen = Path.size();
-    F.NextGen = 0;
-    F.NextLane = 0;
-    F.Batch.clear();
-    if (Ample)
-      ++OnStack[F.Por.Fp];
-    ++Depth;
-    return true;
-  };
-
-  detail::FrontierBatch Root;
-  if (!Root.generateRoot(M, Cfg.Por, Start, Path, Cex))
-    return false;
-  Root.fingerprint(M, Cn, Visited.hashFn());
-  Root.probeMask(M, Visited); // the table is empty: always Fresh
-  ++Result.StatesExplored;
-  if (Result.StatesExplored >= Cfg.MaxStates || Visited.overBudget())
-    Result.Exhausted = true;
-  Path.insert(Path.end(), Root.suffix(0).begin(), Root.suffix(0).end());
-  if (!EnterLane(Root, 0, nullptr))
-    return false;
-
-  while (Depth > 0) {
-    BFrame &Top = Stack[Depth - 1];
-    if (Top.NextLane >= Top.Batch.size()) {
-      if (Top.NextGen >= Top.Choices.size() || Result.Exhausted) {
-        if (Ample) {
-          auto It = OnStack.find(Top.Por.Fp);
-          if (--It->second == 0)
-            OnStack.erase(It);
-        }
-        --Depth;
-        if (Depth > 0)
-          Path.resize(Stack[Depth - 1].PathLen);
-        continue;
-      }
-      // Generate the next sub-batch of pending choices.
-      Path.resize(Top.PathLen);
-      unsigned NGen = static_cast<unsigned>(
-          std::min<size_t>(Width, Top.Choices.size() - Top.NextGen));
-      GenCtx.clear();
-      GenSleep.clear();
-      for (unsigned I = 0; I < NGen; ++I) {
-        unsigned Ctx = Top.Choices[Top.NextGen + I];
-        uint64_t CS = 0;
-        if (Ample) {
-          CS = detail::sleepAfter(M, Top.S, Ctx, Top.S.pc(Ctx),
-                                  Top.Por.Sleep | Top.Por.Branched);
-          Top.Por.Branched |= 1ull << Ctx;
-        }
-        GenCtx.push_back(Ctx);
-        GenSleep.push_back(CS);
-      }
-      Top.NextGen += NGen;
-      if (!Top.Batch.generate(M, Cfg.Por, Top.S, GenCtx.data(),
-                              GenSleep.data(), NGen, Path, Cex))
-        return false;
-      Top.Batch.fingerprint(M, Cn, Visited.hashFn());
-      // The C2 upgrade check runs against the on-stack set before the
-      // probe, like the scalar PushState (which checks before each
-      // child's insert; inserts never touch OnStack and the intervening
-      // subtrees net out of it, so checking the whole sub-batch first is
-      // equivalent).
-      if (Ample && Top.Por.Reduced)
-        for (unsigned K = 0; K < NGen && Top.Por.Reduced; ++K)
-          if (OnStack.count(Top.Batch.fp(K)))
-            upgradeToFull(Top.Por, Top.Choices, Result);
-      Top.Batch.probeMask(M, Visited);
-      for (unsigned K = 0; K < NGen; ++K) {
-        if (Top.Batch.ins(K) == detail::InsertOutcome::Fresh) {
-          ++Result.StatesExplored;
-          if (Result.StatesExplored >= Cfg.MaxStates || Visited.overBudget())
-            Result.Exhausted = true;
-        } else {
-          ++Result.StatesDeduped; // Prune, or partially-covered Wake
-        }
-      }
-      Top.NextLane = 0;
-      continue;
-    }
-    if (Result.Exhausted) {
-      // Abandon the remaining lanes (their inserts were already counted),
-      // like the scalar engines abandon remaining choices.
-      Top.NextLane = static_cast<unsigned>(Top.Batch.size());
-      continue;
-    }
-    unsigned K = Top.NextLane++;
-    if (Top.Batch.ins(K) == detail::InsertOutcome::Prune)
-      continue; // a prior visit covers this lane
-    Path.resize(Top.PathLen);
-    Path.insert(Path.end(), Top.Batch.suffix(K).begin(),
-                Top.Batch.suffix(K).end());
-    if (!EnterLane(Top.Batch, K, Top.Verdicts.data()))
-      return false;
-  }
-  return true;
-}
-
 CheckResult Checker::run() {
   runSearch();
   if (Canon) {
@@ -943,7 +665,6 @@ CheckResult Checker::runSearch() {
   // Phase 3: exhaustive search.
   Counterexample Cex;
   bool Clean = Cfg.Order == SearchOrder::Bfs ? bfs(S0, Cex)
-               : Cfg.BatchWidth >= 2         ? dfsBatched(S0, Cex)
                : Cfg.UseUndoLog              ? dfsUndo(S0, Cex)
                                              : dfs(S0, Cex);
   Result.FingerprintCollisions = Visited.collisions();
@@ -971,16 +692,12 @@ CheckResult Checker::runSearch() {
     // docs/SYMMETRY.md). The falsifier phase needs no re-run: single
     // schedules are identical under Local and Ample, and it ran before
     // this search anyway.
-    // Batching likewise re-shapes the search tree (eager sibling
-    // insertion), so a batched trace is re-derived scalar as well.
     bool SymActive = Canon && Canon->active();
-    if ((Cfg.Por == PorMode::Ample || SymActive || Cfg.BatchWidth >= 2) &&
-        Cfg.DeterministicCex) {
+    if ((Cfg.Por == PorMode::Ample || SymActive) && Cfg.DeterministicCex) {
       CheckerConfig ReCfg = Cfg;
       if (ReCfg.Por == PorMode::Ample)
         ReCfg.Por = PorMode::Local;
       ReCfg.Symmetry = SymmetryMode::Off;
-      ReCfg.BatchWidth = 1;
       CheckResult Seq = detail::checkCandidateSequential(M, ReCfg, false);
       Result.StatesExplored += Seq.StatesExplored;
       Result.StatesDeduped += Seq.StatesDeduped;

@@ -70,15 +70,6 @@
 ///    re-derivation restores the canonical trace. Verdicts agree with
 ///    Off by the automorphism argument in docs/SYMMETRY.md; state counts
 ///    shrink by up to the orbit size.
-///  * CheckerConfig::BatchWidth >= 2 (the batched frontier engine,
-///    docs/BATCHING.md) keeps every clause: batching regroups sibling
-///    successors into SoA blocks for SIMD fingerprinting and batched
-///    visited probes but explores the same state set, so verdicts agree
-///    with BatchWidth == 1; a violation found batched is (with
-///    DeterministicCex) re-derived by a scalar sequential search, so the
-///    reported counterexample is byte-identical as well. State counts
-///    can differ only in which sibling a dedup is charged to, never in
-///    the Fresh total.
 ///  * VisitedMode::Fingerprint keeps both clauses, with one asterisk: if
 ///    two distinct states genuinely collide in 64 bits (probability
 ///    ~n^2/2^65, measurable via AuditFingerprints), which of the two the
@@ -161,11 +152,11 @@ enum class SymmetryMode : uint8_t { Off, Orbit };
 ///    always a sound Prune) to sharded, log-structured, mmap'd runs of
 ///    sorted 8-byte fingerprints under SpillDir, each shard fronted by
 ///    an in-memory tag filter with no false negatives. Probes go filter
-///    → in-RAM tier → binary search over the runs, batched through the
-///    frontier pipeline. Spilled entries are fingerprint-grade even when
-///    the in-RAM tier is Exact (key bytes are dropped on eviction — the
-///    VisitedMode::Fingerprint one-sided-error trade applied to the cold
-///    set only; collisions can hide states, never fabricate a trace).
+///    → in-RAM tier → binary search over the runs. Spilled entries are
+///    fingerprint-grade even when the in-RAM tier is Exact (key bytes
+///    are dropped on eviction — the VisitedMode::Fingerprint
+///    one-sided-error trade applied to the cold set only; collisions can
+///    hide states, never fabricate a trace).
 ///    I/O failure is never fatal: the store stops evicting and the
 ///    search continues in RAM (CheckResult::SpillFallback).
 enum class VisitedStore : uint8_t { Memory, Spill };
@@ -217,19 +208,6 @@ struct CheckerConfig {
   /// escape hatch. BFS and the parallel engine always copy — their
   /// frontiers outlive the step that created them.
   bool UseUndoLog = true;
-  /// Successor batch width (docs/BATCHING.md). 1 (default) runs the
-  /// scalar engines bit-for-bit unchanged. >= 2 routes the exhaustive
-  /// phase through the batched frontier engine: up to BatchWidth
-  /// successors of one state are generated together into an SoA block,
-  /// then canonicalized, fingerprinted and probed against the visited
-  /// table as a batch (SIMD-accelerated where -DPSKETCH_SIMD allows).
-  /// Verdicts agree with BatchWidth == 1 by construction — batching only
-  /// changes the order siblings enter the visited table, never the
-  /// explored set — and under DeterministicCex (the default) a violation
-  /// found by a batched search is re-derived scalar, so the reported
-  /// counterexample is byte-identical to the BatchWidth == 1 trace.
-  /// Typical sweet spot: DefaultBatchWidth.
-  unsigned BatchWidth = 1;
   /// Visited-store tier (see the VisitedStore doc): Memory (default)
   /// keeps every visited key in RAM; Spill evicts fully-explored
   /// fingerprints to sorted on-disk runs when VisitedBudgetBytes is
@@ -246,12 +224,6 @@ struct CheckerConfig {
   /// watermark that triggers spilling.
   uint64_t VisitedBudgetBytes = 0;
 };
-
-/// The batch width `psketch_tool --batch` (and the benches) use when the
-/// caller asks for batching without naming a width: wide enough to
-/// amortize per-batch fixed costs and fill AVX2 lanes, small enough that
-/// a frame's worth of sibling states stays cache-resident.
-inline constexpr unsigned DefaultBatchWidth = 16;
 
 /// \returns the worker count \p Cfg resolves to: NumThreads, with 0
 /// mapped to std::thread::hardware_concurrency() (at least 1).

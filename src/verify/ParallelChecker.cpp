@@ -31,7 +31,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "verify/Canon.h"
-#include "verify/FrontierBatch.h"
 #include "verify/ModelChecker.h"
 #include "verify/SearchCore.h"
 #include "verify/Visited.h"
@@ -61,10 +60,6 @@ namespace {
 struct Unit {
   State S;
   std::vector<TraceStep> Path;
-  /// Batched generation (CheckerConfig::BatchWidth >= 2) runs the local
-  /// chain, dedup probe, and explored-count at the *generating* worker;
-  /// such units skip the whole preamble when processed.
-  bool PreInserted = false;
 };
 
 /// A worker's deque of pending units. The owner pushes/pops at the back
@@ -151,22 +146,20 @@ struct SearchShared {
   void processUnit(Unit U, uint64_t &WorkerStates,
                    const std::function<void(Unit)> &Push) {
     Counterexample Cex;
-    if (!U.PreInserted) {
-      if (!detail::advanceLocal(M, Cfg.Por, U.S, U.Path, Cex)) {
-        report(std::move(Cex));
-        return;
-      }
-      if (!Visited.insert(M, U.S)) {
-        StatesDeduped.fetch_add(1);
-        return;
-      }
-      ++WorkerStates;
-      if (StatesExplored.fetch_add(1) + 1 >= Cfg.MaxStates ||
-          Visited.overBudget()) {
-        Exhausted.store(true);
-        Stop.store(true);
-        return;
-      }
+    if (!detail::advanceLocal(M, Cfg.Por, U.S, U.Path, Cex)) {
+      report(std::move(Cex));
+      return;
+    }
+    if (!Visited.insert(M, U.S)) {
+      StatesDeduped.fetch_add(1);
+      return;
+    }
+    ++WorkerStates;
+    if (StatesExplored.fetch_add(1) + 1 >= Cfg.MaxStates ||
+        Visited.overBudget()) {
+      Exhausted.store(true);
+      Stop.store(true);
+      return;
     }
     std::vector<unsigned> Ready;
     std::vector<TraceStep> Blocked;
@@ -186,10 +179,6 @@ struct SearchShared {
       }
       if (!detail::checkEpilogue(M, U.S, U.Path, Cex))
         report(std::move(Cex));
-      return;
-    }
-    if (Cfg.BatchWidth >= 2) {
-      expandBatched(std::move(U), Ready, WorkerStates, Push);
       return;
     }
     // Ample reduction: expand a singleton-independent context alone,
@@ -257,94 +246,6 @@ struct SearchShared {
       Child.Path = U.Path;
       Child.Path.push_back(TraceStep{Ctx, Out.ExecutedPc});
       Push(std::move(Child));
-    }
-  }
-
-  /// Batched expansion (CheckerConfig::BatchWidth >= 2): successors are
-  /// generated in SoA batches, fingerprinted together, and probed into
-  /// the shard table with one lock acquisition per touched shard
-  /// (verify/FrontierBatch.h). Fresh lanes are chained, counted, and
-  /// pushed as pre-inserted units here, at the generating worker. The
-  /// ample singleton's contains() probe becomes an insert-as-probe,
-  /// which only strengthens the C2 insertion-happens-before-expansion
-  /// argument: the child is in the table before its unit is pushed.
-  void expandBatched(Unit U, const std::vector<unsigned> &Ready,
-                     uint64_t &WorkerStates,
-                     const std::function<void(Unit)> &Push) {
-    static thread_local detail::FrontierBatch Batch;
-    const Canonicalizer *Cn = Canon && Canon->active() ? Canon.get() : nullptr;
-    Counterexample Cex;
-    if (Cfg.Por == PorMode::Ample && Ready.size() >= 2) {
-      int AI = detail::selectAmple(M, U.S, Ready);
-      if (AI >= 0) {
-        unsigned Ctx = Ready[AI];
-        if (!Batch.generate(M, Cfg.Por, U.S, &Ctx, nullptr, 1, U.Path, Cex)) {
-          report(std::move(Cex));
-          return;
-        }
-        Batch.fingerprint(M, Cn, Visited.hashFn());
-        Batch.probeShared(M, Visited);
-        if (Batch.ins(0) == detail::InsertOutcome::Fresh) {
-          AmpleCount.fetch_add(1);
-          ++WorkerStates;
-          if (StatesExplored.fetch_add(1) + 1 >= Cfg.MaxStates ||
-              Visited.overBudget()) {
-            Exhausted.store(true);
-            Stop.store(true);
-            return;
-          }
-          Unit Child;
-          Child.S = std::move(Batch.state(0));
-          Child.Path = std::move(U.Path);
-          Child.Path.insert(Child.Path.end(), Batch.suffix(0).begin(),
-                            Batch.suffix(0).end());
-          Child.PreInserted = true;
-          Push(std::move(Child));
-          return;
-        }
-        FullCount.fetch_add(1); // proviso hit: expand every ready context
-      } else {
-        FullCount.fetch_add(1);
-      }
-    }
-    for (size_t At = 0; At < Ready.size(); At += Cfg.BatchWidth) {
-      if (Stop.load())
-        return;
-      unsigned NGen = static_cast<unsigned>(
-          std::min<size_t>(Cfg.BatchWidth, Ready.size() - At));
-      if (!Batch.generate(M, Cfg.Por, U.S, Ready.data() + At, nullptr, NGen,
-                          U.Path, Cex)) {
-        report(std::move(Cex));
-        return;
-      }
-      Batch.fingerprint(M, Cn, Visited.hashFn());
-      Batch.probeShared(M, Visited);
-      for (unsigned K = 0; K < NGen; ++K) {
-        if (Batch.ins(K) != detail::InsertOutcome::Fresh) {
-          StatesDeduped.fetch_add(1);
-          continue;
-        }
-        ++WorkerStates;
-        if (StatesExplored.fetch_add(1) + 1 >= Cfg.MaxStates ||
-            Visited.overBudget()) {
-          Exhausted.store(true);
-          Stop.store(true);
-          return;
-        }
-      }
-      // Push fresh lanes in reverse so a LIFO owner explores the first
-      // ready thread first, like the scalar loop.
-      for (unsigned K = NGen; K-- > 0;) {
-        if (Batch.ins(K) != detail::InsertOutcome::Fresh)
-          continue;
-        Unit Child;
-        Child.S = std::move(Batch.state(K));
-        Child.Path = U.Path;
-        Child.Path.insert(Child.Path.end(), Batch.suffix(K).begin(),
-                          Batch.suffix(K).end());
-        Child.PreInserted = true;
-        Push(std::move(Child));
-      }
     }
   }
 };
@@ -536,9 +437,6 @@ CheckResult psketch::verify::detail::checkCandidateParallel(
     if (ReCfg.Por == PorMode::Ample)
       ReCfg.Por = PorMode::Local;
     ReCfg.Symmetry = SymmetryMode::Off;
-    // Batched generation reshapes which trace surfaces first; the rerun
-    // over the scalar engine keeps the trace width-independent.
-    ReCfg.BatchWidth = 1;
     CheckResult Seq = detail::checkCandidateSequential(M, ReCfg, false);
     Result.StatesExplored += Seq.StatesExplored;
     Result.StatesDeduped += Seq.StatesDeduped;

@@ -252,47 +252,6 @@ bool SpillStore::contains(unsigned Shard, uint64_t Fp) const {
   return false;
 }
 
-void SpillStore::containsBatch(unsigned Shard, const uint64_t *SortedFps,
-                               size_t N, uint8_t *Hit) const {
-  const ShardState &S = Shards[Shard];
-  // Sweep 1: filter words, prefetched across the batch then probed.
-  for (size_t I = 0; I < N; ++I)
-    S.Filter.prefetch(SortedFps[I]);
-  unsigned Pending = 0;
-  for (size_t I = 0; I < N; ++I) {
-    Hit[I] = S.Filter.mayContain(SortedFps[I]) ? 2 : 0; // 2 = maybe
-    Pending += Hit[I] != 0;
-  }
-  if (Pending == 0)
-    return;
-  // Sweep 2: each run once, front to back. The lanes are sorted, so
-  // lane I's lower_bound starts at lane I-1's landing point — the whole
-  // batch costs one monotone walk per run instead of N cold searches.
-  for (auto It = S.Runs.rbegin(); It != S.Runs.rend() && Pending; ++It) {
-    const uint64_t *B = It->begin(), *E = B + It->count();
-    const uint64_t *P = B;
-    for (size_t I = 0; I < N; ++I) {
-      if (Hit[I] != 2)
-        continue;
-      P = std::lower_bound(P, E, SortedFps[I]);
-      if (P != E)
-        It->Map.prefetch((reinterpret_cast<const char *>(P) -
-                          static_cast<const char *>(It->Map.data())));
-      if (P != E && *P == SortedFps[I]) {
-        Hit[I] = 1;
-        --Pending;
-      }
-      if (P == E)
-        break; // every later (larger) lane misses this run too
-    }
-  }
-  for (size_t I = 0; I < N; ++I)
-    if (Hit[I] == 2) {
-      Hit[I] = 0; // the filter said maybe, every run said no
-      FilterFalseHits.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
 uint64_t SpillStore::filterBytes() const {
   uint64_t B = 0;
   for (const ShardState &S : Shards)

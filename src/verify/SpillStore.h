@@ -143,13 +143,6 @@ public:
     }
   }
 
-  /// Pulls \p Fp's home word toward the cache (the batched probe's
-  /// first prefetch sweep).
-  void prefetch(uint64_t Fp) const {
-    if (NumWords)
-      __builtin_prefetch(&Words[homeWord(Fp) & (NumWords - 1)]);
-  }
-
   size_t bytes() const { return NumWords * sizeof(uint64_t); }
   size_t entries() const { return Entries; }
 
@@ -202,14 +195,6 @@ public:
   /// Membership probe: filter first (a definitive no), then the runs
   /// newest-first. A filter yes the runs refute counts one false hit.
   bool contains(unsigned Shard, uint64_t Fp) const;
-
-  /// Batched probe over \p N fingerprints of one shard, sorted
-  /// ascending: every run is swept once front-to-back (each lane's
-  /// lower_bound starts where the previous lane's ended) with the next
-  /// probe page prefetched, instead of N independent cold binary
-  /// searches. Hit[I] = contains(Shard, SortedFps[I]).
-  void containsBatch(unsigned Shard, const uint64_t *SortedFps, size_t N,
-                     uint8_t *Hit) const;
 
   uint64_t spilledStates() const {
     return SpilledStates.load(std::memory_order_relaxed);

@@ -20,14 +20,12 @@
 /// open-addressing slot array indexed by the state fingerprint plus a
 /// chunked arena of key bytes. Exactness never rests on the fingerprint
 /// (a slot hit is always confirmed by memcmp; a mismatch walks on) — the
-/// fingerprint only places the entry, which is what lets the batched
-/// probes software-prefetch the slot line and the key bytes across a
-/// whole batch of lanes (docs/BATCHING.md). Fingerprint mode stores only
-/// the 8-byte hash of the key; the audit
-/// (CheckerConfig::AuditFingerprints) additionally keeps a bounded
-/// side-table of full keys per fingerprint so a hash hit can be
-/// distinguished from a genuine revisit: a mismatch increments the
-/// collision counter and the state is explored anyway (Exact fallback).
+/// fingerprint only places the entry. Fingerprint mode stores only the
+/// 8-byte hash of the key; the audit (CheckerConfig::AuditFingerprints)
+/// additionally keeps a bounded side-table of full keys per fingerprint
+/// so a hash hit can be distinguished from a genuine revisit: a mismatch
+/// increments the collision counter and the state is explored anyway
+/// (Exact fallback).
 ///
 /// Every entry also carries the sleep-set mask the state was (last)
 /// entered with, for the sequential ample engine (docs/POR.md): plain
@@ -56,10 +54,8 @@
 /// carrying a live sleep mask stay resident. Probes consult the disk
 /// tier only on an in-memory miss, BEFORE inserting, so a spilled
 /// subtree is never re-explored and StatesExplored parity with Memory
-/// mode is preserved. Batched probes pre-compute per-lane disk hints in
-/// one sorted sweep (spillHints); an eviction epoch invalidates hints
-/// that predate a mid-batch spill. Without a budget or store this is
-/// all compiled down to a null-pointer check per insert.
+/// mode is preserved. Without a budget or store this is all compiled
+/// down to a null-pointer check per insert.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,10 +102,7 @@ enum class InsertOutcome : uint8_t {
 /// chunked arenas indexed by entry at a fixed stride (the first key's
 /// length — one machine, one encoding), so keys never move and inserts
 /// never allocate per key. A probe touches one slot cache line plus, on
-/// a fingerprint match, the key bytes — two dependent loads the batched
-/// probe sweeps expose to software prefetch (VisitedTable::
-/// insertMaskWordsBatch), overlapping across lanes the DRAM latency a
-/// scalar probe chain serializes. A fingerprint match is always
+/// a fingerprint match, the key bytes. A fingerprint match is always
 /// confirmed by memcmp and a mismatch walks on, so dedup stays exact
 /// under any hash, including the test suite's forced-collision one.
 ///
@@ -169,53 +162,6 @@ public:
       if (S.Fp == Fp && std::memcmp(keyPtr(S.Idx), Key.data(), KeyLen) == 0)
         return true;
     }
-  }
-
-  /// Prefetch stage 1: pull in \p Fp's slot line. Address arithmetic
-  /// only, so it is the first sweep of a batch.
-  void prefetchSlot(uint64_t Fp) const {
-    if (!Slots.empty())
-      __builtin_prefetch(&Slots[Fp & (Slots.size() - 1)]);
-  }
-
-  /// Pipeline stage 2: walk the probe chain for \p Fp and return the
-  /// key bytes a later findOrInsert would memcmp against, or null when
-  /// the window holds no fingerprint match. The walk's slot reads and
-  /// the volatile touches of the key's first and last lines are real
-  /// (demand) loads on purpose: a multi-hundred-MiB arena on 4 KiB
-  /// pages misses the TLB on essentially every probe, and hardware
-  /// drops __builtin_prefetch requests whose translation misses —
-  /// demand loads instead start the page walks, and independent lanes'
-  /// touches overlap in the out-of-order window. Bounded and
-  /// side-effect-free; chains longer than the window just lose the
-  /// warm-up, and the later real probe decides everything.
-  const char *touchKey(uint64_t Fp) const {
-    if (Slots.empty())
-      return nullptr;
-    size_t M = Slots.size() - 1;
-    size_t I = Fp & M;
-    for (unsigned P = 0; P < 8; ++P, I = (I + 1) & M) {
-      const Slot &S = Slots[I];
-      if (S.Idx == Absent)
-        return nullptr;
-      if (S.Fp == Fp) {
-        const char *K = keyPtr(S.Idx);
-        (void)*static_cast<const volatile char *>(K);
-        (void)*static_cast<const volatile char *>(K + (KeyLen - 1));
-        return K;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Pipeline stage 3: prefetch the interior lines of a key returned
-  /// by touchKey. Its pages are translated (or translating) after the
-  /// stage-2 touches, so these prefetches survive, and the whole
-  /// batch's key bytes stream at bandwidth instead of serializing
-  /// inside per-lane memcmp miss trains.
-  void prefetchKeyLines(const char *K) const {
-    for (size_t Off = 64; Off + 64 < KeyLen; Off += 64)
-      __builtin_prefetch(K + Off);
   }
 
   /// Bytes this table owns right now: the slot array, the key-arena
@@ -329,14 +275,6 @@ private:
 /// what keeps that configuration allocation- and encoding-free.
 class VisitedCell {
 public:
-  /// Disk-hint values for insertMask's trailing parameter: the batched
-  /// pipeline pre-answers "is this fingerprint spilled?" for a whole
-  /// batch in one sorted sweep (spillHints); HintUnknown makes the
-  /// insert probe the disk itself (the scalar path).
-  static constexpr uint8_t HintMiss = 0;
-  static constexpr uint8_t HintHit = 1;
-  static constexpr uint8_t HintUnknown = 2;
-
   /// Attaches the disk tier (\p S null = VisitedStore::Memory) and the
   /// in-RAM byte budget (0 = unlimited; an abort watermark without a
   /// store, the eviction watermark with one). Called once, before any
@@ -356,14 +294,12 @@ public:
   /// Memory and Spill runs explore the same states.
   InsertOutcome insertMask(VisitedMode Mode, bool Audit, uint64_t AuditBudget,
                            uint64_t Fp, uint64_t Sleep, uint64_t &WakeOut,
-                           std::string_view Key,
-                           uint8_t DiskHint = HintUnknown) {
+                           std::string_view Key) {
     uint64_t *Slot = nullptr;
     if (Mode == VisitedMode::Exact) {
       // The extra find() is paid only once something has spilled: until
       // then diskHas() is false without touching the table.
-      if (Spill && SpillEpoch != 0 && !Flat.find(Fp, Key) &&
-          diskHas(Fp, DiskHint))
+      if (Spilled && !Flat.find(Fp, Key) && diskHas(Fp))
         return InsertOutcome::Prune;
       auto [MaskSlot, New] = Flat.findOrInsert(Fp, Key, Sleep);
       if (New) {
@@ -374,7 +310,7 @@ public:
     } else {
       auto It = Fps.find(Fp);
       if (It == Fps.end()) {
-        if (diskHas(Fp, DiskHint))
+        if (diskHas(Fp))
           return InsertOutcome::Prune;
         It = Fps.emplace(Fp, Sleep).first;
         if (Audit && AuditEntries < AuditBudget) {
@@ -417,10 +353,10 @@ public:
   /// Plain check-and-insert (the mask-0 case). \returns true when the
   /// state was newly inserted (caller explores it), false on a revisit.
   bool insert(VisitedMode Mode, bool Audit, uint64_t AuditBudget, uint64_t Fp,
-              std::string_view Key, uint8_t DiskHint = HintUnknown) {
+              std::string_view Key) {
     uint64_t Wake = 0;
-    return insertMask(Mode, Audit, AuditBudget, Fp, /*Sleep=*/0, Wake, Key,
-                      DiskHint) == InsertOutcome::Fresh;
+    return insertMask(Mode, Audit, AuditBudget, Fp, /*Sleep=*/0, Wake, Key) ==
+           InsertOutcome::Fresh;
   }
 
   /// Read-only membership probe (the parallel/BFS cycle proviso). In
@@ -429,68 +365,13 @@ public:
   /// for the same reason with the same consequence.
   bool contains(VisitedMode Mode, uint64_t Fp, std::string_view Key) const {
     if (Mode == VisitedMode::Exact)
-      return Flat.find(Fp, Key) || diskHas(Fp, HintUnknown);
-    return Fps.count(Fp) != 0 || diskHas(Fp, HintUnknown);
+      return Flat.find(Fp, Key) || diskHas(Fp);
+    return Fps.count(Fp) != 0 || diskHas(Fp);
   }
-
-  /// Batched disk pre-probe over \p Lanes fingerprints (the frontier
-  /// pipeline's spill sweep): fills Hint[K] with HintHit/HintMiss and
-  /// returns the eviction epoch the answers are valid for. A lane whose
-  /// insert runs after a newer eviction must downgrade its hint to
-  /// HintUnknown — the eviction may have just spilled a sibling lane's
-  /// fingerprint. Pre-probing every lane is safe because hints are only
-  /// consulted on an in-memory miss. All-HintMiss (trivially valid)
-  /// when nothing has spilled yet. Lanes are sorted by (shard, value)
-  /// so every on-disk run is swept once, monotonically.
-  uint64_t spillHints(const uint64_t *Fp, unsigned Lanes,
-                      uint8_t *Hint) const {
-    if (!Spill || SpillEpoch == 0) {
-      std::fill(Hint, Hint + Lanes, HintMiss);
-      return SpillEpoch;
-    }
-    static thread_local std::vector<std::pair<uint64_t, unsigned>> Order;
-    static thread_local std::vector<uint64_t> SortedFp;
-    static thread_local std::vector<uint8_t> SortedHit;
-    Order.clear();
-    for (unsigned K = 0; K < Lanes; ++K)
-      Order.emplace_back(Fp[K], K);
-    std::sort(Order.begin(), Order.end(), [](const auto &A, const auto &B) {
-      unsigned SA = A.first & (SpillStore::NumShards - 1);
-      unsigned SB = B.first & (SpillStore::NumShards - 1);
-      return SA != SB ? SA < SB : A.first < B.first;
-    });
-    SortedFp.resize(Lanes);
-    SortedHit.resize(Lanes);
-    for (unsigned K = 0; K < Lanes; ++K)
-      SortedFp[K] = Order[K].first;
-    for (unsigned Lo = 0; Lo < Lanes;) {
-      unsigned Shard = SortedFp[Lo] & (SpillStore::NumShards - 1);
-      unsigned Hi = Lo + 1;
-      while (Hi < Lanes &&
-             (SortedFp[Hi] & (SpillStore::NumShards - 1)) == Shard)
-        ++Hi;
-      Spill->containsBatch(Shard, SortedFp.data() + Lo, Hi - Lo,
-                           SortedHit.data() + Lo);
-      Lo = Hi;
-    }
-    for (unsigned K = 0; K < Lanes; ++K)
-      Hint[Order[K].second] = SortedHit[K] ? HintHit : HintMiss;
-    return SpillEpoch;
-  }
-
-  /// Monotone eviction counter validating spillHints results.
-  uint64_t spillEpoch() const { return SpillEpoch; }
 
   /// True once a Memory-mode budget was crossed (the abort watermark;
   /// never set in Spill mode, where the budget evicts instead).
   bool overBudget() const { return OverBudget; }
-
-  /// Exact-mode batched-probe pipeline stages (no-ops on an empty
-  /// table; meaningless but harmless in Fingerprint mode, where callers
-  /// skip them).
-  void prefetchSlot(uint64_t Fp) const { Flat.prefetchSlot(Fp); }
-  const char *touchKey(uint64_t Fp) const { return Flat.touchKey(Fp); }
-  void prefetchKeyLines(const char *K) const { Flat.prefetchKeyLines(K); }
 
   uint64_t collisions() const { return Collisions; }
 
@@ -516,14 +397,10 @@ private:
     return InsertOutcome::Wake;
   }
 
-  /// Is \p Fp in the disk tier? False before anything spilled; a valid
-  /// batched hint answers without touching the store.
-  bool diskHas(uint64_t Fp, uint8_t Hint) const {
-    if (!Spill || SpillEpoch == 0)
-      return false;
-    if (Hint != HintUnknown)
-      return Hint == HintHit;
-    return Spill->contains(Fp & (SpillStore::NumShards - 1), Fp);
+  /// Is \p Fp in the disk tier? False without touching the store before
+  /// anything spilled.
+  bool diskHas(uint64_t Fp) const {
+    return Spilled && Spill->contains(Fp & (SpillStore::NumShards - 1), Fp);
   }
 
   /// Budget watermark, consulted after every fresh insert. Memory mode:
@@ -568,7 +445,7 @@ private:
       return SA != SB ? SA < SB : A < B;
     });
     Evict.erase(std::unique(Evict.begin(), Evict.end()), Evict.end());
-    ++SpillEpoch; // batched disk hints issued before this are now stale
+    Spilled = true;
     bool AllOk = true;
     for (size_t Lo = 0; Lo < Evict.size() && AllOk;) {
       unsigned Shard = Evict[Lo] & (SpillStore::NumShards - 1);
@@ -603,7 +480,7 @@ private:
   uint64_t AuditBytes = 0;   ///< bytes owned by the audit side-table
   SpillStore *Spill = nullptr; ///< disk tier (null = Memory mode)
   uint64_t Budget = 0;         ///< in-RAM byte budget (0 = unlimited)
-  uint64_t SpillEpoch = 0;     ///< evictions so far (hint validity)
+  bool Spilled = false;        ///< an eviction has run (disk may answer)
   uint64_t SpillRearmAt = 0;   ///< eviction hysteresis threshold
   bool OverBudget = false;     ///< Memory-mode abort watermark latched
 };
@@ -637,7 +514,7 @@ inline void noteEntered(const exec::Machine &M, const Canonicalizer *Canon,
   if (P.Key.Escaped)
     M.notePackEscape();
   if (P.PermIdx != Canonicalizer::IdentityPerm)
-    Canon->noteHits(1);
+    Canon->noteHit();
 }
 
 /// The sequential engine's visited table.
@@ -695,100 +572,9 @@ public:
     return contains(probe(M, S));
   }
 
-  /// Batched mask-aware insert over an ALREADY-canonicalized word-major
-  /// block (the frontier engine's probe): lane K's canonical words sit in
-  /// \p B, its fingerprint — computed by the caller in one
-  /// fingerprintBatchWith(B, Lanes, hashFn(), ...) sweep, so one hash pass
-  /// serves both this table and the DFS on-stack set — in Fp[K], its
-  /// chosen automorphism in PermIdx[K], its raw-coordinate sleep mask in
-  /// Sleep[K]. Out[K] / WakeOut[K] match insertMask on lane K exactly.
-  /// Exact mode prefetches the batch's slot lines and key bytes first,
-  /// then gathers each lane into one reused scratch buffer and probes by
-  /// view, so revisits allocate nothing. The batch entry points count no
-  /// escapes or canonical rewrites: their caller (FrontierBatch) does.
-  void insertMaskBatch(const exec::Machine &M, const exec::SchedBlock &B,
-                       unsigned Lanes, const uint64_t *Fp,
-                       const unsigned *PermIdx, const uint64_t *Sleep,
-                       InsertOutcome *Out, uint64_t *WakeOut) {
-    static thread_local std::vector<int64_t> Tmp;
-    static thread_local std::vector<uint8_t> Hints;
-    Tmp.resize(B.numWords());
-    Hints.resize(Lanes);
-    uint64_t Epoch = Cell.spillHints(Fp, Lanes, Hints.data());
-    if (Mode == VisitedMode::Exact) {
-      static thread_local std::vector<const char *> Keys;
-      Keys.resize(Lanes);
-      for (unsigned K = 0; K < Lanes; ++K)
-        Cell.prefetchSlot(Fp[K]);
-      for (unsigned K = 0; K < Lanes; ++K)
-        Keys[K] = Cell.touchKey(Fp[K]);
-      for (unsigned K = 0; K < Lanes; ++K)
-        if (Keys[K])
-          Cell.prefetchKeyLines(Keys[K]);
-    }
-    for (unsigned K = 0; K < Lanes; ++K) {
-      uint64_t CSleep =
-          Canon ? Canon->maskToCanonical(PermIdx[K], Sleep[K]) : Sleep[K];
-      uint64_t CWake = 0;
-      std::string_view Key;
-      if (Mode == VisitedMode::Exact || Audit) {
-        B.gatherLane(K, Tmp.data());
-        Key = M.encodeWordsView(Tmp.data());
-      }
-      InsertOutcome O = Cell.insertMask(
-          Mode, Audit, AuditBudget, Fp[K], CSleep, CWake, Key,
-          Cell.spillEpoch() == Epoch ? Hints[K] : VisitedCell::HintUnknown);
-      Out[K] = O;
-      WakeOut[K] =
-          O == InsertOutcome::Wake
-              ? (Canon ? Canon->maskFromCanonical(PermIdx[K], CWake) : CWake)
-              : 0;
-    }
-  }
-
-  /// Batched mask-aware insert straight from per-lane scheduler words —
-  /// the no-canonicalization fast path (FrontierBatch::probeMask): no
-  /// SoA block involved at all. In Exact mode, three sweeps — slot
-  /// prefetch, key prefetch, probe — overlap the probe chain's
-  /// dependent cache misses across the batch. Lanes are probed in
-  /// order, so an intra-batch duplicate resolves exactly like
-  /// sequential insertMask calls; with no canonicalizer, sleep masks
-  /// need no coordinate translation.
-  void insertMaskWordsBatch(const exec::Machine &M,
-                            const int64_t *const *W, const uint64_t *Fp,
-                            const uint64_t *Sleep, unsigned Lanes,
-                            InsertOutcome *Out, uint64_t *WakeOut) {
-    assert(!Canon && "canonicalized batches go through insertMaskBatch");
-    static thread_local std::vector<uint8_t> Hints;
-    Hints.resize(Lanes);
-    uint64_t Epoch = Cell.spillHints(Fp, Lanes, Hints.data());
-    if (Mode == VisitedMode::Exact) {
-      static thread_local std::vector<const char *> Keys;
-      Keys.resize(Lanes);
-      for (unsigned K = 0; K < Lanes; ++K)
-        Cell.prefetchSlot(Fp[K]);
-      for (unsigned K = 0; K < Lanes; ++K)
-        Keys[K] = Cell.touchKey(Fp[K]);
-      for (unsigned K = 0; K < Lanes; ++K)
-        if (Keys[K])
-          Cell.prefetchKeyLines(Keys[K]);
-    }
-    for (unsigned K = 0; K < Lanes; ++K) {
-      uint64_t Wake = 0;
-      Out[K] = Cell.insertMask(
-          Mode, Audit, AuditBudget, Fp[K], Sleep[K], Wake, keyView(M, W[K]),
-          Cell.spillEpoch() == Epoch ? Hints[K] : VisitedCell::HintUnknown);
-      WakeOut[K] = Out[K] == InsertOutcome::Wake ? Wake : 0;
-    }
-  }
-
-  /// The injected word-hash (batched callers pre-compute lane
-  /// fingerprints with it).
+  /// The injected word-hash (the undo DFS reuses the probe's
+  /// fingerprint as its on-stack key only under the default hash).
   StateHashFn hashFn() const { return Hash; }
-
-  /// Which dedup mode the table runs (batched callers route their
-  /// probe through it).
-  VisitedMode mode() const { return Mode; }
 
   uint64_t collisions() const { return Cell.collisions(); }
   uint64_t keyBytes() const { return Cell.keyBytes(); }
@@ -798,13 +584,6 @@ public:
   bool overBudget() const { return Cell.overBudget(); }
 
 private:
-  std::string_view keyView(const exec::Machine &M, const int64_t *W) const {
-    // The exact bytes are only needed by Exact mode or the audit
-    // (VisitedCell's key contract); the batch probes skip them otherwise.
-    return Mode == VisitedMode::Exact || Audit ? M.encodeWordsView(W)
-                                               : std::string_view();
-  }
-
   VisitedMode Mode;
   bool Audit;
   uint64_t AuditBudget;
@@ -865,85 +644,6 @@ public:
     std::lock_guard<std::mutex> Lock(Shard.Mu);
     return Shard.Cell.contains(Mode, P.Key.Fp, P.Key.Bytes);
   }
-
-  /// Batched check-and-insert over an ALREADY-canonicalized word-major
-  /// block: lane fingerprints — computed by the caller in one
-  /// fingerprintBatchWith(B, Lanes, hashFn(), ...) sweep — pick the
-  /// shards (in Exact mode too, exactly like insert()), lanes are grouped
-  /// by target shard, and each touched shard is locked exactly once per
-  /// batch — amortizing the per-state lock/unlock the scalar path pays.
-  /// Within a shard group the Exact probe runs the same
-  /// prefetch-slots/prefetch-keys/probe pipeline as the sequential
-  /// batch. Fresh[K] matches what insert() on lane K would have
-  /// returned. \p AoS, when non-null, points at the lanes' row-major
-  /// states and must hold the same words as \p B (the
-  /// no-canonicalization case): keys are then viewed straight from the
-  /// states, skipping the per-lane SoA gather. Like the sequential batch
-  /// probes, it leaves escape and rewrite counting to its caller.
-  void insertBatch(const exec::Machine &M, const exec::SchedBlock &B,
-                   unsigned Lanes, const uint64_t *Fp, uint8_t *Fresh,
-                   const exec::State *AoS = nullptr) {
-    static thread_local std::vector<int64_t> Tmp;
-    static thread_local std::vector<uint8_t> Done;
-    static thread_local std::vector<unsigned> Group;
-    Tmp.resize(B.numWords());
-    Done.assign(Lanes, 0);
-    for (unsigned K = 0; K < Lanes; ++K) {
-      if (Done[K])
-        continue;
-      size_t ShardIdx = Fp[K] & (NumShards - 1);
-      Group.clear();
-      for (unsigned J = K; J < Lanes; ++J)
-        if (!Done[J] && (Fp[J] & (NumShards - 1)) == ShardIdx) {
-          Done[J] = 1;
-          Group.push_back(J);
-        }
-      ShardT &Shard = Shards[ShardIdx];
-      std::lock_guard<std::mutex> Lock(Shard.Mu);
-      // Disk hints for the whole group in one sorted sweep, under the
-      // same lock the inserts run under; a mid-group eviction (epoch
-      // bump) downgrades the remaining lanes to a scalar disk probe.
-      static thread_local std::vector<uint64_t> GFp;
-      static thread_local std::vector<uint8_t> GHint;
-      GFp.clear();
-      for (unsigned J : Group)
-        GFp.push_back(Fp[J]);
-      GHint.resize(Group.size());
-      uint64_t Epoch = Shard.Cell.spillHints(
-          GFp.data(), static_cast<unsigned>(Group.size()), GHint.data());
-      if (Mode == VisitedMode::Exact) {
-        for (unsigned J : Group)
-          Shard.Cell.prefetchSlot(Fp[J]);
-        for (unsigned J : Group)
-          if (const char *K = Shard.Cell.touchKey(Fp[J]))
-            Shard.Cell.prefetchKeyLines(K);
-      }
-      for (size_t GI = 0; GI < Group.size(); ++GI) {
-        unsigned J = Group[GI];
-        std::string_view Key;
-        if (Mode == VisitedMode::Exact || Audit) {
-          const int64_t *W;
-          if (AoS) {
-            W = AoS[J].words();
-          } else {
-            B.gatherLane(J, Tmp.data());
-            W = Tmp.data();
-          }
-          Key = M.encodeWordsView(W);
-        }
-        Fresh[J] = Shard.Cell.insert(Mode, Audit, AuditBudget, Fp[J], Key,
-                                     Shard.Cell.spillEpoch() == Epoch
-                                         ? GHint[GI]
-                                         : VisitedCell::HintUnknown);
-      }
-      if (Shard.Cell.overBudget())
-        AnyOverBudget.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  /// The injected word-hash (batched callers pre-compute lane
-  /// fingerprints with it).
-  StateHashFn hashFn() const { return Hash; }
 
   uint64_t collisions() const {
     uint64_t Total = 0;

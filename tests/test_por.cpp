@@ -10,6 +10,10 @@
 //    candidates, and schedules;
 //  * commutes() reflects read/write conflicts, including hole-resolved
 //    choices and statically-pinned array indices;
+//  * the footprint-class conflict matrix behind commutes and
+//    singletonIndependent agrees with the footprint recompute, over
+//    every pc pair in range, on plain and on lock- and heap-tuned
+//    machines, fineset1 ar(aaaa|rrrr) included;
 //  * PorMode::Ample agrees with Off and Local on every verdict and (for
 //    the deterministic configurations) on the counterexample, across
 //    worker counts, and preserves deadlocks;
@@ -23,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AbsInt.h"
 #include "analysis/PointsTo.h"
 #include "benchmarks/Suite.h"
 #include "cegis/Cegis.h"
@@ -368,6 +373,120 @@ TEST(Footprint, HeapSitePartitionSoundOverRandomPrograms) {
   EXPECT_GT(PairsChecked, 0u);
   EXPECT_GT(NewlyLicensed, 0u)
       << "the partition never licensed a pair the class universe refused";
+}
+
+namespace {
+
+/// Collects \p Want distinct-ish states by random walk from the initial
+/// state (the walk restarts when a step reports anything but Ok).
+std::vector<exec::State> randomWalkStates(const exec::Machine &M,
+                                          unsigned Want, uint64_t Seed) {
+  std::vector<exec::State> Out;
+  Rng R(Seed);
+  exec::State S = M.initialState();
+  while (Out.size() < Want) {
+    unsigned Ctx = static_cast<unsigned>(R.below(M.numContexts()));
+    exec::Violation V;
+    exec::ExecOutcome O = M.execStep(S, Ctx, V);
+    if (O.Result != exec::StepResult::Ok) {
+      S = M.initialState();
+      continue;
+    }
+    Out.push_back(S);
+  }
+  return Out;
+}
+
+/// Checks both cached relations against the footprint recompute: commutes
+/// over every context pair (thread pairs read the tables, the rest fall
+/// back) and singletonIndependent over random reachable states.
+void expectRelationsMatchFootprints(const exec::Machine &M,
+                                    const std::string &Tag) {
+  // Beyond-range pcs exercise the sentinel-row clamping on both sides.
+  const uint32_t PcProbe = 24;
+  for (unsigned A = 0; A < M.numContexts(); ++A)
+    for (unsigned B = 0; B < M.numContexts(); ++B)
+      for (uint32_t Pa = 0; Pa < PcProbe; ++Pa)
+        for (uint32_t Pb = 0; Pb < PcProbe; ++Pb)
+          EXPECT_EQ(M.commutes(A, Pa, B, Pb),
+                    !M.stepFootprint(A, Pa).conflictsWithUnprotected(
+                        M.stepFootprint(B, Pb)))
+              << Tag << ": " << A << "@" << Pa << " vs " << B << "@" << Pb;
+
+  for (const exec::State &Walked : randomWalkStates(M, 64, 0x7AB1Eull)) {
+    for (unsigned Ctx = 0; Ctx < M.numThreads(); ++Ctx) {
+      exec::State S = Walked;
+      bool Want = true;
+      uint32_t Pc = M.normalizePc(S, Ctx);
+      for (unsigned U = 0; U < M.numThreads(); ++U)
+        if (U != Ctx && M.stepFootprint(Ctx, Pc).conflictsWithUnprotected(
+                            M.suffixFootprint(U, S.pc(U))))
+          Want = false;
+      EXPECT_EQ(M.singletonIndependent(S, Ctx), Want)
+          << Tag << ": ctx " << Ctx << " at pc " << Pc;
+    }
+  }
+}
+
+} // namespace
+
+TEST(PorTables, CommuteTableMatchesFootprintRecompute) {
+  auto Row = lightestRow("barrier1");
+  ASSERT_TRUE(Row.has_value());
+  auto P = Row->Build();
+  flat::FlatProgram FP = flat::flatten(*P);
+  exec::Machine M(FP, ir::HoleAssignment(P->holes().size(), 0));
+  expectRelationsMatchFootprints(M, "barrier1");
+
+  // Tuned machines rewrite the footprints (protectedBy masks, per-site
+  // heap bits) before the tables are built; the tables must cache the
+  // rewritten relation.
+  bool SawLocks = false, SawSites = false;
+  for (const char *FamilyName : {"lazyset", "fineset1", "dinphilo"}) {
+    std::string Family = FamilyName;
+    auto Tuned = lightestRow(Family);
+    ASSERT_TRUE(Tuned.has_value()) << Family;
+    auto TP = Tuned->Build();
+    flat::FlatProgram TFP = flat::flatten(*TP);
+    ir::HoleAssignment Ref = Tuned->Reference
+                                 ? Tuned->Reference(*TP)
+                                 : ir::HoleAssignment(TP->holes().size(), 0);
+    analysis::CandidateFacts Facts = analysis::analyzeCandidate(*TP, TFP, Ref);
+    ASSERT_FALSE(Facts.Refuted) << Family;
+    exec::MachineTuning Tuning;
+    Tuning.Locks = &Facts.Locks;
+    if (!Facts.Heap.empty())
+      Tuning.Heap = &Facts.Heap;
+    exec::Machine TM(TFP, Ref, Tuning);
+    SawLocks = SawLocks || TM.lockIndepPairs() > 0;
+    SawSites = SawSites || TM.shapeSites() > 0;
+    expectRelationsMatchFootprints(TM, Family + "/tuned");
+  }
+  EXPECT_TRUE(SawLocks) << "no row exercised lock-discounted footprints";
+  EXPECT_TRUE(SawSites) << "no row exercised the heap partition";
+
+  // The heaviest table build of the suite: four adds racing four
+  // removes over the fine-grained set, plain and tuned.
+  std::optional<bench::SuiteEntry> Wide;
+  for (const bench::SuiteEntry &E : bench::paperSuite("fineset1"))
+    if (E.Test == "ar(aaaa|rrrr)")
+      Wide = E;
+  ASSERT_TRUE(Wide.has_value());
+  auto WP = Wide->Build();
+  flat::FlatProgram WFP = flat::flatten(*WP);
+  ir::HoleAssignment WRef = Wide->Reference
+                                ? Wide->Reference(*WP)
+                                : ir::HoleAssignment(WP->holes().size(), 0);
+  exec::Machine WM(WFP, WRef);
+  expectRelationsMatchFootprints(WM, "fineset1 ar(aaaa|rrrr)");
+  analysis::CandidateFacts WFacts = analysis::analyzeCandidate(*WP, WFP, WRef);
+  ASSERT_FALSE(WFacts.Refuted);
+  exec::MachineTuning WTuning;
+  WTuning.Locks = &WFacts.Locks;
+  if (!WFacts.Heap.empty())
+    WTuning.Heap = &WFacts.Heap;
+  exec::Machine WTM(WFP, WRef, WTuning);
+  expectRelationsMatchFootprints(WTM, "fineset1 ar(aaaa|rrrr)/tuned");
 }
 
 //===----------------------------------------------------------------------===//

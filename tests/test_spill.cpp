@@ -5,7 +5,7 @@
 //
 // The out-of-core visited store guarantees under test (docs/SPILL.md):
 //  * the tag filter never false-negatives over its inserted set;
-//  * SpillStore membership (scalar and batched) exactly matches a
+//  * SpillStore membership exactly matches a
 //    reference set across multiple runs and through run merges;
 //  * the store removes its spill directory on destruction;
 //  * an unwritable spill directory, or a write failure mid-stream,
@@ -147,29 +147,12 @@ TEST(Spill, StoreContainsMatchesReference) {
   EXPECT_EQ(Store.spillBytes(), Reference.size() * sizeof(uint64_t));
   EXPECT_GT(Store.runMerges(), 0u);
 
-  // Scalar parity on every spilled fingerprint plus absent probes.
+  // Parity on every spilled fingerprint plus absent probes.
   for (uint64_t Fp : Reference)
     EXPECT_TRUE(Store.contains(Fp & 63, Fp));
   for (int I = 0; I < 4000; ++I) {
     uint64_t Fp = R.next();
     EXPECT_EQ(Store.contains(Fp & 63, Fp), Reference.count(Fp) != 0);
-  }
-
-  // Batched parity: per shard, a sorted mix of present and absent
-  // fingerprints must answer exactly like the scalar probe.
-  std::vector<uint64_t> Mixed(Reference.begin(), Reference.end());
-  for (int I = 0; I < 4000; ++I)
-    Mixed.push_back(R.next());
-  std::vector<std::vector<uint64_t>> ByShard(64);
-  for (uint64_t Fp : Mixed)
-    ByShard[Fp & 63].push_back(Fp);
-  for (unsigned Shard = 0; Shard < 64; ++Shard) {
-    std::vector<uint64_t> &Slice = ByShard[Shard];
-    std::sort(Slice.begin(), Slice.end());
-    std::vector<uint8_t> Hit(Slice.size());
-    Store.containsBatch(Shard, Slice.data(), Slice.size(), Hit.data());
-    for (size_t I = 0; I < Slice.size(); ++I)
-      EXPECT_EQ(Hit[I] != 0, Reference.count(Slice[I]) != 0);
   }
 }
 

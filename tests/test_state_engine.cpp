@@ -9,7 +9,7 @@
 //    on a counter program and on suite rows under ample POR, symmetry
 //    and packed keys;
 //  * Machine::stateKey renders raw, packed and escaped keys exactly as
-//    encodeWords / fingerprintWordsWith do, and the checker counts one
+//    encodeWords / fingerprintWords do, and the checker counts one
 //    escape per entered state, in every engine;
 //  * randomized step/undo sequences restore states bit-for-bit;
 //  * Exact and Fingerprint visited modes agree on verdict and canonical
@@ -381,14 +381,13 @@ TEST(StateEngine, PackEscapesCountEachEnteredStateOnce) {
     PorMode Por;
     SearchOrder Order;
     bool UndoLog;
-    unsigned BatchWidth;
   } Engines[] = {
-      {"ample undo DFS", PorMode::Ample, SearchOrder::Dfs, true, 1},
-      {"ample copy DFS", PorMode::Ample, SearchOrder::Dfs, false, 1},
-      {"ample BFS", PorMode::Ample, SearchOrder::Bfs, true, 1},
-      {"ample batched DFS", PorMode::Ample, SearchOrder::Dfs, true, 16},
-      {"local undo DFS", PorMode::Local, SearchOrder::Dfs, true, 1},
-      {"local batched BFS", PorMode::Local, SearchOrder::Bfs, true, 16},
+      {"ample undo DFS", PorMode::Ample, SearchOrder::Dfs, true},
+      {"ample copy DFS", PorMode::Ample, SearchOrder::Dfs, false},
+      {"ample BFS", PorMode::Ample, SearchOrder::Bfs, true},
+      {"local undo DFS", PorMode::Local, SearchOrder::Dfs, true},
+      {"local copy DFS", PorMode::Local, SearchOrder::Dfs, false},
+      {"local BFS", PorMode::Local, SearchOrder::Bfs, true},
   };
   for (bool Atomic : {true, false}) {
     Program P;
@@ -407,7 +406,6 @@ TEST(StateEngine, PackEscapesCountEachEnteredStateOnce) {
       Cfg.Por = E.Por;
       Cfg.Order = E.Order;
       Cfg.UseUndoLog = E.UndoLog;
-      Cfg.BatchWidth = E.BatchWidth;
       CheckResult R = checkCandidate(M, Cfg);
       std::string Tag = std::string(E.Name) + (Atomic ? " atomic" : " racy");
       EXPECT_EQ(R.Ok, Atomic) << Tag;
