@@ -201,12 +201,9 @@ inline void cpuInfo(std::string &Model, std::string &Flags) {
 /// the measurements came from. Benches add it as the first row of their
 /// JSON report so regression tooling can refuse cross-machine or
 /// cross-configuration comparisons (scripts/check_bench_regression.py).
-/// \p VisitedStore names the visited tiering the rows ran under
-/// ("memory" or "spill"; docs/SPILL.md), and peak_rss_mib records the
-/// process's peak resident set at emission time — together they let the
-/// regression tooling tell an in-RAM measurement from an out-of-core one.
-inline JsonObject provenanceJson(unsigned Workers,
-                                 const char *VisitedStore = "memory") {
+/// peak_rss_mib records the process's peak resident set at emission
+/// time.
+inline JsonObject provenanceJson(unsigned Workers) {
   std::string Model, Flags;
   cpuInfo(Model, Flags);
   JsonObject O;
@@ -215,7 +212,6 @@ inline JsonObject provenanceJson(unsigned Workers,
       .field("cpu_flags", Flags)
       .field("simd", psketch::simdMode())
       .field("workers", Workers)
-      .field("visited_store", VisitedStore)
       .field("peak_rss_mib", peakRSSMiB());
   return O;
 }

@@ -24,9 +24,9 @@
 //    must agree on the verdict and — DeterministicCex re-derives over
 //    the raw graph — byte-identically on the counterexample.
 //
-//  * Part C, packed visited keys: the tuned Machine under Fingerprint
-//    visited mode vs the untuned one under Exact, gated on verdict and
-//    states agreement (the packing is injective, so the graphs match).
+//  * Part C, packed visited keys: the tuned Machine vs the untuned one,
+//    gated on verdict and states agreement (the packing is injective, so
+//    the graphs match).
 //
 //  * Part D, the audit gate: CEGIS with AbsIntAudit on the refutation
 //    row — every interval refutation is re-checked by the concrete
@@ -403,10 +403,10 @@ int main(int Argc, char **Argv) {
   }
 
   //===------------------------------------------------------------------===//
-  // Part C: packed fingerprint vs exact untuned.
+  // Part C: packed (tuned) vs raw (untuned) visited keys.
   //===------------------------------------------------------------------===//
 
-  std::printf("\nPart C: packed Fingerprint (tuned) vs Exact (untuned)\n");
+  std::printf("\nPart C: packed keys (tuned) vs raw keys (untuned)\n");
   {
     auto P = buildLockFarm(2, Smoke ? 2u : 3u);
     flat::FlatProgram FP = flat::flatten(*P);
@@ -418,15 +418,13 @@ int main(int Argc, char **Argv) {
     exec::Machine Tuned(FP, Cand, Tuning);
 
     for (PorMode Por : {PorMode::Off, PorMode::Ample}) {
-      CheckerConfig Exact;
-      Exact.Por = Por;
-      CheckerConfig Fp = Exact;
-      Fp.Visited = VisitedMode::Fingerprint;
-      CheckResult RE = checkCandidate(Plain, Exact);
-      CheckResult RF = checkCandidate(Tuned, Fp);
+      CheckerConfig Cfg;
+      Cfg.Por = Por;
+      CheckResult RE = checkCandidate(Plain, Cfg);
+      CheckResult RF = checkCandidate(Tuned, Cfg);
       bool Agree = RE.Ok == RF.Ok && RE.StatesExplored == RF.StatesExplored;
       Gate = Gate && Agree && Tuned.packedLayout().Enabled;
-      std::printf("  por=%-5s exact %llu states, packed-fp %llu states, "
+      std::printf("  por=%-5s raw %llu states, packed %llu states, "
                   "%u key bits shed, %llu escapes: %s\n",
                   porName(Por),
                   static_cast<unsigned long long>(RE.StatesExplored),
@@ -438,7 +436,7 @@ int main(int Argc, char **Argv) {
       JsonObject O;
       O.field("kind", "packed")
           .field("por", porName(Por))
-          .field("exact_states", RE.StatesExplored)
+          .field("raw_states", RE.StatesExplored)
           .field("packed_states", RF.StatesExplored)
           .field("tightened_bits", Tuned.tightenedBits())
           .field("pack_escapes", Tuned.packEscapes())

@@ -1,24 +1,16 @@
-//===- bench/bench_state_engine.cpp - Fingerprinted state engine bench -----===//
+//===- bench/bench_state_engine.cpp - State engine throughput bench --------===//
 //
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
 //
-// Measures the fingerprinted state engine (exec/StateVec.h + verify/
-// Visited.h) against the pre-PR configuration on the heaviest
-// verifier-bound Figure 9 rows (dinphilo N=5,T=3 and barrier1 N=3,B=3;
-// --smoke swaps in the light rows CI can afford). Two parts:
-//
-//  * Part A, throughput/memory: one sequential run-to-exhaustion check of
-//    each row's reference candidate (falsifier off, so the exhaustive
-//    search is the whole measurement) under the four engine configs
-//    {Exact, Fingerprint} x {copy, undo-log}. Reports states/sec and
-//    visited-key bytes/state, plus both ratios against Exact+copy — the
-//    engine this PR replaced as the default.
-//
-//  * Part B, agreement: the same rows checked in both visited modes at
-//    worker counts 1, 2, and 4 (12 cells). Exact and Fingerprint must
-//    agree on every verdict; any disagreement makes the exit status
-//    nonzero, so the CI smoke run doubles as a correctness gate.
+// Measures the sequential state engine (exec/StateVec.h + verify/
+// Visited.h) on the heaviest verifier-bound Figure 9 rows (dinphilo
+// N=5,T=3 and barrier1 N=3,B=3; --smoke swaps in the light rows CI can
+// afford): one run-to-exhaustion check of each row's reference
+// candidate (falsifier off, so the exhaustive search is the whole
+// measurement) under the copy-per-successor DFS and the undo-log DFS.
+// Reports states/sec and visited-key bytes/state, plus both ratios
+// against the copy DFS.
 //
 // Flags: --smoke (light rows — the CI configuration), --json[=path]
 // (rows to BENCH_state_engine.json, provenance row first).
@@ -58,7 +50,6 @@ ir::HoleAssignment referenceCandidate(const SuiteEntry &E,
 
 struct EngineConfig {
   const char *Label;
-  VisitedMode Mode;
   bool UseUndoLog;
 };
 
@@ -95,20 +86,17 @@ int main(int Argc, char **Argv) {
     Rows.push_back(findRow("dinphilo", "N=5,T=3"));
   }
 
-  // The four engine configs; Exact+copy first — it is the Part A baseline
-  // (the default engine before this PR).
+  // The copy DFS first: the ratios are against it.
   const EngineConfig Configs[] = {
-      {"exact+copy", VisitedMode::Exact, false},
-      {"exact+undo", VisitedMode::Exact, true},
-      {"fp+copy", VisitedMode::Fingerprint, false},
-      {"fp+undo", VisitedMode::Fingerprint, true},
+      {"exact+copy", false},
+      {"exact+undo", true},
   };
 
   JsonReport Json(Opts);
   Json.add(provenanceJson(Opts.Jobs));
 
   std::printf("State engine microbenchmark%s\n\n", Smoke ? " [smoke]" : "");
-  std::printf("Part A: sequential run-to-exhaustion, reference candidate, "
+  std::printf("Sequential run-to-exhaustion, reference candidate, "
               "falsifier off\n");
   std::printf("%-9s %-9s %-11s | %8s %9s %11s %8s | %8s %8s\n", "sketch",
               "test", "engine", "time(s)", "states", "states/s", "bytes/st",
@@ -125,7 +113,6 @@ int main(int Argc, char **Argv) {
     for (const EngineConfig &C : Configs) {
       CheckerConfig Cfg;
       Cfg.UseRandomFalsifier = false; // measure the exhaustive phase only
-      Cfg.Visited = C.Mode;
       Cfg.UseUndoLog = C.UseUndoLog;
       Measurement Me = timeCheck(M, Cfg);
       double Rate =
@@ -134,7 +121,7 @@ int main(int Argc, char **Argv) {
           Me.R.StatesExplored
               ? static_cast<double>(Me.R.VisitedBytes) / Me.R.StatesExplored
               : 0.0;
-      if (C.Mode == VisitedMode::Exact && !C.UseUndoLog) {
+      if (!C.UseUndoLog) {
         BaseRate = Rate;
         BaseBytes = BytesPerState;
       }
@@ -160,64 +147,11 @@ int main(int Argc, char **Argv) {
           .field("bytes_ratio_vs_exact_copy", XBytes)
           .field("ok", Me.R.Ok)
           .field("exhausted", Me.R.Exhausted)
-          .field("fp_collisions", Me.R.FingerprintCollisions)
-          .field("smoke", Smoke);
-      Json.add(O);
-    }
-  }
-
-  std::printf("\nPart B: Exact vs Fingerprint verdict agreement at 1/2/4 "
-              "workers\n");
-  std::printf("%-9s %-9s %3s | %-8s %-8s %-9s %10s\n", "sketch", "test", "W",
-              "exact", "fp", "agree", "collisions");
-  std::printf("------------------------------------------------------------"
-              "--\n");
-
-  unsigned Cells = 0, Agreed = 0;
-  for (const SuiteEntry &E : Rows) {
-    auto P = E.Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    exec::Machine M(FP, referenceCandidate(E, *P));
-    for (unsigned W : {1u, 2u, 4u}) {
-      CheckerConfig Exact;
-      Exact.NumThreads = W;
-      CheckerConfig Fp = Exact;
-      Fp.Visited = VisitedMode::Fingerprint;
-      Fp.AuditFingerprints = true; // count collisions in the report
-      CheckResult RE = checkCandidate(M, Exact);
-      CheckResult RF = checkCandidate(M, Fp);
-      bool Agree = RE.Ok == RF.Ok;
-      ++Cells;
-      Agreed += Agree;
-      std::printf("%-9s %-9s %3u | %-8s %-8s %-9s %10llu\n", E.Sketch.c_str(),
-                  E.Test.c_str(), W, RE.Ok ? "ok" : "fail",
-                  RF.Ok ? "ok" : "fail", Agree ? "yes" : "DISAGREE",
-                  static_cast<unsigned long long>(RF.FingerprintCollisions));
-      std::fflush(stdout);
-
-      JsonObject O;
-      O.field("kind", "agreement")
-          .field("sketch", E.Sketch)
-          .field("test", E.Test)
-          .field("workers", W)
-          .field("exact_ok", RE.Ok)
-          .field("fp_ok", RF.Ok)
-          .field("agrees", Agree)
-          .field("fp_collisions", RF.FingerprintCollisions)
           .field("smoke", Smoke);
       Json.add(O);
     }
   }
 
   Json.write();
-  if (Agreed != Cells) {
-    std::fprintf(stderr,
-                 "error: %u/%u agreement cells disagree (see DISAGREE "
-                 "rows)\n",
-                 Cells - Agreed, Cells);
-    return 1;
-  }
-  std::printf("\n%u/%u verdict agreement across modes and worker counts\n",
-              Agreed, Cells);
   return 0;
 }

@@ -4,9 +4,7 @@
 // Structures" (PLDI 2008).
 //
 // Usage: psketch_tool [--lint] [--no-prescreen] [--jobs N] [--seed S]
-//                     [--visited exact|fingerprint]
-//                     [--visited-store memory|spill] [--spill-dir path]
-//                     [--spill-budget-mb N] [--por off|local|ample]
+//                     [--por off|local|ample]
 //                     [--symmetry on|off] [--absint on|off]
 //                     [--shape on|off] [--warm-start on|off]
 //                     [--dump-cnf path] [--stats] [file.psk ...]
@@ -19,19 +17,7 @@
 // --jobs N runs the model checker with N workers (0 = hardware
 // concurrency, default 1 = the sequential checker); --seed S seeds the
 // random-schedule falsifier (see the reproducibility contract in
-// verify/ModelChecker.h); --visited picks the checker's seen-state
-// representation (exact keys, the default, or 8-byte fingerprints — see
-// docs/PARALLEL.md §5 for the soundness trade); --visited-store picks the
-// visited tiering (memory, the default, or spill — a disk-backed
-// fingerprint tier that evicts fully-explored states to sorted mmap'd
-// runs when --spill-budget-mb is exceeded; see docs/SPILL.md; verdicts
-// and deterministic counterexamples are identical either way);
-// --spill-dir picks the spill scratch directory (default: the system
-// temp dir; the per-run subdirectory is removed on exit);
-// --spill-budget-mb bounds the in-RAM visited tier in MiB (0 =
-// unlimited; in memory mode a nonzero budget is an abort watermark — the
-// search stops with an exhausted-budget verdict instead of swapping);
-// --por picks the checker's
+// verify/ModelChecker.h); --por picks the checker's
 // partial-order reduction (off, local, or the default ample — see
 // docs/POR.md; verdicts are identical in all three modes); --symmetry
 // toggles symmetry reduction (on, the default, proves thread orbits
@@ -331,15 +317,6 @@ void printStats(const cegis::CegisStats &S) {
   std::printf("  %-20s %llu\n", "ShapeFalsePrunes",
               static_cast<unsigned long long>(S.ShapeFalsePrunes));
   std::printf("  %-20s %u\n", "HeapRaceWarnings", S.HeapRaceWarnings);
-  std::printf("  %-20s %llu\n", "SpilledStates",
-              static_cast<unsigned long long>(S.SpilledStates));
-  std::printf("  %-20s %llu\n", "SpillBytes",
-              static_cast<unsigned long long>(S.SpillBytes));
-  std::printf("  %-20s %llu\n", "RunMerges",
-              static_cast<unsigned long long>(S.RunMerges));
-  std::printf("  %-20s %llu\n", "FilterFalseHits",
-              static_cast<unsigned long long>(S.FilterFalseHits));
-  std::printf("  %-20s %s\n", "SpillFallback", S.SpillFallback ? "yes" : "no");
   std::printf("  %-20s %zu\n", "SolverSolves", S.SolveLog.size());
   std::printf("  %-20s %llu\n", "SolverProbes",
               static_cast<unsigned long long>(S.SolverProbes));
@@ -372,43 +349,6 @@ void printStats(const cegis::CegisStats &S) {
   }
 }
 
-/// Parses the --visited mode argument. \returns false after printing a
-/// typed diagnostic when the value is missing or not a known mode.
-bool parseVisited(const char *Text, verify::VisitedMode &Out) {
-  if (Text && std::strcmp(Text, "exact") == 0) {
-    Out = verify::VisitedMode::Exact;
-    return true;
-  }
-  if (Text && std::strcmp(Text, "fingerprint") == 0) {
-    Out = verify::VisitedMode::Fingerprint;
-    return true;
-  }
-  printDiag({analysis::Severity::Error, "cli",
-             std::string("--visited: bad value '") + (Text ? Text : "") +
-                 "' (expected 'exact' or 'fingerprint')",
-             ""});
-  return false;
-}
-
-/// Parses the --visited-store tier argument. \returns false after
-/// printing a typed diagnostic when the value is missing or not a known
-/// tier.
-bool parseVisitedStore(const char *Text, verify::VisitedStore &Out) {
-  if (Text && std::strcmp(Text, "memory") == 0) {
-    Out = verify::VisitedStore::Memory;
-    return true;
-  }
-  if (Text && std::strcmp(Text, "spill") == 0) {
-    Out = verify::VisitedStore::Spill;
-    return true;
-  }
-  printDiag({analysis::Severity::Error, "cli",
-             std::string("--visited-store: bad value '") + (Text ? Text : "") +
-                 "' (expected 'memory' or 'spill')",
-             ""});
-  return false;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -416,10 +356,7 @@ int main(int Argc, char **Argv) {
   bool Shape = analysis::defaultShape();
   bool WarmStart = synth::defaultWarmStart();
   std::string DumpCnfPath;
-  uint64_t Jobs = 1, Seed = 1, SpillBudgetMb = 0;
-  verify::VisitedMode Visited = verify::VisitedMode::Exact;
-  verify::VisitedStore Store = verify::VisitedStore::Memory;
-  std::string SpillDir;
+  uint64_t Jobs = 1, Seed = 1;
   verify::PorMode Por = verify::PorMode::Ample;
   verify::SymmetryMode Symmetry = verify::SymmetryMode::Orbit;
   std::vector<const char *> Files;
@@ -435,41 +372,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--seed") == 0) {
       if (!parseUnsigned("--seed", I + 1 < Argc ? Argv[++I] : nullptr,
                          UINT64_MAX, Seed))
-        return 1;
-    } else if (std::strcmp(Argv[I], "--visited") == 0) {
-      if (!parseVisited(I + 1 < Argc ? Argv[++I] : nullptr, Visited))
-        return 1;
-    } else if (std::strncmp(Argv[I], "--visited=", 10) == 0) {
-      if (!parseVisited(Argv[I] + 10, Visited))
-        return 1;
-    } else if (std::strcmp(Argv[I], "--visited-store") == 0) {
-      if (!parseVisitedStore(I + 1 < Argc ? Argv[++I] : nullptr, Store))
-        return 1;
-    } else if (std::strncmp(Argv[I], "--visited-store=", 16) == 0) {
-      if (!parseVisitedStore(Argv[I] + 16, Store))
-        return 1;
-    } else if (std::strcmp(Argv[I], "--spill-dir") == 0) {
-      if (I + 1 >= Argc || !*Argv[I + 1]) {
-        printDiag({analysis::Severity::Error, "cli",
-                   "--spill-dir requires a directory path", ""});
-        return 1;
-      }
-      SpillDir = Argv[++I];
-    } else if (std::strncmp(Argv[I], "--spill-dir=", 12) == 0) {
-      SpillDir = Argv[I] + 12;
-      if (SpillDir.empty()) {
-        printDiag({analysis::Severity::Error, "cli",
-                   "--spill-dir requires a directory path", ""});
-        return 1;
-      }
-    } else if (std::strcmp(Argv[I], "--spill-budget-mb") == 0) {
-      if (!parseUnsigned("--spill-budget-mb",
-                         I + 1 < Argc ? Argv[++I] : nullptr, 1u << 24,
-                         SpillBudgetMb))
-        return 1;
-    } else if (std::strncmp(Argv[I], "--spill-budget-mb=", 18) == 0) {
-      if (!parseUnsigned("--spill-budget-mb", Argv[I] + 18, 1u << 24,
-                         SpillBudgetMb))
         return 1;
     } else if (std::strcmp(Argv[I], "--por") == 0) {
       if (!parsePor(I + 1 < Argc ? Argv[++I] : nullptr, Por))
@@ -521,9 +423,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "usage: psketch_tool [--lint] [--no-prescreen] "
                    "[--jobs N] [--seed S] "
-                   "[--visited exact|fingerprint] "
-                   "[--visited-store memory|spill] [--spill-dir path] "
-                   "[--spill-budget-mb N] "
                    "[--por off|local|ample] "
                    "[--symmetry on|off] [--absint on|off] "
                    "[--shape on|off] "
@@ -567,22 +466,6 @@ int main(int Argc, char **Argv) {
   Cfg.Prescreen = Prescreen;
   Cfg.Checker.NumThreads = static_cast<unsigned>(Jobs);
   Cfg.Checker.Seed = Seed;
-  Cfg.Checker.Visited = Visited;
-  if (Visited == verify::VisitedMode::Fingerprint)
-    std::printf("checker: fingerprint visited set (64-bit hash "
-                "compaction; sound up to hash collisions)\n");
-  Cfg.Checker.Store = Store;
-  Cfg.Checker.SpillDir = SpillDir;
-  Cfg.Checker.VisitedBudgetBytes = SpillBudgetMb << 20;
-  if (Store == verify::VisitedStore::Spill)
-    std::printf("checker: spill visited store (%s; budget %llu MiB%s)\n",
-                SpillDir.empty() ? "system temp dir" : SpillDir.c_str(),
-                static_cast<unsigned long long>(SpillBudgetMb),
-                SpillBudgetMb ? "" : " = unlimited, spill idle");
-  else if (SpillBudgetMb)
-    std::printf("checker: visited budget %llu MiB (memory store: abort "
-                "watermark)\n",
-                static_cast<unsigned long long>(SpillBudgetMb));
   Cfg.Checker.Por = Por;
   if (Por != verify::PorMode::Ample)
     std::printf("checker: partial-order reduction %s (default: ample)\n",

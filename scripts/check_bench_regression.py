@@ -6,17 +6,11 @@ Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance F]
 Guards the state-engine throughput numbers against silent decay:
 a row whose states/sec falls more than the tolerance (default 30%) below
 the baseline fails the run. Throughput is machine-dependent, so when the
-two reports' provenance rows disagree on the CPU model or active SIMD
-mode the comparison is skipped (exit 0 with a notice) — the baseline
-only binds runs on the machine that produced it. Agreement rows are
-re-checked unconditionally: those are machine-independent and must never
-regress anywhere.
-
-Ceiling metrics go the other way: a baseline row carrying
-max_bytes_per_state caps the matching current row's bytes_per_state
-(visited-store memory footprint per state, RAM + spilled disk bytes;
-docs/SPILL.md). Byte accounting is machine-independent, so ceilings are
-enforced unconditionally — no provenance guard, no tolerance.
+two reports' provenance rows disagree on the CPU model or on `simd` (the
+CPU's AVX2 support) the comparison is skipped (exit 0 with a notice) —
+the baseline only binds runs on the machine that produced it. Agreement
+rows are re-checked unconditionally: those are machine-independent and
+must never regress anywhere.
 
 Exact counters: CURRENT.json may also be a bench_suite report (the
 `<workload>-seed<S>-trace<T>.json` that `bench_suite/run.py --json-dir`
@@ -46,14 +40,6 @@ METRICS = {
 }
 
 AGREE_FLAGS = ("agrees", "ok")
-
-# Per-kind lower-is-better caps: (key fields, baseline ceiling field,
-# current measured field). A baseline row without the ceiling field binds
-# nothing.
-CEILINGS = {
-    "spill": (("sketch", "test", "engine"), "max_bytes_per_state",
-              "bytes_per_state"),
-}
 
 
 # Per-kind exact counters: (key fields, counter fields). Unlike the
@@ -137,22 +123,6 @@ def index(rows):
     return out
 
 
-def index_field(rows, field):
-    """Indexes rows of CEILINGS kinds by their key fields on `field`
-    ("ceiling" for the baseline side, "measured" for the current side)."""
-    out = {}
-    for row in rows:
-        spec = CEILINGS.get(row.get("kind"))
-        if spec is None:
-            continue
-        keys, ceiling, measured = spec
-        metric = ceiling if field == "ceiling" else measured
-        ident = (row["kind"],) + tuple(row.get(k) for k in keys)
-        if metric in row:
-            out[ident] = row[metric]
-    return out
-
-
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     tol = 0.30
@@ -170,26 +140,6 @@ def main(argv):
         for flag in AGREE_FLAGS:
             if row.get("kind", "").endswith("agreement") and row.get(flag) is False:
                 failures.append("disagreement row: %s" % json.dumps(row))
-
-    # Byte ceilings: machine-independent, enforced before (and regardless
-    # of) the provenance check.
-    caps = index_field(baseline, "ceiling")
-    measured = index_field(current, "measured")
-    capped = 0
-    for ident, limit in sorted(caps.items()):
-        got = measured.get(ident)
-        if got is None:
-            print("check_bench_regression: %s missing from current report"
-                  % (ident,))
-            continue
-        capped += 1
-        if got > limit:
-            failures.append(
-                "%s: %.1f bytes/state exceeds the %.1f ceiling"
-                % (ident, got, limit)
-            )
-    if caps:
-        print("check_bench_regression: %d ceiling rows checked" % capped)
 
     check_exact(current, baseline, failures)
 

@@ -65,7 +65,6 @@ void cegis::accumulateCheckerStats(CegisStats &Stats,
   if (Check.WorkersUsed > Stats.CheckerWorkers)
     Stats.CheckerWorkers = Check.WorkersUsed;
   Stats.CheckerSteals += Check.Steals;
-  Stats.FingerprintCollisions += Check.FingerprintCollisions;
   Stats.AmpleStates += Check.AmpleStates;
   Stats.FullExpansions += Check.FullExpansions;
   Stats.SleepSkips += Check.SleepSkips;
@@ -96,11 +95,6 @@ void cegis::accumulateCheckerStats(CegisStats &Stats,
       Stats.SiteIndepPairs = Check.SiteIndepPairs;
   }
   Stats.PackEscapes += Check.PackEscapes;
-  Stats.SpilledStates += Check.SpilledStates;
-  Stats.SpillBytes += Check.SpillBytes;
-  Stats.RunMerges += Check.RunMerges;
-  Stats.FilterFalseHits += Check.FilterFalseHits;
-  Stats.SpillFallback = Stats.SpillFallback || Check.SpillFallback;
   if (Stats.PerWorkerStates.size() < Check.PerWorkerStates.size())
     Stats.PerWorkerStates.resize(Check.PerWorkerStates.size(), 0);
   for (size_t I = 0; I < Check.PerWorkerStates.size(); ++I)
@@ -242,6 +236,15 @@ CegisResult ConcurrentCegis::run() {
         ++R.Stats.IntervalPrunes; // audited and confirmed
     }
 
+    if (Check.Ok && Check.Exhausted) {
+      // The search stopped at MaxStates: "Ok up to the budget" proves
+      // nothing, so the run ends without an answer.
+      if (Cfg.Log)
+        Cfg.Log(format("iter %u: state budget hit before the check ended",
+                       R.Stats.Iterations));
+      R.Stats.Aborted = true;
+      break;
+    }
     if (Check.Ok) {
       R.Stats.Resolvable = true;
       R.Candidate = std::move(Candidate);

@@ -109,7 +109,7 @@ struct CegisConfig {
 /// The Figure 9 measurement row.
 struct CegisStats {
   bool Resolvable = false;
-  bool Aborted = false;     ///< hit the iteration/time budget
+  bool Aborted = false;     ///< hit an iteration, time or state budget
   unsigned Iterations = 0;  ///< verifier calls (the paper's Itns)
   double TotalSeconds = 0.0;
   double SsolveSeconds = 0.0; ///< SAT solving
@@ -133,9 +133,6 @@ struct CegisStats {
   unsigned CheckerWorkers = 1;
   uint64_t CheckerSteals = 0;
   std::vector<uint64_t> PerWorkerStates;
-  /// Audited fingerprint collisions across all verifier calls (always 0
-  /// in Exact mode or with the audit off; see CheckerConfig::Visited).
-  uint64_t FingerprintCollisions = 0;
   /// POR observability summed across all verifier calls (nonzero only
   /// under CheckerConfig::Por == PorMode::Ample; see CheckResult).
   uint64_t AmpleStates = 0;
@@ -179,15 +176,6 @@ struct CegisStats {
   uint64_t SiteIndepPairs = 0;
   unsigned HeapRaceWarnings = 0;
   uint64_t ShapeFalsePrunes = 0;
-  /// Spill-tier observability summed across all verifier calls (nonzero
-  /// only under CheckerConfig::Store == VisitedStore::Spill; see
-  /// CheckResult and docs/SPILL.md). SpillFallback latches true if ANY
-  /// call degraded to in-RAM mode on an I/O failure.
-  uint64_t SpilledStates = 0;
-  uint64_t SpillBytes = 0;
-  uint64_t RunMerges = 0;
-  uint64_t FilterFalseHits = 0;
-  bool SpillFallback = false;
   /// Per-iteration solver telemetry: one record per candidate-proposing
   /// SAT solve (synth::SolveRecord — seconds, conflicts, decisions,
   /// restarts, learnt-DB size). psketch_tool --stats prints these and the

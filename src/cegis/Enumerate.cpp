@@ -115,7 +115,6 @@ void foldCheck(CegisStats &Stats, const verify::CheckResult &Check) {
   if (Check.WorkersUsed > Stats.CheckerWorkers)
     Stats.CheckerWorkers = Check.WorkersUsed;
   Stats.CheckerSteals += Check.Steals;
-  Stats.FingerprintCollisions += Check.FingerprintCollisions;
   if (Stats.PerWorkerStates.size() < Check.PerWorkerStates.size())
     Stats.PerWorkerStates.resize(Check.PerWorkerStates.size(), 0);
   for (size_t I = 0; I < Check.PerWorkerStates.size(); ++I)
@@ -147,6 +146,10 @@ void enumerateSerial(const flat::FlatProgram &FP, synth::InductiveSynth &Synth,
     ++R.Stats.Iterations;
     foldCheck(R.Stats, Check);
 
+    if (Check.Ok && Check.Exhausted) {
+      R.Stats.Aborted = true; // "Ok up to MaxStates" is no proof
+      break;
+    }
     if (Check.Ok) {
       Solution S;
       S.Candidate = Candidate;
@@ -222,7 +225,9 @@ void enumerateBatched(const flat::FlatProgram &FP,
     for (size_t I = 0; I < Candidates.size(); ++I) {
       ++R.Stats.Iterations;
       foldCheck(R.Stats, Checks[I]);
-      if (Checks[I].Ok)
+      if (Checks[I].Ok && Checks[I].Exhausted)
+        R.Stats.Aborted = true; // "Ok up to MaxStates" is no proof
+      else if (Checks[I].Ok)
         Verified.push_back(I);
       else if (Cfg.LearnFromTraces)
         Synth.addTrace(*Checks[I].Cex);
@@ -242,6 +247,8 @@ void enumerateBatched(const flat::FlatProgram &FP,
                        static_cast<unsigned long long>(S.Cost)));
       R.Solutions.push_back(std::move(S));
     }
+    if (R.Stats.Aborted)
+      return;
   }
   if (SpaceDry)
     R.Exhausted = true; // the whole space has been enumerated

@@ -125,14 +125,15 @@ public:
   int64_t eval(const State &S, unsigned Ctx, ir::ExprRef E, Violation &V) const;
 
   /// Encodes the scheduler-relevant part of a state into a byte string
-  /// (the model checker's Exact-mode visited-set key): the full 64-bit
+  /// (the model checker's visited-set key): the full 64-bit
   /// native-endian words of the layout's scheduler prefix, as one memcpy.
   /// Prologue and epilogue pc/locals are excluded: they cannot differ
   /// during the parallel phase.
   std::string encodeState(const State &S) const;
 
   /// 64-bit fingerprint of the same scheduler-relevant prefix
-  /// encodeState keys (support/Hash.h): the Fingerprint-mode visited key.
+  /// encodeState keys (support/Hash.h): the stateKey fingerprint, which
+  /// places a state in the visited tables and keys the DFS on-stack set.
   uint64_t fingerprintState(const State &S) const;
 
   /// encodeState / fingerprintState over an externally supplied word
@@ -142,11 +143,11 @@ public:
   /// With a packed layout active (ValueBounds tuning) the key is the
   /// bit-packed rendering; a word outside its proven interval falls back
   /// to the raw key plus a marker byte (a length no packed key can have),
-  /// so Exact-mode dedup stays injective even against a buggy analysis.
+  /// so visited-set dedup stays injective even against a buggy analysis.
   std::string encodeWords(const int64_t *Words) const;
   uint64_t fingerprintWords(const int64_t *Words) const;
 
-  /// One state's visited key, rendered once: the Exact key bytes and the
+  /// One state's visited key, rendered once: the key bytes and the
   /// fingerprint hashed over the same rendering.
   struct StateKey {
     /// The encodeWords bytes. Views \p Words itself for unpacked layouts

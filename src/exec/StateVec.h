@@ -24,8 +24,8 @@
 /// PackedLayout (PR 6): when the abstract interpreter proves per-slot
 /// value intervals (exec/Tuning.h), the Machine derives a bit-packed key
 /// layout — each scheduler word contributes only the bits its interval
-/// needs (zero for proven constants) — so Exact-mode keys shrink and
-/// Fingerprint mode hashes fewer words. Packing is injective on
+/// needs (zero for proven constants) — so visited keys shrink and the
+/// fingerprint hashes fewer words. Packing is injective on
 /// in-interval word vectors by construction; a value outside its interval
 /// (an analysis bug) is detected during encoding and the state falls back
 /// to the raw key with a trailing marker byte, whose length can never

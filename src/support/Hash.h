@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The 64-bit word-vector hash behind the checker's Fingerprint visited
-/// mode (SPIN-lineage hash compaction). One SplitMix64 finalizer round per
-/// word keeps the whole fingerprint a handful of multiplies — cheap enough
-/// to compute on every dedup probe — while the finalizer's avalanche gives
-/// full 64-bit diffusion per input word.
+/// The 64-bit word-vector hash that places states in the checker's
+/// visited tables (the exact key confirms every hit). One SplitMix64
+/// finalizer round per word keeps the whole fingerprint a handful of
+/// multiplies — cheap enough to compute on every dedup probe — while the
+/// finalizer's avalanche gives full 64-bit diffusion per input word.
 ///
 //===----------------------------------------------------------------------===//
 

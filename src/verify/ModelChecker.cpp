@@ -51,16 +51,7 @@ class Checker {
 public:
   Checker(const Machine &M, const CheckerConfig &Cfg, bool UseFalsifier)
       : M(M), Cfg(Cfg), UseFalsifier(UseFalsifier), Canon(makeCanon(M, Cfg)),
-        Spill(Cfg.Store == VisitedStore::Spill
-                  ? std::make_unique<detail::SpillStore>(Cfg.SpillDir)
-                  : nullptr),
-        Visited(Cfg, &hashWords,
-                Canon && Canon->active() ? Canon.get() : nullptr,
-                // A failed store (unwritable spill dir) is still handed
-                // over: the cells see !ok() and waive the budget, so the
-                // check degrades to Memory mode with no abort watermark
-                // (CheckResult::SpillFallback) rather than failing.
-                Spill.get()) {}
+        Visited(&hashWords, Canon && Canon->active() ? Canon.get() : nullptr) {}
 
   CheckResult run();
 
@@ -99,7 +90,6 @@ private:
   bool UseFalsifier;
   CheckResult Result;
   std::unique_ptr<Canonicalizer> Canon; ///< before Visited: it aliases this
-  std::unique_ptr<detail::SpillStore> Spill; ///< before Visited: aliased too
   detail::VisitedTable Visited;
 
   /// Exhaustive DFS, legacy copy-per-successor loop (UseUndoLog=false).
@@ -166,7 +156,7 @@ bool Checker::bfs(const State &Start, Counterexample &Cex) {
       return true;
     }
     ++Result.StatesExplored;
-    if (Result.StatesExplored >= Cfg.MaxStates || Visited.overBudget())
+    if (Result.StatesExplored >= Cfg.MaxStates)
       Result.Exhausted = true;
     Node N;
     N.S = std::move(S);
@@ -404,7 +394,7 @@ bool Checker::dfs(const State &Start, Counterexample &Cex) {
       ++Result.StatesDeduped; // partially-covered revisit
     } else {
       ++Result.StatesExplored;
-      if (Result.StatesExplored >= Cfg.MaxStates || Visited.overBudget())
+      if (Result.StatesExplored >= Cfg.MaxStates)
         Result.Exhausted = true;
     }
 
@@ -495,9 +485,6 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
 
   const bool Ample =
       Cfg.Por == PorMode::Ample && M.numThreads() <= detail::MaxSleepThreads;
-  // The probe's fingerprint is the on-stack key stateFp would compute,
-  // unless the table hashes with an injected function.
-  const bool ProbeFpIsStateFp = Visited.hashFn() == &hashWords;
 
   std::vector<Frame> Stack;
   size_t Depth = 0;
@@ -520,13 +507,10 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
   auto Enter = [&](uint64_t Sleep) -> bool {
     if (!detail::advanceLocal(M, Cfg.Por, S, Path, Cex))
       return false;
-    // stateFp runs before the probe: it reuses the scratch the probe's
-    // key bytes live in.
-    uint64_t Fp = Ample && !ProbeFpIsStateFp ? stateFp(S) : 0;
+    // The probe's fingerprint is the on-stack key stateFp would compute.
     detail::StateProbe Probe = Visited.probe(M, S);
+    uint64_t Fp = Probe.Key.Fp;
     if (Ample) {
-      if (ProbeFpIsStateFp)
-        Fp = Probe.Key.Fp;
       if (Depth > 0 && Stack[Depth - 1].Por.Reduced &&
           std::find(OnStack.begin(), OnStack.end(), Fp) != OnStack.end())
         upgradeToFull(Stack[Depth - 1].Por, Stack[Depth - 1].Choices,
@@ -546,7 +530,7 @@ bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
       ++Result.StatesDeduped; // partially-covered revisit
     } else {
       ++Result.StatesExplored;
-      if (Result.StatesExplored >= Cfg.MaxStates || Visited.overBudget())
+      if (Result.StatesExplored >= Cfg.MaxStates)
         Result.Exhausted = true;
     }
 
@@ -667,20 +651,7 @@ CheckResult Checker::runSearch() {
   bool Clean = Cfg.Order == SearchOrder::Bfs ? bfs(S0, Cex)
                : Cfg.UseUndoLog              ? dfsUndo(S0, Cex)
                                              : dfs(S0, Cex);
-  Result.FingerprintCollisions = Visited.collisions();
   Result.VisitedBytes = Visited.keyBytes();
-  Result.BudgetAborted = Visited.overBudget();
-  if (Spill) {
-    // The filters are RAM the spill tier owns — count them with the
-    // in-memory tier so VisitedBytes + SpillBytes is the true
-    // end-to-end footprint (docs/SPILL.md).
-    Result.VisitedBytes += Spill->filterBytes();
-    Result.SpilledStates = Spill->spilledStates();
-    Result.SpillBytes = Spill->spillBytes();
-    Result.RunMerges = Spill->runMerges();
-    Result.FilterFalseHits = Spill->filterFalseHits();
-    Result.SpillFallback = !Spill->ok();
-  }
   if (!Clean) {
     Result.Ok = false;
     Result.Cex = std::move(Cex);
@@ -701,14 +672,7 @@ CheckResult Checker::runSearch() {
       CheckResult Seq = detail::checkCandidateSequential(M, ReCfg, false);
       Result.StatesExplored += Seq.StatesExplored;
       Result.StatesDeduped += Seq.StatesDeduped;
-      Result.FingerprintCollisions += Seq.FingerprintCollisions;
       Result.VisitedBytes += Seq.VisitedBytes;
-      Result.SpilledStates += Seq.SpilledStates;
-      Result.SpillBytes += Seq.SpillBytes;
-      Result.RunMerges += Seq.RunMerges;
-      Result.FilterFalseHits += Seq.FilterFalseHits;
-      Result.BudgetAborted = Result.BudgetAborted || Seq.BudgetAborted;
-      Result.SpillFallback = Result.SpillFallback || Seq.SpillFallback;
       if (!Seq.Ok && Seq.Cex)
         Result.Cex = std::move(Seq.Cex);
       else

@@ -70,12 +70,6 @@
 ///    re-derivation restores the canonical trace. Verdicts agree with
 ///    Off by the automorphism argument in docs/SYMMETRY.md; state counts
 ///    shrink by up to the orbit size.
-///  * VisitedMode::Fingerprint keeps both clauses, with one asterisk: if
-///    two distinct states genuinely collide in 64 bits (probability
-///    ~n^2/2^65, measurable via AuditFingerprints), which of the two the
-///    parallel table admits first is timing-dependent, so the contract
-///    holds "absent fingerprint collisions". Collisions can only hide
-///    states — never fabricate a counterexample (docs/PARALLEL.md §5).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,18 +91,6 @@ namespace verify {
 /// shortest counterexamples, which can be stronger observations for the
 /// synthesizer (measured by bench_cex_ablation).
 enum class SearchOrder : uint8_t { Dfs, Bfs };
-
-/// What the visited table stores per state (docs/PARALLEL.md §5).
-///  * Exact: the full scheduler-relevant state key (Machine::encodeState)
-///    — today's semantics, byte-for-byte dedup.
-///  * Fingerprint: an 8-byte SplitMix-mixed hash of the same key (SPIN-
-///    lineage hash compaction). Orders of magnitude less memory per
-///    state; the trade is a ~n^2/2^65 chance that two distinct states
-///    collide, in which case one subtree is wrongly deduped — a missed
-///    state is possible, a spurious counterexample is not (every reported
-///    trace is a real execution). CheckerConfig::AuditFingerprints
-///    measures exactly this risk at runtime.
-enum class VisitedMode : uint8_t { Exact, Fingerprint };
 
 /// Partial-order reduction mode (docs/POR.md). Verdicts agree across all
 /// three modes by construction; state counts and (without
@@ -141,26 +123,6 @@ enum class PorMode : uint8_t { Off, Local, Ample };
 ///    > 8 threads), Orbit behaves exactly like Off.
 enum class SymmetryMode : uint8_t { Off, Orbit };
 
-/// Where the visited set lives (docs/SPILL.md).
-///  * Memory (default): today's purely in-RAM tables. When
-///    CheckerConfig::VisitedBudgetBytes is nonzero it acts as an abort
-///    watermark: crossing it ends the search with Exhausted (and
-///    CheckResult::BudgetAborted), exactly like MaxStates.
-///  * Spill: a two-tier store. The in-RAM tables are bounded by
-///    VisitedBudgetBytes as an EVICTION watermark: crossing it migrates
-///    fully-explored fingerprints (stored sleep mask 0 — a disk hit is
-///    always a sound Prune) to sharded, log-structured, mmap'd runs of
-///    sorted 8-byte fingerprints under SpillDir, each shard fronted by
-///    an in-memory tag filter with no false negatives. Probes go filter
-///    → in-RAM tier → binary search over the runs. Spilled entries are
-///    fingerprint-grade even when the in-RAM tier is Exact (key bytes
-///    are dropped on eviction — the VisitedMode::Fingerprint
-///    one-sided-error trade applied to the cold set only; collisions can
-///    hide states, never fabricate a trace).
-///    I/O failure is never fatal: the store stops evicting and the
-///    search continues in RAM (CheckResult::SpillFallback).
-enum class VisitedStore : uint8_t { Memory, Spill };
-
 /// Tuning knobs for the checker.
 struct CheckerConfig {
   bool UseRandomFalsifier = true; ///< try random schedules before DFS
@@ -189,40 +151,12 @@ struct CheckerConfig {
   /// 1 this only matters for Por == Ample (Off/Local sequential searches
   /// are already canonical).
   bool DeterministicCex = true;
-  /// Visited-table representation: Exact (default, full keys) or
-  /// Fingerprint (8-byte hashes; see the VisitedMode doc).
-  VisitedMode Visited = VisitedMode::Exact;
-  /// Fingerprint mode only: on a fingerprint hit, compare the exact key
-  /// against a bounded side-table of the keys behind that fingerprint.
-  /// A mismatch is a genuine collision — it is counted in
-  /// CheckResult::FingerprintCollisions and the state is explored anyway
-  /// (the Exact fallback), so an audited run with zero collisions
-  /// provably explored the same states Exact mode would have.
-  bool AuditFingerprints = false;
-  /// Cap on audit side-table entries (full keys kept for auditing);
-  /// beyond it, new fingerprints go unaudited to bound memory.
-  uint64_t AuditBudget = 1u << 20;
   /// Sequential DFS engine: apply/undo delta log (default) or the legacy
   /// copy-per-successor loop. Identical results either way (the
   /// equivalence is tested); the knob exists for benchmarking and as an
   /// escape hatch. BFS and the parallel engine always copy — their
   /// frontiers outlive the step that created them.
   bool UseUndoLog = true;
-  /// Visited-store tier (see the VisitedStore doc): Memory (default)
-  /// keeps every visited key in RAM; Spill evicts fully-explored
-  /// fingerprints to sorted on-disk runs when VisitedBudgetBytes is
-  /// crossed.
-  VisitedStore Store = VisitedStore::Memory;
-  /// Spill mode only: directory to create the run files under (a unique
-  /// per-search subdirectory is created inside it and removed when the
-  /// search ends). Empty = the system temp directory.
-  std::string SpillDir;
-  /// Byte budget for the in-RAM visited tier, measured by
-  /// CheckResult::VisitedBytes accounting. 0 = unlimited. With Store ==
-  /// Memory a nonzero budget is an abort watermark (Exhausted +
-  /// BudgetAborted once crossed); with Store == Spill it is the eviction
-  /// watermark that triggers spilling.
-  uint64_t VisitedBudgetBytes = 0;
 };
 
 /// \returns the worker count \p Cfg resolves to: NumThreads, with 0
@@ -242,35 +176,11 @@ struct CheckResult {
   /// Parallel runs: states explored per worker (the seeding pass counts
   /// toward worker 0). Empty for sequential runs.
   std::vector<uint64_t> PerWorkerStates;
-  /// Fingerprint collisions detected by the audit (0 unless
-  /// AuditFingerprints; always 0 in Exact mode).
-  uint64_t FingerprintCollisions = 0;
-  /// Bytes of visited-set memory owned by the in-RAM tier at the end of
-  /// the run — key-arena chunk capacity, slot arrays' key bytes (8 per
-  /// fingerprint), and the audit side-table — summed across search
-  /// phases: the bench's RAM bytes/state numerator (add SpillBytes for
-  /// the end-to-end figure). Excludes hash-table bucket overhead, which
-  /// is proportional for both modes. Eviction (VisitedStore::Spill)
-  /// shrinks it.
+  /// Bytes of visited-set memory owned at the end of the run — slot
+  /// arrays, key-arena chunk capacity and stored sleep masks — summed
+  /// across search phases: the bench's bytes/state numerator. Excludes
+  /// the odd-key side map's bucket overhead.
   uint64_t VisitedBytes = 0;
-  /// Spill-tier observability (VisitedStore::Spill; all zero otherwise,
-  /// see docs/SPILL.md). Fingerprints evicted to disk; live bytes in the
-  /// on-disk runs; shard run-merge operations; probes the per-shard
-  /// filter passed that the runs refuted (the filter's false-positive
-  /// cost — one wasted binary search each, never a wrong answer).
-  uint64_t SpilledStates = 0;
-  uint64_t SpillBytes = 0;
-  uint64_t RunMerges = 0;
-  uint64_t FilterFalseHits = 0;
-  /// Store == Memory with a nonzero VisitedBudgetBytes only: the search
-  /// stopped because the in-RAM tier crossed the budget (Exhausted is
-  /// also set — the verdict means "Ok up to the budget").
-  bool BudgetAborted = false;
-  /// Store == Spill only: the spill directory could not be created or a
-  /// run write failed mid-stream, so some or all of the search ran
-  /// purely in RAM (sound — nothing was lost; the budget stops evicting
-  /// and is no longer enforced).
-  bool SpillFallback = false;
   /// POR observability (PorMode::Ample; all zero otherwise). States with
   /// two or more ready contexts expanded through a singleton ample set /
   /// expanded in full (no independent candidate, or the cycle proviso

@@ -100,10 +100,6 @@ struct SearchShared {
   /// declared before Visited, which aliases it. Canonicalization happens
   /// outside the shard locks (verify/Visited.h), so workers share one.
   std::unique_ptr<Canonicalizer> Canon;
-  /// Disk tier (VisitedStore::Spill only); declared before Visited,
-  /// which aliases it. Needs no locking of its own: spill shard k is
-  /// only ever touched by visited shard k, under that shard's mutex.
-  std::unique_ptr<detail::SpillStore> Spill;
   detail::ShardedVisited Visited;
   std::atomic<uint64_t> StatesExplored{0};
   std::atomic<uint64_t> StatesDeduped{0};
@@ -121,15 +117,7 @@ struct SearchShared {
         Canon(Cfg.Symmetry == SymmetryMode::Orbit
                   ? std::make_unique<Canonicalizer>(M)
                   : nullptr),
-        Spill(Cfg.Store == VisitedStore::Spill
-                  ? std::make_unique<detail::SpillStore>(Cfg.SpillDir)
-                  : nullptr),
-        Visited(Cfg, &hashWords,
-                Canon && Canon->active() ? Canon.get() : nullptr,
-                // A failed store is still handed over: the cells see
-                // !ok() and waive the budget (SpillFallback), instead of
-                // treating the budget as a Memory-mode abort watermark.
-                Spill.get()) {}
+        Visited(&hashWords, Canon && Canon->active() ? Canon.get() : nullptr) {}
 
   /// Records a violation (keeping the canonical-minimal trace) and
   /// cancels the search.
@@ -155,8 +143,7 @@ struct SearchShared {
       return;
     }
     ++WorkerStates;
-    if (StatesExplored.fetch_add(1) + 1 >= Cfg.MaxStates ||
-        Visited.overBudget()) {
+    if (StatesExplored.fetch_add(1) + 1 >= Cfg.MaxStates) {
       Exhausted.store(true);
       Stop.store(true);
       return;
@@ -186,8 +173,7 @@ struct SearchShared {
     // frontier-membership cycle proviso (C2). Insertion happens-before
     // expansion (shard mutex), so on any cycle closed entirely through
     // reduced states the last state to probe sees its successor inserted
-    // and expands in full (docs/POR.md). A fingerprint-collision false
-    // "yes" only forces the same sound full expansion.
+    // and expands in full (docs/POR.md).
     if (Cfg.Por == PorMode::Ample && Ready.size() >= 2) {
       int AI = detail::selectAmple(M, U.S, Ready);
       if (AI >= 0) {
@@ -396,17 +382,7 @@ CheckResult psketch::verify::detail::checkCandidateParallel(
   Result.AmpleStates = Shared.AmpleCount.load();
   Result.FullExpansions = Shared.FullCount.load();
   Result.Exhausted = Shared.Exhausted.load();
-  Result.FingerprintCollisions = Shared.Visited.collisions();
   Result.VisitedBytes = Shared.Visited.keyBytes();
-  Result.BudgetAborted = Shared.Visited.overBudget();
-  if (Shared.Spill) {
-    Result.VisitedBytes += Shared.Spill->filterBytes();
-    Result.SpilledStates = Shared.Spill->spilledStates();
-    Result.SpillBytes = Shared.Spill->spillBytes();
-    Result.RunMerges = Shared.Spill->runMerges();
-    Result.FilterFalseHits = Shared.Spill->filterFalseHits();
-    Result.SpillFallback = !Shared.Spill->ok();
-  }
   if (Shared.Canon) {
     Result.SymmetryOrbits = Shared.Canon->numOrbits();
     Result.CanonHits = Shared.Canon->canonHits();
@@ -440,14 +416,7 @@ CheckResult psketch::verify::detail::checkCandidateParallel(
     CheckResult Seq = detail::checkCandidateSequential(M, ReCfg, false);
     Result.StatesExplored += Seq.StatesExplored;
     Result.StatesDeduped += Seq.StatesDeduped;
-    Result.FingerprintCollisions += Seq.FingerprintCollisions;
     Result.VisitedBytes += Seq.VisitedBytes;
-    Result.SpilledStates += Seq.SpilledStates;
-    Result.SpillBytes += Seq.SpillBytes;
-    Result.RunMerges += Seq.RunMerges;
-    Result.FilterFalseHits += Seq.FilterFalseHits;
-    Result.BudgetAborted = Result.BudgetAborted || Seq.BudgetAborted;
-    Result.SpillFallback = Result.SpillFallback || Seq.SpillFallback;
     if (!Seq.Ok && Seq.Cex) {
       Result.Cex = std::move(Seq.Cex);
       return Result;

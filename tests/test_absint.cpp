@@ -17,8 +17,8 @@
 //    right free value and must-entry masks, inconsistent protection is
 //    an Eraser-style race, releases without provable ownership and
 //    policy-guarded acquires (dining philosophers) refuse the cell;
-//  * the Machine tunings preserve behavior: packed fingerprint runs
-//    agree with exact untuned runs, deliberately-wrong bounds trip the
+//  * the Machine tunings preserve behavior: packed-key runs agree with
+//    untuned runs, deliberately-wrong bounds trip the
 //    escape hatch instead of corrupting the verdict, and lock-protected
 //    footprints never declare a co-enabled pair commuting whose two
 //    execution orders disagree;
@@ -407,7 +407,7 @@ TEST(Lockset, DiningPhilosophersPolicyGuardedAcquiresAreRefused) {
 // Machine tunings: packed visited keys and the protectedBy channel.
 //===----------------------------------------------------------------------===//
 
-TEST(Packed, TunedFingerprintAgreesWithExactUntuned) {
+TEST(Packed, TunedAgreesWithUntuned) {
   auto P = buildLockedCounter();
   flat::FlatProgram FP = flat::flatten(*P);
   HoleAssignment C(P->holes().size(), 0);
@@ -423,12 +423,10 @@ TEST(Packed, TunedFingerprintAgreesWithExactUntuned) {
   exec::Machine Plain(FP, C);
   for (verify::PorMode Por :
        {verify::PorMode::Off, verify::PorMode::Ample}) {
-    verify::CheckerConfig Exact;
-    Exact.Por = Por;
-    verify::CheckerConfig Fp = Exact;
-    Fp.Visited = verify::VisitedMode::Fingerprint;
-    verify::CheckResult A = verify::checkCandidate(Plain, Exact);
-    verify::CheckResult B = verify::checkCandidate(Tuned, Fp);
+    verify::CheckerConfig Cfg;
+    Cfg.Por = Por;
+    verify::CheckResult A = verify::checkCandidate(Plain, Cfg);
+    verify::CheckResult B = verify::checkCandidate(Tuned, Cfg);
     EXPECT_EQ(A.Ok, B.Ok);
     EXPECT_EQ(A.StatesExplored, B.StatesExplored);
   }

@@ -6,12 +6,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "cegis/Cegis.h"
+#include "cegis/Enumerate.h"
 #include "exec/Machine.h"
+#include "frontend/Parser.h"
 #include "synth/InductiveSynth.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
 #include <set>
+#include <sstream>
 
 using namespace psketch;
 using namespace psketch::ir;
@@ -68,6 +73,46 @@ TEST(Cegis, DiscoversTheLock) {
   CegisResult R = C.run();
   ASSERT_TRUE(R.Stats.Resolvable);
   EXPECT_EQ(R.Candidate[H], 1u) << "only the locked variant is correct";
+}
+
+namespace {
+
+/// examples/dining2.psk, parsed afresh (each CEGIS entry point flattens the
+/// program it is given, so it needs its own copy).
+std::unique_ptr<Program> parseDining2() {
+  std::ifstream File(std::string(PSKETCH_EXAMPLES_DIR) + "/dining2.psk");
+  std::stringstream Source;
+  Source << File.rdbuf();
+  frontend::ParseResult Parsed = frontend::parseProgram(Source.str());
+  EXPECT_TRUE(Parsed.ok()) << Parsed.Error;
+  return std::move(Parsed.Program);
+}
+
+} // namespace
+
+// Every dining2 candidate has more than 10 states: the first one the
+// falsifier cannot refute stops at MaxStates, and "Ok up to the budget"
+// must end the run unanswered rather than accept the candidate.
+TEST(Cegis, TruncatedCheckIsNoProof) {
+  std::unique_ptr<Program> P = parseDining2();
+  ASSERT_TRUE(P);
+  CegisConfig Cfg;
+  Cfg.Checker.MaxStates = 10;
+  ConcurrentCegis C(*P, Cfg);
+  CegisResult R = C.run();
+  EXPECT_FALSE(R.Stats.Resolvable);
+  EXPECT_TRUE(R.Stats.Aborted);
+}
+
+TEST(Cegis, TruncatedCheckIsNoEnumeratedSolution) {
+  std::unique_ptr<Program> P = parseDining2();
+  ASSERT_TRUE(P);
+  CegisConfig Cfg;
+  Cfg.Checker.MaxStates = 10;
+  EnumerateResult R = enumerateSolutions(*P, 4, Cfg);
+  EXPECT_TRUE(R.Solutions.empty());
+  EXPECT_FALSE(R.Exhausted);
+  EXPECT_TRUE(R.Stats.Aborted);
 }
 
 TEST(Cegis, ProvesUnresolvable) {

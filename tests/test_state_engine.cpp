@@ -1,4 +1,4 @@
-//===- tests/test_state_engine.cpp - fingerprinted state engine tests ------===//
+//===- tests/test_state_engine.cpp - state engine tests --------------------===//
 //
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
@@ -12,10 +12,9 @@
 //    encodeWords / fingerprintWords do, and the checker counts one
 //    escape per entered state, in every engine;
 //  * randomized step/undo sequences restore states bit-for-bit;
-//  * Exact and Fingerprint visited modes agree on verdict and canonical
-//    counterexample across worker counts (absent hash collisions);
-//  * a forced fingerprint collision is detected by the audit, counted,
-//    and neutralized by the Exact fallback.
+//  * under a hash where every state collides, the sequential and the
+//    sharded visited tables still admit each distinct state once and
+//    dedup every revisit, across table growth.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,13 +74,6 @@ std::optional<bench::SuiteEntry> lightestRow(const std::string &Family) {
     if (Entries[I].CostClass < Entries[Best].CostClass)
       Best = I;
   return Entries[Best];
-}
-
-ir::HoleAssignment randomAssignment(const ir::Program &P, Rng &R) {
-  ir::HoleAssignment A(P.holes().size(), 0);
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = R.below(P.holes()[H].NumChoices);
-  return A;
 }
 
 /// Collects \p Want states by random walk from the initial state (the
@@ -416,83 +408,7 @@ TEST(StateEngine, PackEscapesCountEachEnteredStateOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// Exact vs Fingerprint agreement across the suite and worker counts.
-//===----------------------------------------------------------------------===//
-
-TEST(StateEngine, SuiteVerdictsAgreeAcrossVisitedModes) {
-  const char *Families[] = {"queueE1", "queueDE1", "queueE2",  "queueDE2",
-                            "barrier1", "barrier2", "fineset1", "fineset2",
-                            "lazyset",  "dinphilo"};
-  Rng R(0xF1D0ull);
-  for (const char *Family : Families) {
-    auto E = lightestRow(Family);
-    ASSERT_TRUE(E.has_value()) << Family;
-    auto P = E->Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-
-    std::vector<ir::HoleAssignment> Candidates;
-    if (E->Reference)
-      Candidates.push_back(E->Reference(*P));
-    Candidates.push_back(randomAssignment(*P, R));
-
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      exec::Machine M(FP, Candidates[CI]);
-      for (unsigned W : {1u, 2u, 4u}) {
-        CheckerConfig Exact;
-        Exact.MaxStates = 300000; // bound the test's runtime
-        Exact.NumThreads = W;
-        CheckerConfig Fp = Exact;
-        Fp.Visited = VisitedMode::Fingerprint;
-        Fp.AuditFingerprints = true;
-        CheckResult RE = checkCandidate(M, Exact);
-        CheckResult RF = checkCandidate(M, Fp);
-        if (RE.Exhausted || RF.Exhausted)
-          continue; // budget-capped verdicts carry no agreement promise
-        std::string Tag = std::string(Family) + " candidate " +
-                          std::to_string(CI) + " W=" + std::to_string(W);
-        EXPECT_EQ(RF.Ok, RE.Ok) << Tag;
-        // 64-bit fingerprints over <= 300k states: a genuine collision
-        // here is ~1e-8 — the audit doubles as the proof it didn't fire.
-        EXPECT_EQ(RF.FingerprintCollisions, 0u) << Tag;
-        // Same seed and worker count: the falsifier stream is identical,
-        // an exhaustive-phase trace is canonical in both modes.
-        expectSameCex(RF, RE, Tag);
-      }
-    }
-  }
-}
-
-TEST(StateEngine, FingerprintShrinksVisitedBytes) {
-  Program PE, PF;
-  buildCounter(PE, /*Atomic=*/false, 3, 6); // racy: big state space
-  buildCounter(PF, /*Atomic=*/false, 3, 6);
-  CheckerConfig Exact;
-  Exact.UseRandomFalsifier = false;
-  CheckerConfig Fp = Exact;
-  Fp.Visited = VisitedMode::Fingerprint;
-  flat::FlatProgram FE = flat::flatten(PE);
-  flat::FlatProgram FF = flat::flatten(PF);
-  exec::Machine ME(FE, {});
-  exec::Machine MF(FF, {});
-  CheckResult RE = checkCandidate(ME, Exact);
-  CheckResult RF = checkCandidate(MF, Fp);
-  EXPECT_EQ(RE.Ok, RF.Ok);
-  EXPECT_EQ(RE.StatesExplored, RF.StatesExplored);
-  ASSERT_GT(RE.StatesExplored, 0u);
-  // Fingerprints own exactly 8 bytes per resident state. Exact owns at
-  // least schedWords * 8 key bytes per state, plus the slot array and
-  // the arena-chunk slack the accounting now includes (it meters real
-  // ownership, not just occupied key bytes), which is bounded by a
-  // small constant factor.
-  EXPECT_EQ(RF.VisitedBytes, 8 * RF.StatesExplored);
-  uint64_t ExactKeyBytes = uint64_t{ME.schedWords()} * 8 * RE.StatesExplored;
-  EXPECT_GE(RE.VisitedBytes, ExactKeyBytes);
-  EXPECT_LE(RE.VisitedBytes, 8 * ExactKeyBytes + (1u << 20));
-  EXPECT_LE(2 * RF.VisitedBytes, RE.VisitedBytes);
-}
-
-//===----------------------------------------------------------------------===//
-// Forced collisions: the audit counter and the Exact fallback.
+// Forced collisions: exact keys keep dedup exact under any hash.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -500,73 +416,68 @@ namespace {
 /// A degenerate fingerprint: every state collides with every other.
 uint64_t collideEverything(const int64_t *, size_t) { return 0x1234; }
 
+/// 1500 distinct states of the one-increment counter program (x set to
+/// 0..1499): behind one fingerprint, more keys than the 70% load factor
+/// of a fresh table's 1024 slots admits, so the memcmp walk also runs
+/// across grow().
+std::vector<exec::State> collidingStates(const exec::Machine &M) {
+  std::vector<exec::State> Out;
+  for (int64_t X = 0; X < 1500; ++X) {
+    exec::State S = M.initialState();
+    S.setGlobal(0, X);
+    Out.push_back(std::move(S));
+  }
+  return Out;
+}
+
+/// Inserts every state of \p States into \p T twice over: each first
+/// insert must be fresh, each second one a revisit.
+template <typename Table>
+void expectExactDedup(Table &T, const exec::Machine &M,
+                      const std::vector<exec::State> &States) {
+  size_t Fresh = 0, Revisits = 0, Found = 0;
+  for (const exec::State &S : States)
+    Fresh += T.insert(M, S);
+  for (const exec::State &S : States) {
+    Revisits += !T.insert(M, S);
+    Found += T.contains(M, S);
+  }
+  EXPECT_EQ(Fresh, States.size());
+  EXPECT_EQ(Revisits, States.size());
+  EXPECT_EQ(Found, States.size());
+}
+
 } // namespace
 
-TEST(StateEngine, ForcedCollisionAuditCountsAndFallsBack) {
+TEST(StateEngine, ForcedCollisionExactTableDedups) {
   Program P;
   buildCounter(P, /*Atomic=*/true, 1, 2);
   flat::FlatProgram FP = flat::flatten(P);
   exec::Machine M(FP, {});
-  exec::State S0 = M.initialState();
-  exec::State S1 = S0;
-  exec::Violation V;
-  ASSERT_EQ(M.execStep(S1, 0, V).Result, exec::StepResult::Ok);
-  ASSERT_NE(M.encodeState(S0), M.encodeState(S1));
+  std::vector<exec::State> States = collidingStates(M);
+  ASSERT_NE(M.encodeState(States[0]), M.encodeState(States[1]));
 
-  CheckerConfig Cfg;
-  Cfg.Visited = VisitedMode::Fingerprint;
-  Cfg.AuditFingerprints = true;
-  detail::VisitedTable T(Cfg, &collideEverything);
-  EXPECT_TRUE(T.insert(M, S0));
-  EXPECT_EQ(T.collisions(), 0u);
-  // Different bytes behind the same fingerprint: the audit detects the
-  // collision, counts it, and reports "new" — the state gets explored.
-  EXPECT_TRUE(T.insert(M, S1));
-  EXPECT_EQ(T.collisions(), 1u);
-  // Genuine revisits of either state still dedup.
-  EXPECT_FALSE(T.insert(M, S0));
-  EXPECT_FALSE(T.insert(M, S1));
-  EXPECT_EQ(T.collisions(), 1u);
+  detail::VisitedTable T(&collideEverything);
+  expectExactDedup(T, M, States);
 }
 
-TEST(StateEngine, UnauditedCollisionMergesStates) {
-  // The documented under-approximation: without the audit, a collision
-  // silently merges two distinct states (one subtree goes unexplored).
+TEST(StateEngine, ShardedTableForcedCollisionMatchesSequentialTable) {
   Program P;
   buildCounter(P, /*Atomic=*/true, 1, 2);
   flat::FlatProgram FP = flat::flatten(P);
   exec::Machine M(FP, {});
-  exec::State S0 = M.initialState();
-  exec::State S1 = S0;
-  exec::Violation V;
-  ASSERT_EQ(M.execStep(S1, 0, V).Result, exec::StepResult::Ok);
+  std::vector<exec::State> States = collidingStates(M);
 
-  CheckerConfig Cfg;
-  Cfg.Visited = VisitedMode::Fingerprint;
-  detail::VisitedTable T(Cfg, &collideEverything);
-  EXPECT_TRUE(T.insert(M, S0));
-  EXPECT_FALSE(T.insert(M, S1)); // distinct state reported as seen
-  EXPECT_EQ(T.collisions(), 0u); // and nobody noticed
-}
+  // Every state lands in one shard, whose cell sees all the collisions.
+  detail::ShardedVisited T(&collideEverything);
+  expectExactDedup(T, M, States);
 
-TEST(StateEngine, ShardedTableAuditMatchesSequentialTable) {
-  Program P;
-  buildCounter(P, /*Atomic=*/true, 1, 2);
-  flat::FlatProgram FP = flat::flatten(P);
-  exec::Machine M(FP, {});
-  exec::State S0 = M.initialState();
-  exec::State S1 = S0;
-  exec::Violation V;
-  ASSERT_EQ(M.execStep(S1, 0, V).Result, exec::StepResult::Ok);
-
-  CheckerConfig Cfg;
-  Cfg.Visited = VisitedMode::Fingerprint;
-  Cfg.AuditFingerprints = true;
-  detail::ShardedVisited T(Cfg, &collideEverything);
-  EXPECT_TRUE(T.insert(M, S0));
-  EXPECT_TRUE(T.insert(M, S1));
-  EXPECT_EQ(T.collisions(), 1u);
-  EXPECT_FALSE(T.insert(M, S0));
-  EXPECT_FALSE(T.insert(M, S1));
-  EXPECT_EQ(T.collisions(), 1u);
+  // Interleaved first visits and revisits: both tables decide alike.
+  detail::ShardedVisited Sharded(&collideEverything);
+  detail::VisitedTable Seq(&collideEverything);
+  size_t Disagree = 0;
+  for (size_t I = 0; I < States.size(); ++I)
+    for (size_t J : {I, I / 2})
+      Disagree += Sharded.insert(M, States[J]) != Seq.insert(M, States[J]);
+  EXPECT_EQ(Disagree, 0u);
 }
