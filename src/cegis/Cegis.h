@@ -127,9 +127,9 @@ struct CegisStats {
   /// (<= 0); bench_table1 reports |C| plus this as the pruned space.
   double SpaceLog10Delta = 0.0;
   /// Parallel-verifier observability (CheckerConfig::NumThreads): the
-  /// resolved worker count, total work-stealing operations across all
-  /// verifier calls, and per-worker explored states summed across calls
-  /// (empty when the checker ran sequentially).
+  /// resolved worker count, total donations between checker workers
+  /// across all verifier calls, and per-worker explored states summed
+  /// across calls (empty when the checker ran with one worker).
   unsigned CheckerWorkers = 1;
   uint64_t CheckerSteals = 0;
   std::vector<uint64_t> PerWorkerStates;

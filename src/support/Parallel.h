@@ -8,8 +8,9 @@
 /// \file
 /// A minimal fork-join loop for the embarrassingly parallel spots
 /// (candidate batches in cegis/Enumerate, schedule measurement fan-out).
-/// The heavy machinery — work stealing, sharded dedup — lives in
-/// src/verify; this is deliberately just "run f(0..N-1) on J threads".
+/// The heavy machinery — donation between search workers, sharded
+/// dedup — lives in src/verify; this is deliberately just "run
+/// f(0..N-1) on J threads".
 ///
 //===----------------------------------------------------------------------===//
 

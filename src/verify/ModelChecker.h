@@ -23,44 +23,41 @@
 ///    (the default) additionally expands a single thread alone wherever
 ///    its next step's static footprint (exec/Footprint.h) is independent
 ///    of everything the other threads may still do, with sleep sets
-///    layered on in the sequential DFS.
+///    layered on in the DFS engines.
 ///
-/// The checker is optionally multi-threaded (CheckerConfig::NumThreads):
-/// per-worker DFS over disjoint frontier subtrees with work-stealing, a
-/// sharded concurrent seen-state table, and cooperative cancellation on
-/// the first violation (docs/PARALLEL.md describes the design).
+/// The exhaustive phase is optionally multi-threaded
+/// (CheckerConfig::NumThreads): each worker runs the undo-log DFS core
+/// over one shared, sharded seen-state table; idle workers receive the
+/// untried choices of a busy worker's shallowest frame, and the first
+/// violation cancels every worker (docs/PARALLEL.md describes the
+/// design).
 ///
 /// Reproducibility contract
 /// ------------------------
-///  * NumThreads == 1 is deterministic single-threaded search with ONE
-///    falsifier stream seeded directly from CheckerConfig::Seed. Verdict,
-///    counterexample, and state counts depend only on the candidate and
-///    the config. Por == Local reproduces the pre-ample engine bit for
-///    bit; under Por == Ample an exhaustive-phase violation is (with
-///    DeterministicCex, the default) re-derived by a Local-mode search,
-///    so the reported counterexample is the same canonical trace Local
-///    mode reports — only the state counts differ.
-///  * NumThreads >= 2 (or 0 = hardware concurrency): verdict and
-///    counterexample depend only on (Seed, RandomRuns, Order, Por,
-///    DeterministicCex) — NOT on the worker count or on OS scheduling.
-///    Falsifier run r always draws from an independent SplitMix64 stream
-///    derived from (Seed, r), so which worker executes which run is
-///    irrelevant; the reported counterexample is the one with the
-///    smallest failing run index. A violation found by the exhaustive
-///    phase is (under DeterministicCex, the default) re-derived by a
-///    deterministic sequential search — in Local mode when Por is Ample,
-///    since ample-mode traces are artifacts of the reduced graph —
-///    yielding the canonical minimal trace: the same trace for 1, 2, and
-///    64 workers.
+///  * Verdict, counterexample and RandomRunsUsed depend only on the
+///    candidate and the config, never on NumThreads or on OS scheduling,
+///    so CEGIS follows the same trajectory at every worker count. The
+///    falsifier is one stream seeded directly from CheckerConfig::Seed,
+///    run on the calling thread at every worker count. A violation found
+///    by the exhaustive phase is (with DeterministicCex, the default)
+///    re-derived by a one-worker search — in Local mode when Por is
+///    Ample, since ample-mode traces are artifacts of the reduced graph —
+///    whenever the first search was parallel, ran under Ample, or ran
+///    under an active symmetry, so the reported counterexample is the
+///    canonical trace one-worker Local mode reports. Por == Local at one
+///    worker reproduces the pre-ample engine bit for bit.
+///    StatesExplored, StatesDeduped and the POR counters depend only on
+///    the candidate and the config at one worker. With NumThreads >= 2
+///    they, Steals and PerWorkerStates are scheduling statistics: under
+///    Ample which revisits the shared sleep masks prune depends on the
+///    order in which workers reach a state.
 ///    Exception: runs that hit MaxStates (Result.Exhausted) explored a
-///    timing-dependent subset of the space, so their "Ok up to the
+///    budget-dependent subset of the space, so their "Ok up to the
 ///    budget" verdict carries the same caveat the budget itself does.
-///    StatesExplored / StatesDeduped / Steals / PerWorkerStates are
-///    scheduling-dependent statistics, never part of the verdict; under
-///    Por == Ample with NumThreads >= 2 even StatesExplored at a fixed
-///    worker count can vary across runs (the cycle-proviso probe races
-///    against insertion), which is why the POR agreement gates compare
-///    verdicts, never state counts.
+///    One worker stops at exactly MaxStates states; each of W >= 2
+///    workers adds its count to the shared budget in batches of at most
+///    256 states, so a parallel search stops fewer than 256 * W states
+///    past the budget.
 ///  * SymmetryMode::Orbit (the default) keeps every clause: search states
 ///    stay raw (only visited-table probe keys are canonicalized), so
 ///    every reported trace is a real execution, and a violation found
@@ -103,9 +100,9 @@ enum class SearchOrder : uint8_t { Dfs, Bfs };
 ///  * Ample (default): Local, plus SPIN-class ample sets — a state whose
 ///    some ready context's next step is statically independent of every
 ///    other thread's remaining steps (Machine::singletonIndependent)
-///    expands that context alone, guarded by a per-engine cycle proviso;
-///    the sequential DFS additionally prunes commuting re-expansions via
-///    sleep sets.
+///    expands that context alone (the state graph is acyclic, so no cycle
+///    proviso is needed); the DFS engines additionally prune commuting
+///    re-expansions via sleep sets.
 /// Migration note: this enum replaces the old `bool UsePOR` — `false`
 /// maps to Off, `true` to Local.
 enum class PorMode : uint8_t { Off, Local, Ample };
@@ -146,16 +143,19 @@ struct CheckerConfig {
   /// re-derivation runs in Local mode, so Ample reports the same trace
   /// Local would (see the reproducibility contract above and docs/POR.md).
   /// When false the first trace the search found is reported — faster on
-  /// failing candidates, but parallel traces may vary across runs and
-  /// ample traces are artifacts of the reduced graph. With NumThreads ==
-  /// 1 this only matters for Por == Ample (Off/Local sequential searches
-  /// are already canonical).
+  /// failing candidates, but ample traces are artifacts of the reduced
+  /// graph, and with several workers the trace is the cexLess-minimal
+  /// one among those the workers found before cancellation, which varies
+  /// with timing. With NumThreads == 1 this only matters for Por == Ample
+  /// or an active symmetry (plain Off/Local searches are already
+  /// canonical).
   bool DeterministicCex = true;
-  /// Sequential DFS engine: apply/undo delta log (default) or the legacy
+  /// One-worker DFS engine: apply/undo delta log (default) or the legacy
   /// copy-per-successor loop. Identical results either way (the
   /// equivalence is tested); the knob exists for benchmarking and as an
-  /// escape hatch. BFS and the parallel engine always copy — their
-  /// frontiers outlive the step that created them.
+  /// escape hatch. BFS always copies — its frontier outlives the step
+  /// that created it — and parallel workers always run the undo-log
+  /// core.
   bool UseUndoLog = true;
 };
 
@@ -172,9 +172,8 @@ struct CheckResult {
   uint64_t StatesDeduped = 0;
   uint64_t RandomRunsUsed = 0;
   unsigned WorkersUsed = 1; ///< resolved worker count of this run
-  uint64_t Steals = 0;      ///< work-stealing operations (0 sequentially)
-  /// Parallel runs: states explored per worker (the seeding pass counts
-  /// toward worker 0). Empty for sequential runs.
+  uint64_t Steals = 0;      ///< donations between workers (0 for one)
+  /// Parallel runs: states explored per worker. Empty for one worker.
   std::vector<uint64_t> PerWorkerStates;
   /// Bytes of visited-set memory owned at the end of the run — slot
   /// arrays, key-arena chunk capacity and stored sleep masks — summed
@@ -183,8 +182,8 @@ struct CheckResult {
   uint64_t VisitedBytes = 0;
   /// POR observability (PorMode::Ample; all zero otherwise). States with
   /// two or more ready contexts expanded through a singleton ample set /
-  /// expanded in full (no independent candidate, or the cycle proviso
-  /// fired) / transitions skipped by the sequential engine's sleep sets.
+  /// expanded in full (no independent candidate) / transitions skipped
+  /// by the DFS engines' sleep sets.
   uint64_t AmpleStates = 0;
   uint64_t FullExpansions = 0;
   uint64_t SleepSkips = 0;

@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal header: the seen-state tables of the sequential checker (one
-/// VisitedTable) and the parallel work-stealing engine (a 64-shard
-/// ShardedVisited). Both wrap the same VisitedCell, so dedup behaves
-/// identically in either engine.
+/// Internal header: the seen-state tables of the checker — one
+/// VisitedTable for a single worker, one 64-shard ShardedVisited shared
+/// by the workers of a parallel search. Both wrap the same VisitedCell
+/// and offer the same insert / insertMask interface, so the undo-log DFS
+/// core (verify/SearchCore.h) runs unchanged over either.
 ///
 /// Both tables see a state through one StateProbe: its canonical image,
-/// packed and hashed once (Machine::stateKey), whose fingerprint the
-/// sequential DFS also uses as its on-stack key. A cell owns the full
+/// packed and hashed once (Machine::stateKey). A cell owns the full
 /// scheduler-relevant key (Machine::encodeState, 8 bytes per state word,
 /// or the packed rendering) in an open-addressing slot array indexed by
 /// the state fingerprint plus a chunked arena of key bytes. Exactness
@@ -21,13 +21,13 @@
 /// memcmp; a mismatch walks on) — the fingerprint only places the entry.
 ///
 /// Every entry also carries the sleep-set mask the state was (last)
-/// entered with, for the sequential ample engine (docs/POR.md): plain
-/// dedup is the mask-0 special case, so the pre-POR engines are
-/// unchanged. A revisit with sleep set T of a state stored with mask B
-/// is covered only when B is a subset of T (the prior visit explored
-/// every transition this one would); otherwise the revisit must explore
-/// the woken transitions B \ T and the stored mask shrinks to the
-/// intersection — strictly, so re-expansion terminates.
+/// entered with, for the ample engine's sleep sets (docs/POR.md): plain
+/// dedup is the mask-0 special case. A revisit with sleep set T of a
+/// state stored with mask B is covered only when B is a subset of T (the
+/// prior visits explore every transition this one would); otherwise the
+/// revisit must explore the woken transitions B \ T and the stored mask
+/// shrinks to the intersection — strictly, so re-expansion terminates.
+/// The sharded table runs the same protocol under the shard lock.
 ///
 /// Symmetry (CheckerConfig::Symmetry, docs/SYMMETRY.md): when a
 /// Canonicalizer is attached, both tables key on the canonical image of
@@ -74,8 +74,8 @@ enum class InsertOutcome : uint8_t {
   Wake,  ///< revisit, but some previously-slept transitions must now run
 };
 
-/// One dedup domain: the whole table sequentially, one shard in the
-/// parallel engine. Not synchronized — callers lock around it.
+/// One dedup domain: the whole table for one worker, one shard of the
+/// shared table. Not synchronized — callers lock around it.
 ///
 /// The slot array holds (fingerprint, entry index) pairs placed by linear
 /// probing on the fingerprint; the key bytes live in chunked arenas
@@ -92,7 +92,12 @@ enum class InsertOutcome : uint8_t {
 /// different lengths can never compare equal, so splitting by length
 /// preserves exact dedup, and escapes are rare enough (PackEscapes) that
 /// the map's extra cost never shows.
-class VisitedCell {
+///
+/// \p KeysPerChunkLog2 sizes the arena chunks: large enough to amortize
+/// the chunk allocation, small enough that growth never copies key bytes.
+/// Chunks are not zero-filled, so a page costs memory only once a key is
+/// written to it.
+template <unsigned KeysPerChunkLog2> class VisitedCell {
 public:
   /// Mask-aware check-and-insert of the state with key \p Key and
   /// fingerprint \p Fp. \p Sleep is the sleep mask the state is being
@@ -120,22 +125,6 @@ public:
     return findOrInsert(Fp, Key, /*Mask0=*/0).second;
   }
 
-  /// Read-only membership probe (the parallel/BFS cycle proviso).
-  bool contains(uint64_t Fp, std::string_view Key) const {
-    if (Slots.empty())
-      return false;
-    if (Key.size() != KeyLen)
-      return Odd.count(std::string(Key)) != 0;
-    size_t M = Slots.size() - 1;
-    for (size_t I = Fp & M;; I = (I + 1) & M) {
-      const Slot &S = Slots[I];
-      if (S.Idx == Absent)
-        return false;
-      if (S.Fp == Fp && std::memcmp(keyPtr(S.Idx), Key.data(), KeyLen) == 0)
-        return true;
-    }
-  }
-
   /// Bytes this cell owns right now: the slot array, the key-arena
   /// chunks at their allocated (not just occupied) size, the mask array,
   /// and the odd-key side map.
@@ -147,9 +136,6 @@ public:
 
 private:
   static constexpr uint32_t Absent = ~0u;
-  /// 8 Ki keys per arena chunk: large enough to amortize the chunk
-  /// allocation, small enough that growth never copies key bytes.
-  static constexpr size_t KeysPerChunkLog2 = 13;
 
   struct Slot {
     uint64_t Fp;
@@ -213,7 +199,7 @@ private:
   void appendKey(std::string_view Key) {
     size_t Chunk = Count >> KeysPerChunkLog2;
     if (Chunk == Arena.size())
-      Arena.push_back(std::make_unique<char[]>(
+      Arena.push_back(std::make_unique_for_overwrite<char[]>(
           std::max<size_t>(1, KeyLen << KeysPerChunkLog2)));
     std::memcpy(Arena[Chunk].get() +
                     (Count & ((size_t(1) << KeysPerChunkLog2) - 1)) * KeyLen,
@@ -251,8 +237,7 @@ inline StateProbe probeState(const exec::Machine &M, const exec::State &S,
 
 /// Counts one entered state's escape and canonical rewrite
 /// (Machine::packEscapes, Canonicalizer::canonHits). Every insert path
-/// calls this exactly once per state it is offered; membership probes
-/// never do.
+/// calls this exactly once per state it is offered.
 inline void noteEntered(const exec::Machine &M, const Canonicalizer *Canon,
                         const StateProbe &P) {
   if (P.Key.Escaped)
@@ -261,53 +246,45 @@ inline void noteEntered(const exec::Machine &M, const Canonicalizer *Canon,
     Canon->noteHit();
 }
 
-/// The sequential engine's visited table.
+/// Translates sleep/wake masks between raw thread coordinates and the
+/// coordinates of probe \p P's canonical image (identity without an
+/// active symmetry).
+inline uint64_t maskIn(const Canonicalizer *Canon, const StateProbe &P,
+                       uint64_t Raw) {
+  return Canon ? Canon->maskToCanonical(P.PermIdx, Raw) : Raw;
+}
+inline uint64_t maskOut(const Canonicalizer *Canon, const StateProbe &P,
+                        uint64_t Canonical) {
+  return Canon ? Canon->maskFromCanonical(P.PermIdx, Canonical) : Canonical;
+}
+
+/// A single worker's visited table. 8 Ki keys per arena chunk.
 class VisitedTable {
 public:
   explicit VisitedTable(StateHashFn Hash = &hashWords,
                         const Canonicalizer *Canon = nullptr)
       : Hash(Hash), Canon(Canon) {}
 
-  /// The state's single probe (canonical image, key bytes and
-  /// fingerprint); the engines share it between the DFS cycle proviso
-  /// and the insert below.
-  StateProbe probe(const exec::Machine &M, const exec::State &S) const {
-    return probeState(M, S, Canon, Hash);
-  }
-
-  /// \returns true when the probed state was newly inserted.
-  bool insert(const exec::Machine &M, const StateProbe &P) {
+  /// \returns true when \p S was newly inserted.
+  bool insert(const exec::Machine &M, const exec::State &S) {
+    StateProbe P = probeState(M, S, Canon, Hash);
     noteEntered(M, Canon, P);
     return Cell.insert(P.Key.Fp, P.Key.Bytes);
-  }
-  bool insert(const exec::Machine &M, const exec::State &S) {
-    return insert(M, probe(M, S));
   }
 
   /// Mask-aware insert for the sleep-set DFS (file comment). Sleep/wake
   /// masks are in raw thread coordinates; translation through the chosen
   /// automorphism happens here.
-  InsertOutcome insertMask(const exec::Machine &M, const StateProbe &P,
-                           uint64_t Sleep, uint64_t &WakeOut) {
-    noteEntered(M, Canon, P);
-    uint64_t CSleep = Canon ? Canon->maskToCanonical(P.PermIdx, Sleep) : Sleep;
-    uint64_t CWake = 0;
-    InsertOutcome Out = Cell.insertMask(P.Key.Fp, P.Key.Bytes, CSleep, CWake);
-    if (Out == InsertOutcome::Wake)
-      WakeOut = Canon ? Canon->maskFromCanonical(P.PermIdx, CWake) : CWake;
-    return Out;
-  }
   InsertOutcome insertMask(const exec::Machine &M, const exec::State &S,
                            uint64_t Sleep, uint64_t &WakeOut) {
-    return insertMask(M, probe(M, S), Sleep, WakeOut);
-  }
-
-  /// True when the probed state is already in the table (no insertion).
-  bool contains(const StateProbe &P) const {
-    return Cell.contains(P.Key.Fp, P.Key.Bytes);
-  }
-  bool contains(const exec::Machine &M, const exec::State &S) const {
-    return contains(probe(M, S));
+    StateProbe P = probeState(M, S, Canon, Hash);
+    noteEntered(M, Canon, P);
+    uint64_t CWake = 0;
+    InsertOutcome Out = Cell.insertMask(P.Key.Fp, P.Key.Bytes,
+                                        maskIn(Canon, P, Sleep), CWake);
+    if (Out == InsertOutcome::Wake)
+      WakeOut = maskOut(Canon, P, CWake);
+    return Out;
   }
 
   uint64_t keyBytes() const { return Cell.keyBytes(); }
@@ -315,13 +292,15 @@ public:
 private:
   StateHashFn Hash;
   const Canonicalizer *Canon;
-  VisitedCell Cell;
+  VisitedCell<13> Cell;
 };
 
-/// Mutex-striped seen-state table for the parallel engine. The stripe
-/// count only needs to beat the worker count comfortably; 64 keeps
-/// contention negligible without wasting cache. The fingerprint doubles
-/// as the shard index and places the entry in the shard's cell.
+/// Mutex-striped seen-state table shared by the workers of a parallel
+/// search. The stripe count only needs to beat the worker count
+/// comfortably; 64 keeps contention negligible without wasting cache.
+/// The fingerprint doubles as the shard index and places the entry in
+/// the shard's cell. Shard cells use 1 Ki-key arena chunks: 64 shards of
+/// 8 Ki-key chunks would hold tens of megabytes whatever the state count.
 class ShardedVisited {
 public:
   explicit ShardedVisited(StateHashFn Hash = &hashWords,
@@ -334,22 +313,27 @@ public:
   bool insert(const exec::Machine &M, const exec::State &S) {
     StateProbe P = probeState(M, S, Canon, Hash);
     noteEntered(M, Canon, P);
-    ShardT &Shard = Shards[P.Key.Fp & (NumShards - 1)];
+    ShardT &Shard = shardOf(P);
     std::lock_guard<std::mutex> Lock(Shard.Mu);
     return Shard.Cell.insert(P.Key.Fp, P.Key.Bytes);
   }
 
-  /// True when \p S is already in the table. Used by the parallel ample
-  /// engine's cycle-proviso probe: insertion happens-before expansion
-  /// under the shard mutex, so the last-expanded state on any reduced
-  /// cycle is guaranteed to see its successor here (docs/POR.md).
-  /// Canonicalization keeps that argument intact: both the insert and
-  /// the probe key on the same canonical image.
-  bool contains(const exec::Machine &M, const exec::State &S) const {
+  /// VisitedTable::insertMask, with the check, the Prune/Wake decision
+  /// and the mask shrink atomic under the shard lock.
+  InsertOutcome insertMask(const exec::Machine &M, const exec::State &S,
+                           uint64_t Sleep, uint64_t &WakeOut) {
     StateProbe P = probeState(M, S, Canon, Hash);
-    const ShardT &Shard = Shards[P.Key.Fp & (NumShards - 1)];
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    return Shard.Cell.contains(P.Key.Fp, P.Key.Bytes);
+    noteEntered(M, Canon, P);
+    ShardT &Shard = shardOf(P);
+    uint64_t CSleep = maskIn(Canon, P, Sleep), CWake = 0;
+    InsertOutcome Out;
+    {
+      std::lock_guard<std::mutex> Lock(Shard.Mu);
+      Out = Shard.Cell.insertMask(P.Key.Fp, P.Key.Bytes, CSleep, CWake);
+    }
+    if (Out == InsertOutcome::Wake)
+      WakeOut = maskOut(Canon, P, CWake);
+    return Out;
   }
 
   uint64_t keyBytes() const {
@@ -365,8 +349,12 @@ private:
   static constexpr size_t NumShards = 64;
   struct alignas(64) ShardT {
     mutable std::mutex Mu;
-    VisitedCell Cell;
+    VisitedCell<10> Cell;
   };
+
+  ShardT &shardOf(const StateProbe &P) {
+    return Shards[P.Key.Fp & (NumShards - 1)];
+  }
 
   StateHashFn Hash;
   const Canonicalizer *Canon;

@@ -4,11 +4,12 @@
 // Structures" (PLDI 2008).
 //
 // The reproducibility contract under test (verify/ModelChecker.h):
-//  * NumThreads == 1 is the bit-exact legacy sequential checker;
-//  * for any NumThreads >= 2, verdict and counterexample depend only on
-//    the config — not on the worker count or on thread timing;
-//  * run-to-exhaustion verdicts and state counts agree with the
-//    sequential engine (only scheduling statistics may differ).
+//  * verdict, counterexample and falsifier run count depend only on the
+//    config — not on the worker count or on thread timing — so every
+//    worker count follows the W=1 CEGIS trajectory;
+//  * run-to-exhaustion verdicts agree with one worker, and so do state
+//    counts without sleep sets (only scheduling statistics may differ);
+//  * the shared visited table's sleep-mask protocol is atomic per state.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,12 @@
 #include "support/Rng.h"
 #include "verify/ModelChecker.h"
 #include "verify/SearchCore.h"
+#include "verify/Visited.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 using namespace psketch;
 using namespace psketch::ir;
@@ -96,9 +99,10 @@ void buildLockChoice(Program &P, unsigned &HoleOut, int ExpectedTotal) {
 TEST(ParallelChecker, OkRunMatchesSequentialStateCount) {
   // Run-to-exhaustion explores the same deduped state set in any order,
   // so an Ok run's StatesExplored must not depend on the worker count.
-  // Pinned to Por == Local: under Ample the parallel cycle-proviso probe
-  // races insertion, so even the explored-set size is timing-dependent
-  // (the ModelChecker.h contract documents this; verdicts still agree).
+  // Pinned to Por == Local: under Ample, which revisits sleep sets prune
+  // depends on the order in which workers reach a state, so the
+  // explored-set size is timing-dependent (the ModelChecker.h contract
+  // documents this; verdicts still agree).
   std::vector<uint64_t> Counts;
   for (unsigned W : {1u, 2u, 4u, 8u}) {
     Program P;
@@ -155,10 +159,10 @@ TEST(ParallelChecker, ZeroResolvesToHardwareConcurrency) {
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelChecker, CexIdenticalAcrossWorkerCounts) {
-  // For any W >= 2 the reported counterexample is a function of the
-  // config alone: compare the traces at W = 2, 4, 8 step for step.
+  // The reported counterexample is a function of the config alone:
+  // compare the traces at W = 1, 2, 4, 8 step for step.
   std::optional<CheckResult> First;
-  for (unsigned W : {2u, 4u, 8u}) {
+  for (unsigned W : {1u, 2u, 4u, 8u}) {
     Program P;
     buildCounter(P, /*Atomic=*/false, 2, 4);
     CheckerConfig Cfg;
@@ -175,8 +179,8 @@ TEST(ParallelChecker, CexIdenticalAcrossWorkerCounts) {
       EXPECT_TRUE(R.Cex->Steps[I] == First->Cex->Steps[I])
           << "W=" << W << " step " << I;
     EXPECT_EQ(R.Cex->V.Label, First->Cex->V.Label);
-    // The winning falsifier run index is canonical (smallest failing),
-    // so the run count reported is worker-count independent too.
+    // Every worker count runs the same single-stream falsifier, so the
+    // run count reported is worker-count independent too.
     EXPECT_EQ(R.RandomRunsUsed, First->RandomRunsUsed) << "W=" << W;
   }
 }
@@ -225,37 +229,6 @@ TEST(ParallelChecker, ExhaustivePhaseCexMatchesSequentialSearch) {
       EXPECT_TRUE(R.Cex->Steps[I] == RSeq.Cex->Steps[I]) << "W=" << W;
     EXPECT_EQ(R.Cex->V.Label, RSeq.Cex->V.Label);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Falsifier seed streams.
-//===----------------------------------------------------------------------===//
-
-TEST(ParallelChecker, StreamSeedsAreIndependent) {
-  std::set<uint64_t> Seen;
-  for (uint64_t Seed : {1ull, 2ull, 99ull})
-    for (uint64_t Run = 0; Run < 16; ++Run)
-      Seen.insert(detail::deriveStreamSeed(Seed, Run));
-  EXPECT_EQ(Seen.size(), 48u) << "stream seeds must not collide";
-  EXPECT_EQ(detail::deriveStreamSeed(5, 3), detail::deriveStreamSeed(5, 3));
-}
-
-TEST(ParallelChecker, SeedSelectsDifferentSchedulesButStaysDeterministic) {
-  auto RunWith = [](uint64_t Seed) {
-    Program P;
-    buildCounter(P, /*Atomic=*/false, 3, 6);
-    CheckerConfig Cfg;
-    Cfg.NumThreads = 4;
-    Cfg.Seed = Seed;
-    return check(P, Cfg);
-  };
-  CheckResult A1 = RunWith(11), A2 = RunWith(11);
-  ASSERT_FALSE(A1.Ok);
-  ASSERT_FALSE(A2.Ok);
-  ASSERT_EQ(A1.Cex->Steps.size(), A2.Cex->Steps.size());
-  for (size_t I = 0; I < A1.Cex->Steps.size(); ++I)
-    EXPECT_TRUE(A1.Cex->Steps[I] == A2.Cex->Steps[I]);
-  EXPECT_EQ(A1.RandomRunsUsed, A2.RandomRunsUsed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -321,30 +294,197 @@ TEST(ParallelChecker, SuiteVerdictsAgreeWithSequential) {
   }
 }
 
+namespace {
+
+/// A byte-for-byte comparison of two checker results' counterexamples.
+void expectIdenticalCex(const CheckResult &A, const CheckResult &B,
+                        const std::string &Tag) {
+  EXPECT_EQ(A.Ok, B.Ok) << Tag;
+  EXPECT_EQ(A.RandomRunsUsed, B.RandomRunsUsed) << Tag;
+  ASSERT_EQ(A.Cex.has_value(), B.Cex.has_value()) << Tag;
+  if (!A.Cex)
+    return;
+  EXPECT_EQ(A.Cex->Where, B.Cex->Where) << Tag;
+  EXPECT_EQ(A.Cex->V.VKind, B.Cex->V.VKind) << Tag;
+  EXPECT_EQ(A.Cex->V.Label, B.Cex->V.Label) << Tag;
+  EXPECT_TRUE(A.Cex->Steps == B.Cex->Steps) << Tag;
+  EXPECT_TRUE(A.Cex->DeadlockSet == B.Cex->DeadlockSet) << Tag;
+}
+
+} // namespace
+
+TEST(ParallelChecker, CexIdenticalToSequential) {
+  // Four workers report exactly what one worker reports — verdict,
+  // falsifier run count and counterexample — on every Figure 9 row's
+  // reference candidate and its all-zero candidate, under the default
+  // config (falsifier on, Ample, Orbit).
+  for (const bench::SuiteEntry &E : bench::paperSuite()) {
+    auto P = E.Build();
+    flat::FlatProgram FP = flat::flatten(*P);
+    std::vector<ir::HoleAssignment> Candidates;
+    if (E.Reference)
+      Candidates.push_back(E.Reference(*P));
+    Candidates.push_back(ir::HoleAssignment(P->holes().size(), 0));
+    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
+      exec::Machine M(FP, Candidates[CI]);
+      CheckerConfig One;
+      CheckerConfig Four = One;
+      Four.NumThreads = 4;
+      CheckResult R1 = checkCandidate(M, One);
+      CheckResult R4 = checkCandidate(M, Four);
+      std::string Tag = E.Sketch + " " + E.Test + " candidate " +
+                        std::to_string(CI);
+      ASSERT_FALSE(R1.Exhausted) << Tag;
+      ASSERT_FALSE(R4.Exhausted) << Tag;
+      expectIdenticalCex(R1, R4, Tag);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The shared table's sleep-mask protocol under concurrent inserts.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A degenerate fingerprint: every state lands in one shard and collides
+/// with every other.
+uint64_t collideEverything(const int64_t *, size_t) { return 0x1234; }
+
+} // namespace
+
+TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
+  // Four threads offer the same 600 colliding states three times over.
+  // The outcome of every offer follows from the masks alone, whatever
+  // the interleaving:
+  //  1. all asleep (mask 0xF): each state is Fresh for exactly one
+  //     thread and a Prune for the other three;
+  //  2. thread t wakes only its own context (mask 0xF minus bit t): the
+  //     stored mask still holds bit t, so every offer is a Wake of
+  //     exactly bit t, and the stored mask loses that bit;
+  //  3. nothing asleep (mask 0): the stored mask is now empty, so every
+  //     offer is a Prune.
+  constexpr unsigned Threads = 4;
+  constexpr int64_t NumStates = 600;
+  Program P;
+  buildCounter(P, /*Atomic=*/true, 1, 2);
+  flat::FlatProgram FP = flat::flatten(P);
+  exec::Machine M(FP, {});
+  std::vector<exec::State> States;
+  for (int64_t X = 0; X < NumStates; ++X) {
+    exec::State S = M.initialState();
+    S.setGlobal(0, X);
+    States.push_back(std::move(S));
+  }
+
+  detail::ShardedVisited Table(&collideEverything);
+  struct Tally {
+    uint64_t Fresh = 0, Prune = 0, Wake = 0, WrongWake = 0;
+  };
+  auto Round = [&](auto SleepOf) {
+    std::vector<Tally> Tallies(Threads);
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T < Threads; ++T)
+      Pool.emplace_back([&, T] {
+        for (const exec::State &S : States) {
+          uint64_t Wake = 0;
+          switch (Table.insertMask(M, S, SleepOf(T), Wake)) {
+          case detail::InsertOutcome::Fresh:
+            ++Tallies[T].Fresh;
+            break;
+          case detail::InsertOutcome::Prune:
+            ++Tallies[T].Prune;
+            break;
+          case detail::InsertOutcome::Wake:
+            ++Tallies[T].Wake;
+            Tallies[T].WrongWake += Wake != (1ull << T);
+            break;
+          }
+        }
+      });
+    for (std::thread &Th : Pool)
+      Th.join();
+    Tally Sum;
+    for (const Tally &T : Tallies) {
+      Sum.Fresh += T.Fresh;
+      Sum.Prune += T.Prune;
+      Sum.Wake += T.Wake;
+      Sum.WrongWake += T.WrongWake;
+    }
+    return Sum;
+  };
+
+  Tally Asleep = Round([](unsigned) { return uint64_t{0xF}; });
+  EXPECT_EQ(Asleep.Fresh, uint64_t(NumStates));
+  EXPECT_EQ(Asleep.Prune, uint64_t(NumStates) * (Threads - 1));
+  EXPECT_EQ(Asleep.Wake, 0u);
+
+  Tally OwnAwake = Round([](unsigned T) { return 0xFull & ~(1ull << T); });
+  EXPECT_EQ(OwnAwake.Fresh, 0u);
+  EXPECT_EQ(OwnAwake.Prune, 0u);
+  EXPECT_EQ(OwnAwake.Wake, uint64_t(NumStates) * Threads);
+  EXPECT_EQ(OwnAwake.WrongWake, 0u);
+
+  Tally Awake = Round([](unsigned) { return uint64_t{0}; });
+  EXPECT_EQ(Awake.Fresh, 0u);
+  EXPECT_EQ(Awake.Prune, uint64_t(NumStates) * Threads);
+  EXPECT_EQ(Awake.Wake, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // CEGIS-level determinism and the parallel enumerator.
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelCegis, TrajectoryDeterministicAcrossWorkerCounts) {
-  // Same seed, any W >= 2: identical iteration count and resolution.
-  std::optional<cegis::CegisResult> First;
-  for (unsigned W : {2u, 2u, 4u, 8u}) { // repeat W=2 to cover rerun identity
-    Program P;
-    unsigned H = 0;
-    buildLockChoice(P, H, 2);
+  // Same seed, any W: identical iterations, resolution and learnt
+  // counterexamples. The synthesizer's circuit size and its per-solve
+  // search counters are functions of the traces it learnt, so they pin
+  // the counterexamples too. The suite row is one where four workers
+  // once drew different counterexamples from one.
+  auto Lightest = lightestRow("dinphilo");
+  ASSERT_TRUE(Lightest.has_value());
+  auto Run = [](Program &P, unsigned W) {
     cegis::CegisConfig Cfg;
     Cfg.Checker.NumThreads = W;
-    cegis::ConcurrentCegis C(P, Cfg);
-    cegis::CegisResult R = C.run();
-    ASSERT_TRUE(R.Stats.Resolvable) << "W=" << W;
-    EXPECT_EQ(R.Candidate[H], 1u);
-    EXPECT_EQ(R.Stats.CheckerWorkers, W);
-    if (!First) {
-      First = std::move(R);
-      continue;
+    return cegis::ConcurrentCegis(P, Cfg).run();
+  };
+  for (int Sketch = 0; Sketch < 2; ++Sketch) {
+    std::optional<cegis::CegisResult> First;
+    for (unsigned W : {1u, 2u, 2u, 4u, 8u}) { // W=2 twice: rerun identity
+      std::unique_ptr<Program> P;
+      unsigned H = 0;
+      if (Sketch == 0) {
+        P = std::make_unique<Program>();
+        buildLockChoice(*P, H, 2);
+      } else {
+        P = Lightest->Build();
+      }
+      cegis::CegisResult R = Run(*P, W);
+      std::string Tag = "sketch " + std::to_string(Sketch) +
+                        " W=" + std::to_string(W);
+      ASSERT_TRUE(R.Stats.Resolvable) << Tag;
+      if (Sketch == 0) {
+        EXPECT_EQ(R.Candidate[H], 1u) << Tag;
+      }
+      EXPECT_EQ(R.Stats.CheckerWorkers, W) << Tag;
+      if (!First) {
+        First = std::move(R);
+        continue;
+      }
+      EXPECT_EQ(R.Stats.Iterations, First->Stats.Iterations) << Tag;
+      EXPECT_EQ(R.Candidate, First->Candidate) << Tag;
+      EXPECT_EQ(R.Stats.GateCount, First->Stats.GateCount) << Tag;
+      EXPECT_EQ(R.Stats.ClauseCount, First->Stats.ClauseCount) << Tag;
+      ASSERT_EQ(R.Stats.SolveLog.size(), First->Stats.SolveLog.size()) << Tag;
+      for (size_t I = 0; I < R.Stats.SolveLog.size(); ++I) {
+        EXPECT_EQ(R.Stats.SolveLog[I].Conflicts,
+                  First->Stats.SolveLog[I].Conflicts)
+            << Tag << " solve " << I;
+        EXPECT_EQ(R.Stats.SolveLog[I].Decisions,
+                  First->Stats.SolveLog[I].Decisions)
+            << Tag << " solve " << I;
+      }
     }
-    EXPECT_EQ(R.Stats.Iterations, First->Stats.Iterations) << "W=" << W;
-    EXPECT_EQ(R.Candidate, First->Candidate) << "W=" << W;
   }
 }
 

@@ -8,6 +8,9 @@
 //    word a step actually writes (observed through the undo log) falls
 //    inside its declared footprint, across randomized programs,
 //    candidates, and schedules;
+//  * the state graph is acyclic, raw and under symmetry: every Ok step
+//    raises the sum of the thread pcs and of the canonical image's
+//    thread pcs (the reason no engine needs a cycle proviso);
 //  * commutes() reflects read/write conflicts, including hole-resolved
 //    choices and statically-pinned array indices;
 //  * the footprint-class conflict matrix behind commutes and
@@ -33,6 +36,7 @@
 #include "cegis/Cegis.h"
 #include "desugar/Flatten.h"
 #include "support/Rng.h"
+#include "verify/Canon.h"
 #include "verify/ModelChecker.h"
 
 #include <gtest/gtest.h>
@@ -238,6 +242,73 @@ TEST(Footprint, SoundOverRandomProgramsCandidatesAndSchedules) {
       }
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Acyclicity: the argument that replaces every cycle proviso (docs/POR.md
+// §3). An Ok step sets the stepping thread's pc to its normalized pc plus
+// one and normalization only moves pcs forward, so the pc sum strictly
+// rises along every edge; orbit threads share a body, so the canonical
+// image holds the same pc multiset and its sum rises too.
+//===----------------------------------------------------------------------===//
+
+TEST(Por, EveryOkStepRaisesThePcSum) {
+  const char *Families[] = {"queueE2", "barrier1", "fineset1", "lazyset",
+                            "dinphilo"};
+  Rng R(0xACEull);
+  unsigned SymmetricMachines = 0;
+  for (const char *Family : Families) {
+    auto E = lightestRow(Family);
+    ASSERT_TRUE(E.has_value()) << Family;
+    auto P = E->Build();
+    flat::FlatProgram FP = flat::flatten(*P);
+
+    std::vector<ir::HoleAssignment> Candidates;
+    if (E->Reference)
+      Candidates.push_back(E->Reference(*P));
+    Candidates.push_back(randomAssignment(*P, R));
+    Candidates.push_back(randomAssignment(*P, R));
+
+    for (const ir::HoleAssignment &A : Candidates) {
+      exec::Machine M(FP, A);
+      Canonicalizer Canon(M);
+      SymmetricMachines += Canon.active();
+      const exec::StateLayout &L = M.layout();
+      auto PcSum = [&](const int64_t *Words) {
+        int64_t Sum = 0;
+        for (unsigned Ctx = 0; Ctx < M.numThreads(); ++Ctx)
+          Sum += Words[L.CtxOff[Ctx]];
+        return Sum;
+      };
+      auto CanonPcSum = [&](const exec::State &S) {
+        unsigned PermIdx = Canonicalizer::IdentityPerm;
+        return PcSum(Canon.canonicalize(S.words(), PermIdx));
+      };
+
+      for (int Schedule = 0; Schedule < 6; ++Schedule) {
+        exec::State S = M.initialState();
+        exec::Violation V;
+        if (!M.runToCompletion(S, M.prologueCtx(), V))
+          break; // prologue violation: nothing parallel to observe
+        for (int Step = 0; Step < 200; ++Step) {
+          unsigned Ctx = static_cast<unsigned>(R.below(M.numThreads()));
+          if (M.isFinished(S, Ctx))
+            continue;
+          int64_t Raw = PcSum(S.words()), Canonical = CanonPcSum(S);
+          exec::ExecOutcome Out = M.execStep(S, Ctx, V);
+          if (Out.Result == exec::StepResult::Blocked)
+            continue;
+          if (Out.Result != exec::StepResult::Ok)
+            break;
+          EXPECT_GT(PcSum(S.words()), Raw)
+              << Family << " ctx " << Ctx << " pc " << Out.ExecutedPc;
+          EXPECT_GT(CanonPcSum(S), Canonical)
+              << Family << " ctx " << Ctx << " pc " << Out.ExecutedPc;
+        }
+      }
+    }
+  }
+  EXPECT_GT(SymmetricMachines, 0u) << "no candidate exercised symmetry";
 }
 
 //===----------------------------------------------------------------------===//
