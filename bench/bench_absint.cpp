@@ -4,7 +4,7 @@
 // Structures" (PLDI 2008).
 //
 // Measures the thread-modular abstract interpreter (analysis/AbsInt.h,
-// analysis/Lockset.h, docs/ANALYSIS.md) and gates its soundness. Four
+// analysis/Lockset.h, docs/ANALYSIS.md) and gates its soundness. Two
 // parts:
 //
 //  * Part A, CEGIS deltas: whole runs with the screen on vs off, per
@@ -18,38 +18,26 @@
 //    prunes > 0 on the refutation row, and states-on <= states-off on
 //    the locked row.
 //
-//  * Part B, tuning agreement: suite rows plus the locked counter
-//    (reference and one deterministically-bumped candidate), checked
-//    tuned vs untuned at 1/2/4 workers and Por Off/Ample. Every cell
-//    must agree on the verdict and — DeterministicCex re-derives over
-//    the raw graph — byte-identically on the counterexample.
-//
-//  * Part C, packed visited keys: the tuned Machine vs the untuned one,
-//    gated on verdict and states agreement (the packing is injective, so
-//    the graphs match).
-//
-//  * Part D, the audit gate: CEGIS with AbsIntAudit on the refutation
+//  * Part B, the audit gate: CEGIS with AbsIntAudit on the refutation
 //    row — every interval refutation is re-checked by the concrete
 //    verifier; one contradicted refutation (AbsIntFalsePrunes != 0)
 //    fails the bench.
 //
+// Tuned-vs-plain verdict, counterexample and packed-key state-count
+// agreement is tests/test_oracle.cpp's.
+//
 // Unlike most benches this one ALWAYS writes its JSON artifact
 // (BENCH_absint.json unless --json=path overrides it): the deltas and
-// agreement bits are acceptance numbers, not just perf telemetry.
+// audit bits are acceptance numbers, not just perf telemetry.
 //
 // Flags: --smoke (light rows — the CI configuration), --json[=path].
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "analysis/AbsInt.h"
-#include "analysis/Lockset.h"
 #include "benchmarks/Dining.h"
-#include "desugar/Flatten.h"
 #include "ir/Program.h"
-#include "verify/ModelChecker.h"
 
-#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -59,31 +47,6 @@ using namespace psketch::bench;
 using namespace psketch::verify;
 
 namespace {
-
-/// Finds one suite row by family and test label.
-SuiteEntry findRow(const std::string &Family, const std::string &Test) {
-  for (const SuiteEntry &E : paperSuite(Family))
-    if (E.Test == Test)
-      return E;
-  std::fprintf(stderr, "error: no suite row %s %s\n", Family.c_str(),
-               Test.c_str());
-  std::exit(2);
-}
-
-ir::HoleAssignment referenceCandidate(const SuiteEntry &E,
-                                      const ir::Program &P) {
-  if (E.Reference)
-    return E.Reference(P);
-  return ir::HoleAssignment(P.holes().size(), 0);
-}
-
-ir::HoleAssignment bumpedCandidate(const SuiteEntry &E,
-                                   const ir::Program &P) {
-  ir::HoleAssignment A = referenceCandidate(E, P);
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = (A[H] + 1) % P.holes()[H].NumChoices;
-  return A;
-}
 
 /// The refutation-heavy workload: \p Threads threads each store one
 /// generator value into a private global, the epilogue asserts every
@@ -148,33 +111,6 @@ std::unique_ptr<ir::Program> buildLockFarm(unsigned Threads,
   return P;
 }
 
-/// Byte-for-byte counterexample equality (schedule and violation label).
-bool sameCex(const CheckResult &A, const CheckResult &B) {
-  if (A.Cex.has_value() != B.Cex.has_value())
-    return false;
-  if (!A.Cex)
-    return true;
-  if (A.Cex->Steps.size() != B.Cex->Steps.size() ||
-      A.Cex->V.Label != B.Cex->V.Label)
-    return false;
-  for (size_t I = 0; I < A.Cex->Steps.size(); ++I)
-    if (!(A.Cex->Steps[I] == B.Cex->Steps[I]))
-      return false;
-  return true;
-}
-
-const char *porName(PorMode Por) {
-  switch (Por) {
-  case PorMode::Off:
-    return "off";
-  case PorMode::Local:
-    return "local";
-  case PorMode::Ample:
-    return "ample";
-  }
-  return "?";
-}
-
 /// One Part A row.
 struct CegisRow {
   std::string Name;
@@ -196,7 +132,7 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I)
     if (std::strcmp(Argv[I], "--smoke") == 0)
       Smoke = true;
-  // The deltas and agreement bits are acceptance numbers: always emit
+  // The deltas and audit bits are acceptance numbers: always emit
   // the artifact, --json=path only redirects it.
   Opts.Json = true;
 
@@ -296,161 +232,10 @@ int main(int Argc, char **Argv) {
   }
 
   //===------------------------------------------------------------------===//
-  // Part B: tuned vs untuned verdict + counterexample agreement.
+  // Part B: the audit gate — zero contradicted refutations.
   //===------------------------------------------------------------------===//
 
-  std::printf("\nPart B: tuned/untuned verdict + counterexample agreement "
-              "across workers and POR\n");
-  std::printf("%-11s %-9s %-4s %-5s %3s | %-5s %-5s %-4s %-9s\n", "sketch",
-              "test", "cand", "por", "W", "plain", "tuned", "cex", "agree");
-  std::printf("------------------------------------------------------------"
-              "\n");
-
-  struct AgreeRow {
-    std::string Sketch, Test;
-    std::unique_ptr<ir::Program> P;
-    std::vector<ir::HoleAssignment> Candidates;
-  };
-  std::vector<AgreeRow> AgreeRows;
-  {
-    AgreeRow R;
-    R.Sketch = "lock-farm";
-    R.Test = Smoke ? "N=2,R=2" : "N=2,R=3";
-    R.P = buildLockFarm(2, Smoke ? 2u : 3u);
-    ir::HoleAssignment Ref(R.P->holes().size(), 0); // every pick = 1
-    ir::HoleAssignment Bump = Ref;
-    if (!Bump.empty())
-      Bump[0] = 1; // one pick of 2: the sum assert fires
-    R.Candidates = {Ref, Bump};
-    AgreeRows.push_back(std::move(R));
-  }
-  {
-    SuiteEntry E = findRow("barrier1", "N=3,B=2");
-    AgreeRow R;
-    R.Sketch = E.Sketch;
-    R.Test = E.Test;
-    R.P = E.Build();
-    R.Candidates = {referenceCandidate(E, *R.P), bumpedCandidate(E, *R.P)};
-    AgreeRows.push_back(std::move(R));
-  }
-  if (!Smoke) {
-    SuiteEntry E = findRow("dinphilo", "N=3,T=5");
-    AgreeRow R;
-    R.Sketch = E.Sketch;
-    R.Test = E.Test;
-    R.P = E.Build();
-    R.Candidates = {referenceCandidate(E, *R.P), bumpedCandidate(E, *R.P)};
-    AgreeRows.push_back(std::move(R));
-  }
-
-  for (const AgreeRow &Row : AgreeRows) {
-    flat::FlatProgram FP = flat::flatten(*Row.P);
-    for (size_t CI = 0; CI < Row.Candidates.size(); ++CI) {
-      const ir::HoleAssignment &Cand = Row.Candidates[CI];
-      analysis::CandidateFacts Facts =
-          analysis::analyzeCandidate(*Row.P, FP, Cand);
-      exec::MachineTuning Tuning;
-      Tuning.Locks = &Facts.Locks;
-      Tuning.Bounds = &Facts.Bounds;
-      exec::Machine Plain(FP, Cand);
-      exec::Machine Tuned(FP, Cand, Tuning);
-
-      for (PorMode Por : {PorMode::Off, PorMode::Ample}) {
-        for (unsigned W : {1u, 2u, 4u}) {
-          CheckerConfig Cfg;
-          Cfg.Por = Por;
-          Cfg.NumThreads = W;
-          CheckResult RP = checkCandidate(Plain, Cfg);
-          CheckResult RT = checkCandidate(Tuned, Cfg);
-          bool VerdictAgree = RP.Ok == RT.Ok;
-          // DeterministicCex (default on) re-derives both traces over
-          // the raw graph, so they must be byte-identical.
-          bool CexAgree = sameCex(RP, RT);
-          bool Agree = VerdictAgree && CexAgree;
-          // An interval refutation must match a failing verdict.
-          if (Facts.Refuted && RP.Ok)
-            Agree = false;
-          Gate = Gate && Agree;
-          std::printf("%-11s %-9s %-4s %-5s %3u | %-5s %-5s %-4s %-9s\n",
-                      Row.Sketch.c_str(), Row.Test.c_str(),
-                      CI == 0 ? "ref" : "bump", porName(Por), W,
-                      RP.Ok ? "ok" : "fail", RT.Ok ? "ok" : "fail",
-                      CexAgree ? "same" : "DIFF",
-                      Agree ? "yes" : "DISAGREE");
-          std::fflush(stdout);
-
-          JsonObject O;
-          O.field("kind", "agreement")
-              .field("sketch", Row.Sketch)
-              .field("test", Row.Test)
-              .field("candidate", CI == 0 ? "ref" : "bump")
-              .field("por", porName(Por))
-              .field("workers", W)
-              .field("plain_ok", RP.Ok)
-              .field("tuned_ok", RT.Ok)
-              .field("plain_states", RP.StatesExplored)
-              .field("tuned_states", RT.StatesExplored)
-              .field("tightened_bits", Tuned.tightenedBits())
-              .field("lock_indep_pairs", Tuned.lockIndepPairs())
-              .field("refuted", Facts.Refuted)
-              .field("cex_agrees", CexAgree)
-              .field("agrees", Agree)
-              .field("smoke", Smoke);
-          Json.add(O);
-        }
-      }
-    }
-  }
-
-  //===------------------------------------------------------------------===//
-  // Part C: packed (tuned) vs raw (untuned) visited keys.
-  //===------------------------------------------------------------------===//
-
-  std::printf("\nPart C: packed keys (tuned) vs raw keys (untuned)\n");
-  {
-    auto P = buildLockFarm(2, Smoke ? 2u : 3u);
-    flat::FlatProgram FP = flat::flatten(*P);
-    ir::HoleAssignment Cand(P->holes().size(), 0);
-    analysis::CandidateFacts Facts = analysis::analyzeCandidate(*P, FP, Cand);
-    exec::MachineTuning Tuning;
-    Tuning.Bounds = &Facts.Bounds;
-    exec::Machine Plain(FP, Cand);
-    exec::Machine Tuned(FP, Cand, Tuning);
-
-    for (PorMode Por : {PorMode::Off, PorMode::Ample}) {
-      CheckerConfig Cfg;
-      Cfg.Por = Por;
-      CheckResult RE = checkCandidate(Plain, Cfg);
-      CheckResult RF = checkCandidate(Tuned, Cfg);
-      bool Agree = RE.Ok == RF.Ok && RE.StatesExplored == RF.StatesExplored;
-      Gate = Gate && Agree && Tuned.packedLayout().Enabled;
-      std::printf("  por=%-5s raw %llu states, packed %llu states, "
-                  "%u key bits shed, %llu escapes: %s\n",
-                  porName(Por),
-                  static_cast<unsigned long long>(RE.StatesExplored),
-                  static_cast<unsigned long long>(RF.StatesExplored),
-                  Tuned.tightenedBits(),
-                  static_cast<unsigned long long>(Tuned.packEscapes()),
-                  Agree ? "agree" : "DISAGREE");
-
-      JsonObject O;
-      O.field("kind", "packed")
-          .field("por", porName(Por))
-          .field("raw_states", RE.StatesExplored)
-          .field("packed_states", RF.StatesExplored)
-          .field("tightened_bits", Tuned.tightenedBits())
-          .field("pack_escapes", Tuned.packEscapes())
-          .field("agrees", Agree)
-          .field("smoke", Smoke);
-      Json.add(O);
-    }
-  }
-
-  //===------------------------------------------------------------------===//
-  // Part D: the audit gate — zero contradicted refutations.
-  //===------------------------------------------------------------------===//
-
-  std::printf("\nPart D: audit — every interval refutation re-checked "
+  std::printf("\nPart B: audit — every interval refutation re-checked "
               "concretely\n");
   {
     auto P = buildRefuteFarm(Smoke ? 3u : 4u, 4);
@@ -485,7 +270,7 @@ int main(int Argc, char **Argv) {
                  "error: absint gate failure (see FAIL/DISAGREE rows)\n");
     return 1;
   }
-  std::printf("\nall gates pass: refutations audited clean, tunings agree "
-              "with the untuned checker everywhere\n");
+  std::printf("\nall gates pass: refutations audited clean, screen on/off "
+              "verdicts agree\n");
   return 0;
 }

@@ -6,7 +6,7 @@
 // Measures the ample-set partial-order reduction (CheckerConfig::Por,
 // docs/POR.md) on the heaviest verifier-bound Figure 9 rows (dinphilo
 // N=5,T=3 and barrier1 N=3,B=3; --smoke swaps in the light rows CI can
-// afford). Three parts:
+// afford). Two parts:
 //
 //  * Part A, reduction: one sequential run-to-exhaustion check of each
 //    row's reference candidate (falsifier off) under Off, Local, and
@@ -14,13 +14,7 @@
 //    the state-reduction ratio of each mode against Off — the number the
 //    EXPERIMENTS.md table quotes.
 //
-//  * Part B, agreement: the same rows (reference plus one deterministic
-//    "wrong" candidate) checked under all three modes at worker counts
-//    1, 2, and 4. Every cell must agree on the verdict; any disagreement
-//    makes the exit status nonzero, so the CI smoke run doubles as the
-//    suite-wide differential gate.
-//
-//  * Part C, end to end: CEGIS per row under Off, Local, and Ample at 1,
+//  * Part B, end to end: CEGIS per row under Off, Local, and Ample at 1,
 //    2, and 4 workers. Three gates: Resolvable must match Off's
 //    everywhere; Ample must be trajectory-identical to Local at the same
 //    worker count (same iterations, same final assignment — Ample
@@ -32,6 +26,9 @@
 //    sketch has several correct resolutions: Off-mode falsifier traces
 //    schedule every micro-step, so its observations differ from
 //    Local/Ample's and the SAT enumeration can surface another solution.
+//
+// Per-candidate verdict and counterexample agreement across Por modes,
+// symmetry and worker counts is tests/test_oracle.cpp's.
 //
 // Flags: --smoke (light rows — the CI configuration), --json[=path]
 // (rows to BENCH_por.json).
@@ -67,17 +64,6 @@ ir::HoleAssignment referenceCandidate(const SuiteEntry &E,
   if (E.Reference)
     return E.Reference(P);
   return ir::HoleAssignment(P.holes().size(), 0);
-}
-
-/// A deterministic off-reference candidate: the reference with every hole
-/// bumped by one (mod its arity) — almost always a failing candidate, so
-/// Part B also gates agreement on violation verdicts.
-ir::HoleAssignment bumpedCandidate(const SuiteEntry &E,
-                                   const ir::Program &P) {
-  ir::HoleAssignment A = referenceCandidate(E, P);
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = (A[H] + 1) % P.holes()[H].NumChoices;
-  return A;
 }
 
 const char *porName(PorMode Por) {
@@ -189,52 +175,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  std::printf("\nPart B: Off/Local/Ample verdict agreement at 1/2/4 "
-              "workers\n");
-  std::printf("%-9s %-9s %-4s %3s | %-5s %-5s %-5s %-9s\n", "sketch", "test",
-              "cand", "W", "off", "local", "ample", "agree");
-  std::printf("------------------------------------------------------------\n");
-
-  for (const SuiteEntry &E : Rows) {
-    auto P = E.Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    for (int CI = 0; CI < 2; ++CI) {
-      exec::Machine M(FP, CI == 0 ? referenceCandidate(E, *P)
-                                  : bumpedCandidate(E, *P));
-      for (unsigned W : {1u, 2u, 4u}) {
-        CheckResult R[3];
-        for (int MI = 0; MI < 3; ++MI) {
-          CheckerConfig Cfg;
-          Cfg.NumThreads = W;
-          Cfg.Por = Modes[MI];
-          R[MI] = checkCandidate(M, Cfg);
-        }
-        bool Agree = R[0].Ok == R[1].Ok && R[1].Ok == R[2].Ok;
-        Gate = Gate && Agree;
-        std::printf("%-9s %-9s %-4s %3u | %-5s %-5s %-5s %-9s\n",
-                    E.Sketch.c_str(), E.Test.c_str(),
-                    CI == 0 ? "ref" : "bump", W, R[0].Ok ? "ok" : "fail",
-                    R[1].Ok ? "ok" : "fail", R[2].Ok ? "ok" : "fail",
-                    Agree ? "yes" : "DISAGREE");
-        std::fflush(stdout);
-
-        JsonObject O;
-        O.field("kind", "agreement")
-            .field("sketch", E.Sketch)
-            .field("test", E.Test)
-            .field("candidate", CI == 0 ? "ref" : "bump")
-            .field("workers", W)
-            .field("off_ok", R[0].Ok)
-            .field("local_ok", R[1].Ok)
-            .field("ample_ok", R[2].Ok)
-            .field("agrees", Agree)
-            .field("smoke", Smoke);
-        Json.add(O);
-      }
-    }
-  }
-
-  std::printf("\nPart C: end-to-end CEGIS (gates: verdict == off; ample "
+  std::printf("\nPart B: end-to-end CEGIS (gates: verdict == off; ample "
               "trajectory == local;\n         ample answer re-verifies "
               "under off)\n");
   std::printf("%-9s %-9s %-6s %3s | %-4s %5s | %-9s\n", "sketch", "test",

@@ -5,35 +5,27 @@
 //
 // Measures the allocation-site heap partition (analysis/PointsTo.h,
 // analysis/Shape.h, docs/ANALYSIS.md Pass 5) and gates its soundness.
-// Three parts:
+// Two parts:
 //
-//  * Part A, partition agreement: the linked-structure suite rows
-//    (DList insert, LazySet, FineSet; reference and one
-//    deterministically-bumped candidate), checked with the heap
-//    partition on vs off at 1/2/4 workers, Por Off/Ample, and symmetry
-//    Off/Orbit. Both machines carry the same interval bounds and lock
-//    annotations, so the only delta is the per-(site, field) footprint
-//    split. Every cell must agree on the verdict and — DeterministicCex
-//    re-derives over the raw graph — byte-identically on the
-//    counterexample. These rows are machine-independent acceptance
-//    numbers: check_bench_regression.py fails any shape_agreement row
-//    with agrees=false unconditionally.
-//
-//  * Part B, the audit gate: CEGIS with ShapeAudit on a heap refutation
+//  * Part A, the audit gate: CEGIS with ShapeAudit on a heap refutation
 //    farm (plus the DList row in full mode) — every failing verdict
 //    produced under the partition is re-checked by the untuned
 //    verifier; one disagreement (ShapeFalsePrunes != 0) fails the
 //    bench.
 //
-//  * Part C, reduction: two synthetic heap-heavy rows where the class
+//  * Part B, reduction: two synthetic heap-heavy rows where the class
 //    footprint serializes everything and the partition proves the
 //    threads independent — disjoint writers over prologue-published
 //    nodes, and private allocators. Gated on >= 1.2x states-explored
 //    reduction per row; states/sec is reported alongside.
 //
+// Partition on/off verdict and counterexample agreement on the linked
+// suite rows (DList i(i|i), LazySet, FineSet) is tests/test_oracle.cpp's:
+// its tuned Machine carries the heap partition.
+//
 // Like bench_absint this one ALWAYS writes its JSON artifact
-// (BENCH_shape.json unless --json=path overrides it): the agreement
-// bits are acceptance numbers, not just perf telemetry.
+// (BENCH_shape.json unless --json=path overrides it): the audit and
+// reduction bits are acceptance numbers, not just perf telemetry.
 //
 // Flags: --smoke (light rows — the CI configuration), --json[=path].
 //
@@ -56,36 +48,6 @@ using namespace psketch::bench;
 using namespace psketch::verify;
 
 namespace {
-
-/// Finds one suite row by family and test label.
-SuiteEntry findRow(const std::string &Family, const std::string &Test) {
-  for (const SuiteEntry &E : paperSuite(Family))
-    if (E.Test == Test)
-      return E;
-  std::fprintf(stderr, "error: no suite row %s %s\n", Family.c_str(),
-               Test.c_str());
-  std::exit(2);
-}
-
-/// The lightest entry of one suite family.
-SuiteEntry lightestRow(const std::string &Family) {
-  auto Entries = paperSuite(Family);
-  if (Entries.empty()) {
-    std::fprintf(stderr, "error: empty suite family %s\n", Family.c_str());
-    std::exit(2);
-  }
-  size_t Best = 0;
-  for (size_t I = 1; I < Entries.size(); ++I)
-    if (Entries[I].CostClass < Entries[Best].CostClass)
-      Best = I;
-  return Entries[Best];
-}
-
-ir::HoleAssignment bumped(const ir::Program &P, ir::HoleAssignment A) {
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = (A[H] + 1) % P.holes()[H].NumChoices;
-  return A;
-}
 
 /// Disjoint writers: the prologue allocates one node per thread into a
 /// distinct global root; thread i writes \p Writes fields of node i.
@@ -196,26 +158,6 @@ std::unique_ptr<ir::Program> buildHeapRefuteFarm(unsigned Threads,
   return P;
 }
 
-/// Byte-for-byte counterexample equality (schedule and violation label).
-bool sameCex(const CheckResult &A, const CheckResult &B) {
-  if (A.Cex.has_value() != B.Cex.has_value())
-    return false;
-  if (!A.Cex)
-    return true;
-  if (A.Cex->Steps.size() != B.Cex->Steps.size() ||
-      A.Cex->V.Label != B.Cex->V.Label)
-    return false;
-  for (size_t I = 0; I < A.Cex->Steps.size(); ++I)
-    if (!(A.Cex->Steps[I] == B.Cex->Steps[I]))
-      return false;
-  return true;
-}
-
-const char *porName(PorMode Por) { return Por == PorMode::Off ? "off" : "ample"; }
-const char *symName(SymmetryMode S) {
-  return S == SymmetryMode::Off ? "off" : "orbit";
-}
-
 double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
       .count();
@@ -229,7 +171,7 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I)
     if (std::strcmp(Argv[I], "--smoke") == 0)
       Smoke = true;
-  // The agreement bits are acceptance numbers: always emit the
+  // The audit and reduction bits are acceptance numbers: always emit the
   // artifact, --json=path only redirects it.
   Opts.Json = true;
 
@@ -241,115 +183,10 @@ int main(int Argc, char **Argv) {
               Smoke ? " [smoke]" : "");
 
   //===------------------------------------------------------------------===//
-  // Part A: partition on/off verdict + counterexample agreement.
+  // Part A: the audit gate — zero contradicted partition verdicts.
   //===------------------------------------------------------------------===//
 
-  std::printf("Part A: partition on/off agreement across workers, POR, and "
-              "symmetry\n");
-  std::printf("%-8s %-10s %-4s %-5s %-5s %3s | %-5s %-5s %-4s %-9s\n",
-              "sketch", "test", "cand", "por", "sym", "W", "off", "on",
-              "cex", "agree");
-  std::printf("----------------------------------------------------------------"
-              "\n");
-
-  struct AgreeRow {
-    std::string Sketch, Test;
-    std::unique_ptr<ir::Program> P;
-    std::vector<ir::HoleAssignment> Candidates;
-  };
-  std::vector<AgreeRow> AgreeRows;
-  {
-    AgreeRow R;
-    R.Sketch = "DList";
-    R.Test = "i(i|i)";
-    DListOptions O;
-    R.P = buildDList(parseWorkload("i(i|i)"), O);
-    ir::HoleAssignment Ref = dlistReferenceCandidate(*R.P, O);
-    R.Candidates = {Ref, bumped(*R.P, Ref)};
-    AgreeRows.push_back(std::move(R));
-  }
-  for (const char *Family : {"lazyset", "fineset1"}) {
-    SuiteEntry E = lightestRow(Family);
-    AgreeRow R;
-    R.Sketch = E.Sketch;
-    R.Test = E.Test;
-    R.P = E.Build();
-    ir::HoleAssignment Ref = E.Reference
-                                 ? E.Reference(*R.P)
-                                 : ir::HoleAssignment(R.P->holes().size(), 0);
-    R.Candidates = {Ref, bumped(*R.P, Ref)};
-    AgreeRows.push_back(std::move(R));
-  }
-
-  std::vector<unsigned> Workers = Smoke ? std::vector<unsigned>{1, 2}
-                                        : std::vector<unsigned>{1, 2, 4};
-  for (const AgreeRow &Row : AgreeRows) {
-    flat::FlatProgram FP = flat::flatten(*Row.P);
-    for (size_t CI = 0; CI < Row.Candidates.size(); ++CI) {
-      const ir::HoleAssignment &Cand = Row.Candidates[CI];
-      analysis::CandidateFacts On =
-          analysis::analyzeCandidate(*Row.P, FP, Cand);
-      analysis::CandidateFacts Off = analysis::analyzeCandidate(
-          *Row.P, FP, Cand, analysis::AbsIntConfig(), /*WithHeap=*/false);
-      exec::MachineTuning TunOn, TunOff;
-      TunOn.Locks = &On.Locks;
-      TunOn.Bounds = &On.Bounds;
-      if (!On.Heap.empty())
-        TunOn.Heap = &On.Heap;
-      TunOff.Locks = &Off.Locks;
-      TunOff.Bounds = &Off.Bounds;
-      exec::Machine MOn(FP, Cand, TunOn);
-      exec::Machine MOff(FP, Cand, TunOff);
-
-      for (PorMode Por : {PorMode::Off, PorMode::Ample}) {
-        for (SymmetryMode Sym : {SymmetryMode::Off, SymmetryMode::Orbit}) {
-          for (unsigned W : Workers) {
-            CheckerConfig Cfg;
-            Cfg.Por = Por;
-            Cfg.Symmetry = Sym;
-            Cfg.NumThreads = W;
-            CheckResult ROff = checkCandidate(MOff, Cfg);
-            CheckResult ROn = checkCandidate(MOn, Cfg);
-            bool CexAgree = sameCex(ROff, ROn);
-            bool Agree = ROff.Ok == ROn.Ok && CexAgree;
-            Gate = Gate && Agree;
-            std::printf(
-                "%-8s %-10s %-4s %-5s %-5s %3u | %-5s %-5s %-4s %-9s\n",
-                Row.Sketch.c_str(), Row.Test.c_str(),
-                CI == 0 ? "ref" : "bump", porName(Por), symName(Sym), W,
-                ROff.Ok ? "ok" : "fail", ROn.Ok ? "ok" : "fail",
-                CexAgree ? "same" : "DIFF", Agree ? "yes" : "DISAGREE");
-            std::fflush(stdout);
-
-            JsonObject O;
-            O.field("kind", "shape_agreement")
-                .field("sketch", Row.Sketch)
-                .field("test", Row.Test)
-                .field("candidate", CI == 0 ? "ref" : "bump")
-                .field("por", porName(Por))
-                .field("symmetry", symName(Sym))
-                .field("workers", W)
-                .field("off_ok", ROff.Ok)
-                .field("on_ok", ROn.Ok)
-                .field("off_states", ROff.StatesExplored)
-                .field("on_states", ROn.StatesExplored)
-                .field("shape_sites", MOn.shapeSites())
-                .field("site_indep_pairs", MOn.siteIndepPairs())
-                .field("cex_agrees", CexAgree)
-                .field("agrees", Agree)
-                .field("smoke", Smoke);
-            Json.add(O);
-          }
-        }
-      }
-    }
-  }
-
-  //===------------------------------------------------------------------===//
-  // Part B: the audit gate — zero contradicted partition verdicts.
-  //===------------------------------------------------------------------===//
-
-  std::printf("\nPart B: audit — every failing partition-tuned verdict "
+  std::printf("Part A: audit — every failing partition-tuned verdict "
               "re-checked untuned\n");
   {
     struct AuditRow {
@@ -423,10 +260,10 @@ int main(int Argc, char **Argv) {
   }
 
   //===------------------------------------------------------------------===//
-  // Part C: reduction on heap-heavy synthetic rows.
+  // Part B: reduction on heap-heavy synthetic rows.
   //===------------------------------------------------------------------===//
 
-  std::printf("\nPart C: states-explored reduction under Por=Ample "
+  std::printf("\nPart B: states-explored reduction under Por=Ample "
               "(gate: >= 1.2x per row)\n");
   std::printf("%-18s | %9s %9s | %6s | %10s %10s | %-5s\n", "workload",
               "st-off", "st-on", "ratio", "st/s-off", "st/s-on", "gate");
@@ -504,7 +341,6 @@ int main(int Argc, char **Argv) {
                  "error: shape gate failure (see FAIL/DISAGREE rows)\n");
     return 1;
   }
-  std::printf("\nall gates pass: partition verdicts agree everywhere, audits "
-              "clean, reductions hold\n");
+  std::printf("\nall gates pass: audits clean, reductions hold\n");
   return 0;
 }

@@ -4,31 +4,24 @@
 // Structures" (PLDI 2008).
 //
 // Measures the orbit-canonicalization symmetry reduction
-// (CheckerConfig::Symmetry, docs/SYMMETRY.md) and gates its soundness.
-// Two parts:
+// (CheckerConfig::Symmetry, docs/SYMMETRY.md): run-to-verdict checks
+// (falsifier off) of symmetric workloads under Symmetry Off vs Orbit at
+// 1, 2, and 4 workers. Rows: a fully Sym(N)-symmetric counter (the
+// reduction ceiling case), the barrier ring at N=3 and N=4 (a C_N group —
+// the Burnside bound caps the ratio strictly below N!, and POR
+// compounding pushes it past |C_N| at N=4), the dining table under its
+// symmetric take-right-first policy (rotations + a deadlock verdict;
+// value maps relabel the stick owner ids), and the honest 1.0x row: the
+// asymmetric dining reference, which the inference refuses. Ratios are
+// gated at W=1: counter >= 3x, barrier N=3 >= 2.5x, and (full mode)
+// barrier N=4 ratio > N=3 ratio. Multi-worker cells on the violating
+// workloads are race-dependent (the run ends when any worker reaches the
+// deadlock) and reported for observability only — the ratio gates read
+// the deterministic W=1 cells. Every cell also gates Off/Orbit verdict
+// equality.
 //
-//  * Part A, reduction: run-to-verdict checks (falsifier off) of
-//    symmetric workloads under Symmetry Off vs Orbit at 1, 2, and 4
-//    workers. Rows: a fully Sym(N)-symmetric counter (the reduction
-//    ceiling case), the barrier ring at N=3 and N=4 (a C_N group — the
-//    Burnside bound caps the ratio strictly below N!, and POR
-//    compounding pushes it past |C_N| at N=4), the dining table under
-//    its symmetric take-right-first policy (rotations + a deadlock
-//    verdict; value maps relabel the stick owner ids), and the honest
-//    1.0x row: the asymmetric dining reference, which the inference
-//    refuses. Ratios are gated at W=1: counter >= 3x, barrier N=3 >=
-//    2.5x, and (full mode) barrier N=4 ratio > N=3 ratio. Multi-worker
-//    cells on the violating workloads are race-dependent (the run ends
-//    when any worker reaches the deadlock) and reported for
-//    observability only — the gates read the deterministic W=1 cells.
-//
-//  * Part B, agreement: suite rows (reference plus one deterministic
-//    "wrong" candidate) checked with Symmetry Off vs Orbit across
-//    worker counts 1/2/4 and Por Off/Ample. Every cell must agree on
-//    the verdict and — since DeterministicCex re-derives over the raw
-//    graph — on the exact counterexample. Any disagreement makes the
-//    exit status nonzero, so the CI smoke run doubles as the
-//    differential soundness gate.
+// Verdict and counterexample agreement on the suite rows across workers
+// and POR modes is tests/test_oracle.cpp's.
 //
 // Unlike the other benches this one ALWAYS writes its JSON artifact
 // (BENCH_symmetry.json unless --json=path overrides it): the reduction
@@ -56,35 +49,6 @@ using namespace psketch::verify;
 
 namespace {
 
-/// Finds one suite row by family and test label.
-SuiteEntry findRow(const std::string &Family, const std::string &Test) {
-  for (const SuiteEntry &E : paperSuite(Family))
-    if (E.Test == Test)
-      return E;
-  std::fprintf(stderr, "error: no suite row %s %s\n", Family.c_str(),
-               Test.c_str());
-  std::exit(2);
-}
-
-/// The row's reference candidate (all-zeros when it has none).
-ir::HoleAssignment referenceCandidate(const SuiteEntry &E,
-                                      const ir::Program &P) {
-  if (E.Reference)
-    return E.Reference(P);
-  return ir::HoleAssignment(P.holes().size(), 0);
-}
-
-/// A deterministic off-reference candidate: the reference with every hole
-/// bumped by one (mod its arity), so Part B also gates agreement on
-/// violation verdicts and counterexamples.
-ir::HoleAssignment bumpedCandidate(const SuiteEntry &E,
-                                   const ir::Program &P) {
-  ir::HoleAssignment A = referenceCandidate(E, P);
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = (A[H] + 1) % P.holes()[H].NumChoices;
-  return A;
-}
-
 /// A fully Sym(N)-symmetric workload: N identical threads each adding 1
 /// to a shared counter \p Rounds times, an epilogue asserting the sum.
 /// Thread identity is unobservable, so the inference proves the full
@@ -107,7 +71,7 @@ std::unique_ptr<ir::Program> buildCounter(unsigned N, unsigned Rounds) {
   return P;
 }
 
-/// One Part A workload: a program, a candidate, and the POR mode it is
+/// One workload: a program, a candidate, and the POR mode it is
 /// measured under (Off where tractable; Ample where the unreduced graph
 /// would blow the state budget, which also shows the POR x symmetry
 /// composition).
@@ -132,21 +96,6 @@ Measurement timeCheck(const exec::Machine &M, const CheckerConfig &Cfg) {
   auto T1 = std::chrono::steady_clock::now();
   Out.Seconds = std::chrono::duration<double>(T1 - T0).count();
   return Out;
-}
-
-/// Byte-for-byte counterexample equality (schedule and violation label).
-bool sameCex(const CheckResult &A, const CheckResult &B) {
-  if (A.Cex.has_value() != B.Cex.has_value())
-    return false;
-  if (!A.Cex)
-    return true;
-  if (A.Cex->Steps.size() != B.Cex->Steps.size() ||
-      A.Cex->V.Label != B.Cex->V.Label)
-    return false;
-  for (size_t I = 0; I < A.Cex->Steps.size(); ++I)
-    if (!(A.Cex->Steps[I] == B.Cex->Steps[I]))
-      return false;
-  return true;
 }
 
 const char *porName(PorMode Por) {
@@ -249,8 +198,7 @@ int main(int Argc, char **Argv) {
 
   std::printf("Symmetry reduction microbenchmark%s\n\n",
               Smoke ? " [smoke]" : "");
-  std::printf("Part A: run-to-verdict, falsifier off, Symmetry off vs "
-              "orbit\n");
+  std::printf("Run-to-verdict, falsifier off, Symmetry off vs orbit\n");
   std::printf("%-13s %-9s %-5s %3s | %9s %9s %6s %9s | %9s %-6s\n", "workload",
               "note", "por", "W", "off-st", "orbit-st", "orbits", "canhits",
               "red.ratio", "gate");
@@ -315,7 +263,7 @@ int main(int Argc, char **Argv) {
           .field("smoke", Smoke);
       Json.add(O);
 
-      // Verdict equality is part of the soundness gate even in Part A.
+      // Verdict equality is part of the soundness gate.
       if (MOff.R.Ok != MOrb.R.Ok) {
         std::fprintf(stderr, "error: %s W=%u verdict disagreement\n",
                      Row.Name.c_str(), W);
@@ -363,69 +311,6 @@ int main(int Argc, char **Argv) {
     Json.add(O);
   }
 
-  std::printf("\nPart B: Off/Orbit verdict + counterexample agreement "
-              "across workers and POR\n");
-  std::printf("%-9s %-9s %-4s %-5s %3s | %-5s %-5s %-4s %-9s\n", "sketch",
-              "test", "cand", "por", "W", "off", "orbit", "cex", "agree");
-  std::printf("------------------------------------------------------------"
-              "\n");
-
-  std::vector<SuiteEntry> SuiteRows;
-  if (Smoke) {
-    SuiteRows.push_back(findRow("barrier1", "N=3,B=2"));
-    SuiteRows.push_back(findRow("dinphilo", "N=3,T=5"));
-  } else {
-    SuiteRows.push_back(findRow("barrier1", "N=3,B=3"));
-    SuiteRows.push_back(findRow("dinphilo", "N=5,T=3"));
-  }
-
-  for (const SuiteEntry &E : SuiteRows) {
-    auto P = E.Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    for (int CI = 0; CI < 2; ++CI) {
-      exec::Machine M(FP, CI == 0 ? referenceCandidate(E, *P)
-                                  : bumpedCandidate(E, *P));
-      for (PorMode Por : {PorMode::Off, PorMode::Ample}) {
-        for (unsigned W : {1u, 2u, 4u}) {
-          CheckerConfig Cfg;
-          Cfg.Por = Por;
-          Cfg.NumThreads = W;
-          CheckerConfig Off = Cfg;
-          Off.Symmetry = SymmetryMode::Off;
-          CheckResult RO = checkCandidate(M, Off);
-          CheckResult RS = checkCandidate(M, Cfg);
-          bool VerdictAgree = RO.Ok == RS.Ok;
-          // DeterministicCex (default on) re-derives both traces over
-          // the raw graph, so they must be byte-identical.
-          bool CexAgree = sameCex(RO, RS);
-          bool Agree = VerdictAgree && CexAgree;
-          Gate = Gate && Agree;
-          std::printf("%-9s %-9s %-4s %-5s %3u | %-5s %-5s %-4s %-9s\n",
-                      E.Sketch.c_str(), E.Test.c_str(),
-                      CI == 0 ? "ref" : "bump", porName(Por), W,
-                      RO.Ok ? "ok" : "fail", RS.Ok ? "ok" : "fail",
-                      CexAgree ? "same" : "DIFF",
-                      Agree ? "yes" : "DISAGREE");
-          std::fflush(stdout);
-
-          JsonObject O;
-          O.field("kind", "agreement")
-              .field("sketch", E.Sketch)
-              .field("test", E.Test)
-              .field("candidate", CI == 0 ? "ref" : "bump")
-              .field("por", porName(Por))
-              .field("workers", W)
-              .field("off_ok", RO.Ok)
-              .field("orbit_ok", RS.Ok)
-              .field("cex_agrees", CexAgree)
-              .field("agrees", Agree)
-              .field("smoke", Smoke);
-          Json.add(O);
-        }
-      }
-    }
-  }
-
   Json.write();
   if (!Gate) {
     std::fprintf(stderr, "error: symmetry gate failure (see FAIL/DISAGREE "
@@ -433,6 +318,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::printf("\nall gates pass: reductions hold and Orbit agrees with Off "
-              "everywhere\n");
+              "on every verdict\n");
   return 0;
 }

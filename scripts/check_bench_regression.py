@@ -3,24 +3,30 @@
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance F]
 
-Guards the state-engine throughput numbers against silent decay:
-a row whose states/sec falls more than the tolerance (default 30%) below
-the baseline fails the run. Throughput is machine-dependent, so when the
-two reports' provenance rows disagree on the CPU model or on `simd` (the
-CPU's AVX2 support) the comparison is skipped (exit 0 with a notice) —
-the baseline only binds runs on the machine that produced it. Agreement
-rows are re-checked unconditionally: those are machine-independent and
-must never regress anywhere.
+Three gates; any failure exits 1 (bad usage exits 2):
 
-Exact counters: CURRENT.json may also be a bench_suite report (the
-`<workload>-seed<S>-trace<T>.json` that `bench_suite/run.py --json-dir`
-writes). Its per-row work counters at W=1 (iterations, solve calls,
-interval prunes, conflicts, gates, clauses, states) are deterministic and
-machine-independent, so they must equal the baseline's `suite_counters`
-rows for that workload exactly, unconditionally. A row missing on either
-side fails too. To refresh bench/baselines/suite.json after a change that
-is meant to move them, rerun the smoke workloads with --json-dir and
-rewrite the rows from the reports' "rows" arrays.
+* Exact work counters. CURRENT.json may be a bench_suite report (the
+  `<workload>-seed<S>-trace<T>.json` that `bench_suite/run.py --json-dir`
+  writes). Its per-row work counters at W=1 (iterations, solve calls,
+  interval prunes, conflicts, gates, clauses, states) are deterministic
+  and machine-independent, so they must equal the baseline's
+  `suite_counters` rows for that workload exactly, on any machine. A row
+  missing on either side fails too. To refresh bench/baselines/suite.json
+  after a change that is meant to move them, rerun the smoke workloads
+  with --json-dir and rewrite the rows from the reports' "rows" arrays.
+
+* The warm-start ratio. The `ssolve_total_speedup` of a
+  `sat_incremental_total` row (bench_sat_incremental) fails when it falls
+  more than the tolerance (default 30%) below the baseline's. The ratio
+  is timing-derived, so it binds only on the machine that produced the
+  baseline: when the two reports' provenance rows disagree on the CPU
+  model or on `simd` (the CPU's AVX2 support), the comparison is skipped
+  with a notice.
+
+* Agreement flags. A current row whose kind ends in `agreement` (today
+  bench_sat_incremental's `sat_agreement` rows) fails when its `agrees`
+  or `ok` field is false, unconditionally: agreement is
+  machine-independent.
 
 Stdlib only (json/sys); no third-party dependencies.
 """
@@ -28,14 +34,12 @@ Stdlib only (json/sys); no third-party dependencies.
 import json
 import sys
 
-# Per-kind (key fields, throughput field). Rows of other kinds carry no
-# throughput claim and are skipped.
+# Per-kind (key fields, higher-is-better ratio field). Rows of other kinds
+# carry no timing claim and are skipped.
 METRICS = {
-    "micro": (("sketch", "test", "engine"), "states_per_sec"),
     # Warm-started solver: total Ssolve over the bench's rows, cold over
-    # warm, one row per mode (full or smoke). The ratio is already
-    # normalized, but it is still timing-derived, hence kept behind the
-    # same provenance guard as the raw throughput rows.
+    # warm, one row per mode (full or smoke). The ratio is normalized but
+    # still timing-derived, hence behind the provenance guard.
     "sat_incremental_total": (("smoke",), "ssolve_total_speedup"),
 }
 
@@ -43,7 +47,7 @@ AGREE_FLAGS = ("agrees", "ok")
 
 
 # Per-kind exact counters: (key fields, counter fields). Unlike the
-# throughput rows these carry no tolerance and no provenance guard.
+# METRICS rows these carry no tolerance and no provenance guard.
 EXACT = {
     "suite_counters": (("workload", "row"),
                        ("iterations", "solve_calls", "interval_prunes",
@@ -150,7 +154,7 @@ def main(argv):
     if not same_machine:
         print(
             "check_bench_regression: provenance differs "
-            "(cpu %r vs %r, simd %r vs %r) -- throughput comparison skipped"
+            "(cpu %r vs %r, simd %r vs %r) -- ratio comparison skipped"
             % (
                 cur_prov.get("cpu_model"),
                 base_prov.get("cpu_model"),

@@ -82,19 +82,15 @@ private:
   std::unique_ptr<Canonicalizer> Canon; ///< before Visited: it aliases this
   detail::VisitedTable Visited;         ///< one worker's table
 
-  /// Exhaustive DFS, legacy copy-per-successor loop (UseUndoLog=false).
-  /// \returns true if no violation is reachable (within the budget).
-  bool dfs(const State &Start, Counterexample &Cex);
-
   /// Exhaustive DFS by the undo-log core (detail::UndoDfs), the engine
-  /// every parallel worker runs too. Operation order (local chain, dedup,
-  /// classify, frame push) is identical to dfs(), so verdict,
-  /// counterexample, and state counts match it exactly — tested by
-  /// test_state_engine.cpp.
+  /// every parallel worker runs too. \returns true if no violation is
+  /// reachable (within the budget).
   bool dfsUndo(const State &Start, Counterexample &Cex);
 
   /// Exhaustive BFS with state dedup: finds shortest counterexamples.
-  /// Keeps per-node copies (parent links need live states).
+  /// Keeps per-node copies (parent links need live states), so it shares
+  /// no undo logic with dfsUndo; tests/test_oracle.cpp uses it as the
+  /// DFS core's independent reference.
   bool bfs(const State &Start, Counterexample &Cex);
 };
 
@@ -228,119 +224,6 @@ bool Checker::bfs(const State &Start, Counterexample &Cex) {
   return true;
 }
 
-/// detail::planChoicesInto for the copy DFS, which builds a fresh frame
-/// per state: moves \p Ready into \p F and returns the choice list.
-std::vector<unsigned>
-planChoices(const Machine &M, State &S, bool Ample, std::vector<unsigned> Ready,
-            uint64_t Sleep, bool IsWake, uint64_t Wake, detail::PorFrame &F,
-            CheckResult &R) {
-  F.Ready = std::move(Ready);
-  std::vector<unsigned> Choices;
-  detail::planChoicesInto(M, S, Ample, Sleep, IsWake, Wake, F, Choices, R);
-  return Choices;
-}
-
-bool Checker::dfs(const State &Start, Counterexample &Cex) {
-  struct Frame {
-    State S;
-    std::vector<unsigned> Choices;
-    size_t NextChoice = 0;
-    size_t PathLen = 0;
-    detail::PorFrame Por;
-  };
-
-  const bool Ample =
-      Cfg.Por == PorMode::Ample && M.numThreads() <= detail::MaxSleepThreads;
-
-  std::vector<Frame> Stack;
-  std::vector<TraceStep> Path;
-
-  // Pushes a state after running its local chain; handles terminal states.
-  // Returns false if a counterexample was found.
-  auto PushState = [&](State S, uint64_t Sleep) -> bool {
-    if (!detail::advanceLocal(M, Cfg.Por, S, Path, Cex))
-      return false;
-    uint64_t Wake = 0;
-    detail::InsertOutcome Ins =
-        Ample ? Visited.insertMask(M, S, Sleep, Wake)
-              : (Visited.insert(M, S) ? detail::InsertOutcome::Fresh
-                                      : detail::InsertOutcome::Prune);
-    if (Ins == detail::InsertOutcome::Prune) {
-      ++Result.StatesDeduped;
-      return true; // already explored; not a counterexample
-    }
-    bool IsWake = Ins == detail::InsertOutcome::Wake;
-    if (IsWake) {
-      ++Result.StatesDeduped; // partially-covered revisit
-    } else {
-      ++Result.StatesExplored;
-      if (Result.StatesExplored >= Cfg.MaxStates)
-        Result.Exhausted = true;
-    }
-
-    std::vector<unsigned> Ready;
-    std::vector<TraceStep> Blocked;
-    if (!detail::classifyAll(M, S, Ready, Blocked, Path, Cex))
-      return false;
-    if (Ready.empty()) {
-      if (!Blocked.empty()) {
-        Cex.Steps = Path;
-        Cex.V.VKind = Violation::Kind::Deadlock;
-        Cex.V.Label = "deadlock: all live threads blocked";
-        Cex.Where = Counterexample::Phase::Parallel;
-        Cex.DeadlockSet = Blocked;
-        return false;
-      }
-      return detail::checkEpilogue(M, S, Path, Cex); // leaf: phase done
-    }
-    Frame F;
-    F.Choices = planChoices(M, S, Ample, std::move(Ready), Sleep, IsWake,
-                            Wake, F.Por, Result);
-    if (F.Choices.empty())
-      return true; // every transition here is covered elsewhere (sleep)
-    F.S = std::move(S);
-    F.PathLen = Path.size();
-    Stack.push_back(std::move(F));
-    return true;
-  };
-
-  if (!PushState(Start, 0))
-    return false;
-
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    if (Top.NextChoice >= Top.Choices.size() || Result.Exhausted) {
-      Stack.pop_back();
-      if (!Stack.empty())
-        Path.resize(Stack.back().PathLen);
-      continue;
-    }
-    Path.resize(Top.PathLen);
-    unsigned Ctx = Top.Choices[Top.NextChoice++];
-    uint64_t ChildSleep = 0;
-    if (Ample) {
-      ChildSleep = detail::sleepAfter(M, Top.S, Ctx, Top.S.pc(Ctx),
-                                      Top.Por.Sleep | Top.Por.Branched);
-      Top.Por.Branched |= 1ull << Ctx;
-    }
-    State Next = Top.S;
-    Violation V;
-    ExecOutcome Out = M.execStep(Next, Ctx, V);
-    if (Out.Result == StepResult::Violated) {
-      Path.push_back(TraceStep{Ctx, Out.ExecutedPc});
-      Cex.Steps = Path;
-      Cex.V = V;
-      Cex.Where = Counterexample::Phase::Parallel;
-      return false;
-    }
-    assert(Out.Result == StepResult::Ok && "chosen thread must step");
-    Path.push_back(TraceStep{Ctx, Out.ExecutedPc});
-    if (!PushState(std::move(Next), ChildSleep))
-      return false;
-  }
-  return true;
-}
-
 bool Checker::dfsUndo(const State &Start, Counterexample &Cex) {
   SoloDriver Drv{Result, Cfg.MaxStates};
   detail::UndoDfs<detail::VisitedTable, SoloDriver> Core(M, Cfg, Visited, Drv,
@@ -401,9 +284,7 @@ CheckResult Checker::runSearch() {
     Clean = detail::parallelDfs(M, Cfg, Workers, S0, activeCanon(), Result,
                                 Cex);
   } else {
-    Clean = Cfg.Order == SearchOrder::Bfs ? bfs(S0, Cex)
-            : Cfg.UseUndoLog              ? dfsUndo(S0, Cex)
-                                          : dfs(S0, Cex);
+    Clean = Cfg.Order == SearchOrder::Bfs ? bfs(S0, Cex) : dfsUndo(S0, Cex);
     Result.VisitedBytes = Visited.keyBytes();
   }
   if (!Clean) {

@@ -23,14 +23,18 @@
 ///    (the default) additionally expands a single thread alone wherever
 ///    its next step's static footprint (exec/Footprint.h) is independent
 ///    of everything the other threads may still do, with sleep sets
-///    layered on in the DFS engines.
+///    layered on in the DFS.
 ///
-/// The exhaustive phase is optionally multi-threaded
-/// (CheckerConfig::NumThreads): each worker runs the undo-log DFS core
-/// over one shared, sharded seen-state table; idle workers receive the
-/// untried choices of a busy worker's shallowest frame, and the first
-/// violation cancels every worker (docs/PARALLEL.md describes the
-/// design).
+/// The exhaustive phase has two engines: the undo-log DFS core
+/// (verify/SearchCore.h), which mutates one state in place, and a BFS
+/// that copies every node's state and returns shortest counterexamples
+/// (CheckerConfig::Order). The DFS is optionally multi-threaded
+/// (CheckerConfig::NumThreads): each worker runs the same core over one
+/// shared, sharded seen-state table; idle workers receive the untried
+/// choices of a busy worker's shallowest frame, and the first violation
+/// cancels every worker (docs/PARALLEL.md describes the design).
+/// tests/test_oracle.cpp checks every engine, reduction and worker count
+/// against one reference config.
 ///
 /// Reproducibility contract
 /// ------------------------
@@ -101,7 +105,7 @@ enum class SearchOrder : uint8_t { Dfs, Bfs };
 ///    some ready context's next step is statically independent of every
 ///    other thread's remaining steps (Machine::singletonIndependent)
 ///    expands that context alone (the state graph is acyclic, so no cycle
-///    proviso is needed); the DFS engines additionally prune commuting
+///    proviso is needed); the DFS additionally prunes commuting
 ///    re-expansions via sleep sets.
 /// Migration note: this enum replaces the old `bool UsePOR` — `false`
 /// maps to Off, `true` to Local.
@@ -150,13 +154,6 @@ struct CheckerConfig {
   /// or an active symmetry (plain Off/Local searches are already
   /// canonical).
   bool DeterministicCex = true;
-  /// One-worker DFS engine: apply/undo delta log (default) or the legacy
-  /// copy-per-successor loop. Identical results either way (the
-  /// equivalence is tested); the knob exists for benchmarking and as an
-  /// escape hatch. BFS always copies — its frontier outlives the step
-  /// that created it — and parallel workers always run the undo-log
-  /// core.
-  bool UseUndoLog = true;
 };
 
 /// \returns the worker count \p Cfg resolves to: NumThreads, with 0
@@ -183,7 +180,7 @@ struct CheckResult {
   /// POR observability (PorMode::Ample; all zero otherwise). States with
   /// two or more ready contexts expanded through a singleton ample set /
   /// expanded in full (no independent candidate) / transitions skipped
-  /// by the DFS engines' sleep sets.
+  /// by the DFS's sleep sets.
   uint64_t AmpleStates = 0;
   uint64_t FullExpansions = 0;
   uint64_t SleepSkips = 0;

@@ -177,9 +177,8 @@ inline bool randomRun(const exec::Machine &M, PorMode Por,
 
 //===----------------------------------------------------------------------===//
 // Ample-set selection and sleep sets (PorMode::Ample; docs/POR.md).
-// Shared by all engines so the copy DFS, the undo-log DFS, the BFS, and
-// the parallel workers make the same reduction decisions at the same
-// states.
+// Shared by all engines so the undo-log DFS, the BFS and the parallel
+// workers make the same reduction decisions at the same states.
 //===----------------------------------------------------------------------===//
 
 /// Picks a singleton ample set at a state with \p Ready contexts (pcs
@@ -202,7 +201,7 @@ inline int selectAmple(const exec::Machine &M, exec::State &S,
   return -1;
 }
 
-/// Sleep sets are per-thread bit masks; the DFS engines disable them
+/// Sleep sets are per-thread bit masks; the DFS disables them
 /// beyond 64 threads (far past anything the suite models).
 constexpr unsigned MaxSleepThreads = 64;
 
@@ -241,7 +240,7 @@ inline bool cexLess(const Counterexample &A, const Counterexample &B) {
   return false;
 }
 
-/// Per-frame POR bookkeeping common to both DFS engines.
+/// POR bookkeeping of one undo-log DFS frame.
 struct PorFrame {
   uint64_t Sleep = 0;          ///< sleep mask the state was entered with
   uint64_t Branched = 0;       ///< choices already expanded from this frame

@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
+
 #include "desugar/Flatten.h"
 #include "verify/ModelChecker.h"
 
@@ -13,34 +15,10 @@
 using namespace psketch;
 using namespace psketch::ir;
 using namespace psketch::verify;
+using psketch::test::buildCounter;
+using psketch::test::expectReplays;
 
 namespace {
-
-/// Two threads increment a shared counter Count times each; Atomic selects
-/// protected or racy increments. Epilogue asserts the exact total.
-void buildCounter(Program &P, bool Atomic, int Count, int Expected) {
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  for (int T = 0; T < 2; ++T) {
-    unsigned Id = P.addThread("inc");
-    BodyId B = BodyId::thread(Id);
-    unsigned Tmp = P.addLocal(B, "tmp", Type::Int, 0);
-    std::vector<StmtRef> Stmts;
-    for (int I = 0; I < Count; ++I) {
-      StmtRef Read = P.assign(P.locLocal(Tmp), P.global(X));
-      StmtRef Write = P.assign(
-          P.locGlobal(X), P.add(P.local(Tmp, Type::Int), P.constInt(1)));
-      if (Atomic)
-        Stmts.push_back(P.atomic(P.seq({Read, Write})));
-      else {
-        Stmts.push_back(Read);
-        Stmts.push_back(Write);
-      }
-    }
-    P.setRoot(B, P.seq(std::move(Stmts)));
-  }
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(Expected)), "total"));
-}
 
 CheckResult check(Program &P, CheckerConfig Cfg = CheckerConfig()) {
   flat::FlatProgram FP = flat::flatten(P);
@@ -191,19 +169,7 @@ TEST(Checker, TraceStepsReplayToViolation) {
   exec::Machine M(FP, {});
   CheckResult R = checkCandidate(M);
   ASSERT_FALSE(R.Ok);
-  exec::State S = M.initialState();
-  exec::Violation V;
-  ASSERT_TRUE(M.runToCompletion(S, M.prologueCtx(), V));
-  for (const TraceStep &TS : R.Cex->Steps) {
-    exec::ExecOutcome Out = M.execStep(S, TS.Thread, V);
-    ASSERT_EQ(Out.Result, exec::StepResult::Ok);
-    ASSERT_EQ(Out.ExecutedPc, TS.Pc);
-  }
-  if (R.Cex->Where == Counterexample::Phase::Epilogue) {
-    EXPECT_FALSE(M.runToCompletion(S, M.epilogueCtx(), V));
-  }
-  EXPECT_TRUE(V.isViolation() ||
-              R.Cex->Where != Counterexample::Phase::Epilogue);
+  expectReplays(M, *R.Cex, "default config");
 }
 
 TEST(Checker, ThreeThreadInterleavingsCovered) {
@@ -223,101 +189,6 @@ TEST(Checker, ThreeThreadInterleavingsCovered) {
   CheckResult R = check(P, Cfg);
   EXPECT_FALSE(R.Ok); // some interleaving ends with x != 3
 }
-
-//===----------------------------------------------------------------------===//
-// Oracle property: the checker (with POR, dedup, and the falsifier) gives
-// the same verdict as brute-force enumeration of every interleaving.
-//===----------------------------------------------------------------------===//
-
-#include "support/Rng.h"
-
-namespace {
-
-/// Builds a random 2-thread straight-line program over two globals with a
-/// random epilogue assertion.
-void buildRandomProgram(Program &P, psketch::Rng &R) {
-  unsigned G[2] = {P.addGlobal("g0", Type::Int, 0),
-                   P.addGlobal("g1", Type::Int, 0)};
-  for (int T = 0; T < 2; ++T) {
-    unsigned Id = P.addThread("t");
-    BodyId B = BodyId::thread(Id);
-    unsigned L = P.addLocal(B, "l", Type::Int, 0);
-    std::vector<StmtRef> Stmts;
-    int Steps = 2 + static_cast<int>(R.below(3));
-    for (int I = 0; I < Steps; ++I) {
-      unsigned Target = static_cast<unsigned>(R.below(2));
-      switch (R.below(4)) {
-      case 0: // constant store
-        Stmts.push_back(P.assign(P.locGlobal(G[Target]),
-                                 P.constInt(static_cast<int64_t>(R.below(4)))));
-        break;
-      case 1: // read into the local
-        Stmts.push_back(P.assign(P.locLocal(L), P.global(G[Target])));
-        break;
-      case 2: // increment via the local (racy)
-        Stmts.push_back(P.assign(P.locGlobal(G[Target]),
-                                 P.add(P.local(L, Type::Int), P.constInt(1))));
-        break;
-      default: // atomic increment
-        Stmts.push_back(P.atomic(P.assign(
-            P.locGlobal(G[Target]),
-            P.add(P.global(G[Target]), P.constInt(1)))));
-        break;
-      }
-    }
-    P.setRoot(B, P.seq(std::move(Stmts)));
-  }
-  unsigned Which = static_cast<unsigned>(R.below(2));
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.ne(P.global(G[Which]),
-                           P.constInt(static_cast<int64_t>(R.below(5)))),
-                      "random property"));
-}
-
-/// Brute force: recursively explores every interleaving, no dedup/POR.
-bool oracleExplore(const exec::Machine &M, exec::State S) {
-  bool AnyRan = false;
-  for (unsigned T = 0; T < M.numThreads(); ++T) {
-    exec::State Next = S;
-    exec::Violation V;
-    exec::ExecOutcome Out = M.execStep(Next, T, V);
-    if (Out.Result == exec::StepResult::Finished)
-      continue;
-    AnyRan = true;
-    if (Out.Result == exec::StepResult::Violated)
-      return false;
-    if (Out.Result == exec::StepResult::Blocked)
-      continue;
-    if (!oracleExplore(M, std::move(Next)))
-      return false;
-  }
-  if (!AnyRan) {
-    // All threads finished (these programs never block): run the epilogue.
-    exec::Violation V;
-    return M.runToCompletion(S, M.epilogueCtx(), V);
-  }
-  return true;
-}
-
-} // namespace
-
-class CheckerOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CheckerOracleTest, AgreesWithBruteForce) {
-  psketch::Rng R(static_cast<uint64_t>(GetParam()) * 65537 + 3);
-  for (int Iter = 0; Iter < 40; ++Iter) {
-    Program P;
-    buildRandomProgram(P, R);
-    flat::FlatProgram FP = flat::flatten(P);
-    exec::Machine M(FP, {});
-    bool OracleOk = oracleExplore(M, M.initialState());
-    CheckResult Got = checkCandidate(M);
-    ASSERT_EQ(Got.Ok, OracleOk)
-        << "seed " << GetParam() << " iter " << Iter;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CheckerOracleTest, ::testing::Range(0, 6));
 
 //===----------------------------------------------------------------------===//
 // BFS search order.
@@ -385,32 +256,5 @@ TEST(CheckerBfs, TraceReplaysOnTheMachine) {
   Cfg.Order = SearchOrder::Bfs;
   CheckResult R = checkCandidate(M, Cfg);
   ASSERT_FALSE(R.Ok);
-  exec::State S = M.initialState();
-  exec::Violation V;
-  ASSERT_TRUE(M.runToCompletion(S, M.prologueCtx(), V));
-  for (const TraceStep &TS : R.Cex->Steps) {
-    exec::ExecOutcome Out = M.execStep(S, TS.Thread, V);
-    ASSERT_EQ(Out.Result, exec::StepResult::Ok);
-    ASSERT_EQ(Out.ExecutedPc, TS.Pc);
-  }
+  expectReplays(M, *R.Cex, "bfs");
 }
-
-class CheckerBfsOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CheckerBfsOracleTest, AgreesWithBruteForce) {
-  psketch::Rng R(static_cast<uint64_t>(GetParam()) * 104729 + 11);
-  for (int Iter = 0; Iter < 25; ++Iter) {
-    Program P;
-    buildRandomProgram(P, R);
-    flat::FlatProgram FP = flat::flatten(P);
-    exec::Machine M(FP, {});
-    bool OracleOk = oracleExplore(M, M.initialState());
-    CheckerConfig Cfg;
-    Cfg.Order = SearchOrder::Bfs;
-    CheckResult Got = checkCandidate(M, Cfg);
-    ASSERT_EQ(Got.Ok, OracleOk)
-        << "seed " << GetParam() << " iter " << Iter;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CheckerBfsOracleTest, ::testing::Range(0, 4));

@@ -6,18 +6,20 @@
 // The reproducibility contract under test (verify/ModelChecker.h):
 //  * verdict, counterexample and falsifier run count depend only on the
 //    config — not on the worker count or on thread timing — so every
-//    worker count follows the W=1 CEGIS trajectory;
-//  * run-to-exhaustion verdicts agree with one worker, and so do state
-//    counts without sleep sets (only scheduling statistics may differ);
+//    worker count follows the W=1 CEGIS trajectory (tests/test_oracle.cpp
+//    checks the same on every Figure 9 row and across the config
+//    lattice);
+//  * run-to-exhaustion state counts agree with one worker without sleep
+//    sets (only scheduling statistics may differ);
 //  * the shared visited table's sleep-mask protocol is atomic per state.
 //
 //===----------------------------------------------------------------------===//
 
-#include "benchmarks/Suite.h"
+#include "TestSupport.h"
+
 #include "cegis/Cegis.h"
 #include "cegis/Enumerate.h"
 #include "desugar/Flatten.h"
-#include "support/Rng.h"
 #include "verify/ModelChecker.h"
 #include "verify/SearchCore.h"
 #include "verify/Visited.h"
@@ -30,34 +32,11 @@
 using namespace psketch;
 using namespace psketch::ir;
 using namespace psketch::verify;
+using psketch::test::buildCounter;
+using psketch::test::expectSameCex;
+using psketch::test::lightestRow;
 
 namespace {
-
-/// Two threads increment a shared counter Count times each; Atomic selects
-/// protected or racy increments. Epilogue asserts the exact total.
-void buildCounter(Program &P, bool Atomic, int Count, int Expected) {
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  for (int T = 0; T < 2; ++T) {
-    unsigned Id = P.addThread("inc");
-    BodyId B = BodyId::thread(Id);
-    unsigned Tmp = P.addLocal(B, "tmp", Type::Int, 0);
-    std::vector<StmtRef> Stmts;
-    for (int I = 0; I < Count; ++I) {
-      StmtRef Read = P.assign(P.locLocal(Tmp), P.global(X));
-      StmtRef Write = P.assign(
-          P.locGlobal(X), P.add(P.local(Tmp, Type::Int), P.constInt(1)));
-      if (Atomic)
-        Stmts.push_back(P.atomic(P.seq({Read, Write})));
-      else {
-        Stmts.push_back(Read);
-        Stmts.push_back(Write);
-      }
-    }
-    P.setRoot(B, P.seq(std::move(Stmts)));
-  }
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(Expected)), "total"));
-}
 
 CheckResult check(Program &P, CheckerConfig Cfg = CheckerConfig()) {
   flat::FlatProgram FP = flat::flatten(P);
@@ -174,11 +153,7 @@ TEST(ParallelChecker, CexIdenticalAcrossWorkerCounts) {
       First = R;
       continue;
     }
-    ASSERT_EQ(R.Cex->Steps.size(), First->Cex->Steps.size()) << "W=" << W;
-    for (size_t I = 0; I < R.Cex->Steps.size(); ++I)
-      EXPECT_TRUE(R.Cex->Steps[I] == First->Cex->Steps[I])
-          << "W=" << W << " step " << I;
-    EXPECT_EQ(R.Cex->V.Label, First->Cex->V.Label);
+    expectSameCex(R, *First, "W=" + std::to_string(W));
     // Every worker count runs the same single-stream falsifier, so the
     // run count reported is worker-count independent too.
     EXPECT_EQ(R.RandomRunsUsed, First->RandomRunsUsed) << "W=" << W;
@@ -186,7 +161,7 @@ TEST(ParallelChecker, CexIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ParallelChecker, CexStableAcrossRepeatedRuns) {
-  std::optional<Counterexample> First;
+  std::optional<CheckResult> First;
   for (int Run = 0; Run < 3; ++Run) {
     Program P;
     buildCounter(P, /*Atomic=*/false, 3, 6);
@@ -196,12 +171,10 @@ TEST(ParallelChecker, CexStableAcrossRepeatedRuns) {
     CheckResult R = check(P, Cfg);
     ASSERT_FALSE(R.Ok);
     if (!First) {
-      First = R.Cex;
+      First = R;
       continue;
     }
-    ASSERT_EQ(R.Cex->Steps.size(), First->Steps.size()) << "run " << Run;
-    for (size_t I = 0; I < R.Cex->Steps.size(); ++I)
-      EXPECT_TRUE(R.Cex->Steps[I] == First->Steps[I]) << "run " << Run;
+    expectSameCex(R, *First, "run " + std::to_string(Run));
   }
 }
 
@@ -224,120 +197,7 @@ TEST(ParallelChecker, ExhaustivePhaseCexMatchesSequentialSearch) {
     Cfg.NumThreads = W;
     CheckResult R = check(P, Cfg);
     ASSERT_FALSE(R.Ok) << "W=" << W;
-    ASSERT_EQ(R.Cex->Steps.size(), RSeq.Cex->Steps.size()) << "W=" << W;
-    for (size_t I = 0; I < R.Cex->Steps.size(); ++I)
-      EXPECT_TRUE(R.Cex->Steps[I] == RSeq.Cex->Steps[I]) << "W=" << W;
-    EXPECT_EQ(R.Cex->V.Label, RSeq.Cex->V.Label);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Randomized property: parallel vs sequential verdict agreement over the
-// benchmark suite's lightest rows with reference and random candidates.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// The lightest entry of one suite family (the suite orders light first).
-std::optional<bench::SuiteEntry> lightestRow(const std::string &Family) {
-  auto Entries = bench::paperSuite(Family);
-  if (Entries.empty())
-    return std::nullopt;
-  size_t Best = 0;
-  for (size_t I = 1; I < Entries.size(); ++I)
-    if (Entries[I].CostClass < Entries[Best].CostClass)
-      Best = I;
-  return Entries[Best];
-}
-
-ir::HoleAssignment randomAssignment(const ir::Program &P, Rng &R) {
-  ir::HoleAssignment A(P.holes().size(), 0);
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = R.below(P.holes()[H].NumChoices);
-  return A;
-}
-
-} // namespace
-
-TEST(ParallelChecker, SuiteVerdictsAgreeWithSequential) {
-  const char *Families[] = {"queueE1", "queueDE1", "queueE2",  "queueDE2",
-                            "barrier1", "barrier2", "fineset1", "fineset2",
-                            "lazyset",  "dinphilo"};
-  Rng R(0xB0B5EEDull);
-  for (const char *Family : Families) {
-    auto E = lightestRow(Family);
-    ASSERT_TRUE(E.has_value()) << Family;
-    auto P = E->Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-
-    std::vector<ir::HoleAssignment> Candidates;
-    if (E->Reference)
-      Candidates.push_back(E->Reference(*P));
-    Candidates.push_back(randomAssignment(*P, R));
-    Candidates.push_back(randomAssignment(*P, R));
-
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      exec::Machine M(FP, Candidates[CI]);
-      CheckerConfig Seq;
-      Seq.MaxStates = 300000; // bound the test's runtime
-      CheckResult RSeq = checkCandidate(M, Seq);
-      for (unsigned W : {2u, 8u}) {
-        CheckerConfig Par = Seq;
-        Par.NumThreads = W;
-        CheckResult RPar = checkCandidate(M, Par);
-        if (RSeq.Exhausted || RPar.Exhausted)
-          continue; // budget-capped verdicts carry no agreement promise
-        EXPECT_EQ(RPar.Ok, RSeq.Ok)
-            << Family << " candidate " << CI << " W=" << W;
-      }
-    }
-  }
-}
-
-namespace {
-
-/// A byte-for-byte comparison of two checker results' counterexamples.
-void expectIdenticalCex(const CheckResult &A, const CheckResult &B,
-                        const std::string &Tag) {
-  EXPECT_EQ(A.Ok, B.Ok) << Tag;
-  EXPECT_EQ(A.RandomRunsUsed, B.RandomRunsUsed) << Tag;
-  ASSERT_EQ(A.Cex.has_value(), B.Cex.has_value()) << Tag;
-  if (!A.Cex)
-    return;
-  EXPECT_EQ(A.Cex->Where, B.Cex->Where) << Tag;
-  EXPECT_EQ(A.Cex->V.VKind, B.Cex->V.VKind) << Tag;
-  EXPECT_EQ(A.Cex->V.Label, B.Cex->V.Label) << Tag;
-  EXPECT_TRUE(A.Cex->Steps == B.Cex->Steps) << Tag;
-  EXPECT_TRUE(A.Cex->DeadlockSet == B.Cex->DeadlockSet) << Tag;
-}
-
-} // namespace
-
-TEST(ParallelChecker, CexIdenticalToSequential) {
-  // Four workers report exactly what one worker reports — verdict,
-  // falsifier run count and counterexample — on every Figure 9 row's
-  // reference candidate and its all-zero candidate, under the default
-  // config (falsifier on, Ample, Orbit).
-  for (const bench::SuiteEntry &E : bench::paperSuite()) {
-    auto P = E.Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    std::vector<ir::HoleAssignment> Candidates;
-    if (E.Reference)
-      Candidates.push_back(E.Reference(*P));
-    Candidates.push_back(ir::HoleAssignment(P->holes().size(), 0));
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      exec::Machine M(FP, Candidates[CI]);
-      CheckerConfig One;
-      CheckerConfig Four = One;
-      Four.NumThreads = 4;
-      CheckResult R1 = checkCandidate(M, One);
-      CheckResult R4 = checkCandidate(M, Four);
-      std::string Tag = E.Sketch + " " + E.Test + " candidate " +
-                        std::to_string(CI);
-      ASSERT_FALSE(R1.Exhausted) << Tag;
-      ASSERT_FALSE(R4.Exhausted) << Tag;
-      expectIdenticalCex(R1, R4, Tag);
-    }
+    expectSameCex(R, RSeq, "W=" + std::to_string(W));
   }
 }
 

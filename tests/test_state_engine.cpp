@@ -3,11 +3,7 @@
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
 //
-// The engine-equivalence guarantees under test:
-//  * the undo-log DFS and the legacy copy-per-successor DFS are
-//    observationally identical (verdict, counterexample, state counts),
-//    on a counter program and on suite rows under ample POR, symmetry
-//    and packed keys;
+// The state-engine guarantees under test:
 //  * Machine::stateKey renders raw, packed and escaped keys exactly as
 //    encodeWords / fingerprintWords do, and the checker counts one
 //    escape per entered state, in every engine;
@@ -15,11 +11,13 @@
 //  * under a hash where every state collides, the sequential and the
 //    sharded visited tables still admit each distinct state once and
 //    dedup every revisit, across table growth.
+// Engine agreement (undo-log DFS vs BFS, reductions, worker counts) is
+// tests/test_oracle.cpp's.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AbsInt.h"
-#include "benchmarks/Suite.h"
+#include "TestSupport.h"
+
 #include "desugar/Flatten.h"
 #include "support/Hash.h"
 #include "support/Rng.h"
@@ -35,46 +33,9 @@
 using namespace psketch;
 using namespace psketch::ir;
 using namespace psketch::verify;
+using psketch::test::buildCounter;
 
 namespace {
-
-/// Two threads increment a shared counter Count times each; Atomic selects
-/// protected or racy increments. Epilogue asserts the exact total.
-void buildCounter(Program &P, bool Atomic, int Count, int Expected) {
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  for (int T = 0; T < 2; ++T) {
-    unsigned Id = P.addThread("inc");
-    BodyId B = BodyId::thread(Id);
-    unsigned Tmp = P.addLocal(B, "tmp", Type::Int, 0);
-    std::vector<StmtRef> Stmts;
-    for (int I = 0; I < Count; ++I) {
-      StmtRef Read = P.assign(P.locLocal(Tmp), P.global(X));
-      StmtRef Write = P.assign(
-          P.locGlobal(X), P.add(P.local(Tmp, Type::Int), P.constInt(1)));
-      if (Atomic)
-        Stmts.push_back(P.atomic(P.seq({Read, Write})));
-      else {
-        Stmts.push_back(Read);
-        Stmts.push_back(Write);
-      }
-    }
-    P.setRoot(B, P.seq(std::move(Stmts)));
-  }
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(Expected)), "total"));
-}
-
-/// The lightest entry of one suite family (the suite orders light first).
-std::optional<bench::SuiteEntry> lightestRow(const std::string &Family) {
-  auto Entries = bench::paperSuite(Family);
-  if (Entries.empty())
-    return std::nullopt;
-  size_t Best = 0;
-  for (size_t I = 1; I < Entries.size(); ++I)
-    if (Entries[I].CostClass < Entries[Best].CostClass)
-      Best = I;
-  return Entries[Best];
-}
 
 /// Collects \p Want states by random walk from the initial state (the
 /// walk restarts when a step reports anything but Ok).
@@ -107,17 +68,6 @@ exec::ValueBounds escapingBounds(const exec::Machine &M) {
   for (unsigned Ctx = 0; Ctx < M.numContexts(); ++Ctx)
     Lies.Locals[Ctx].resize(Shape.numLocals(Ctx), {0, 0});
   return Lies;
-}
-
-void expectSameCex(const CheckResult &A, const CheckResult &B,
-                   const std::string &Tag) {
-  ASSERT_EQ(A.Cex.has_value(), B.Cex.has_value()) << Tag;
-  if (!A.Cex)
-    return;
-  ASSERT_EQ(A.Cex->Steps.size(), B.Cex->Steps.size()) << Tag;
-  for (size_t I = 0; I < A.Cex->Steps.size(); ++I)
-    EXPECT_TRUE(A.Cex->Steps[I] == B.Cex->Steps[I]) << Tag << " step " << I;
-  EXPECT_EQ(A.Cex->V.Label, B.Cex->V.Label) << Tag;
 }
 
 } // namespace
@@ -175,113 +125,6 @@ TEST(StateEngine, CopiesDetachFromUndoLog) {
   Assigned = S; // copy-assignment must also drop the log
   M.execStep(Assigned, 1, V);
   EXPECT_EQ(Log.size(), After);
-}
-
-//===----------------------------------------------------------------------===//
-// Undo-log DFS vs legacy copy DFS: observationally identical.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs \p Cfg on \p M with the undo-log DFS and with the copy DFS and
-/// demands identical verdicts, search counters and counterexamples.
-void expectUndoMatchesCopy(const exec::Machine &M, CheckerConfig Cfg,
-                           const std::string &Tag) {
-  Cfg.UseRandomFalsifier = false; // isolate the exhaustive phase
-  Cfg.UseUndoLog = true;
-  CheckResult RU = checkCandidate(M, Cfg);
-  Cfg.UseUndoLog = false;
-  CheckResult RC = checkCandidate(M, Cfg);
-  EXPECT_EQ(RU.Ok, RC.Ok) << Tag;
-  EXPECT_EQ(RU.StatesExplored, RC.StatesExplored) << Tag;
-  EXPECT_EQ(RU.StatesDeduped, RC.StatesDeduped) << Tag;
-  EXPECT_EQ(RU.AmpleStates, RC.AmpleStates) << Tag;
-  EXPECT_EQ(RU.FullExpansions, RC.FullExpansions) << Tag;
-  EXPECT_EQ(RU.SleepSkips, RC.SleepSkips) << Tag;
-  EXPECT_EQ(RU.Exhausted, RC.Exhausted) << Tag;
-  expectSameCex(RU, RC, Tag);
-}
-
-} // namespace
-
-TEST(StateEngine, UndoDfsMatchesCopyDfs) {
-  struct Scenario {
-    bool Atomic;
-    int Count;
-    int Expected;
-    PorMode Por;
-  } Scenarios[] = {
-      {true, 2, 4, PorMode::Local},   // clean run, local POR
-      {false, 2, 4, PorMode::Local},  // racy failure, local POR
-      {true, 2, 4, PorMode::Off},     // clean run, POR off
-      {true, 2, 5, PorMode::Local},   // epilogue assertion failure
-      {true, 2, 4, PorMode::Ample},   // clean run, ample + sleep sets
-      {false, 2, 4, PorMode::Ample},  // racy failure, ample + sleep sets
-      {true, 2, 5, PorMode::Ample},   // epilogue failure, ample
-  };
-  for (const Scenario &Sc : Scenarios) {
-    Program PUndo, PCopy;
-    buildCounter(PUndo, Sc.Atomic, Sc.Count, Sc.Expected);
-    buildCounter(PCopy, Sc.Atomic, Sc.Count, Sc.Expected);
-    CheckerConfig Cfg;
-    Cfg.UseRandomFalsifier = false; // isolate the exhaustive phase
-    Cfg.Por = Sc.Por;
-    CheckerConfig Copy = Cfg;
-    Copy.UseUndoLog = false;
-    flat::FlatProgram FU = flat::flatten(PUndo);
-    flat::FlatProgram FC = flat::flatten(PCopy);
-    exec::Machine MU(FU, {});
-    exec::Machine MC(FC, {});
-    CheckResult RU = checkCandidate(MU, Cfg);
-    CheckResult RC = checkCandidate(MC, Copy);
-    std::string Tag = std::string("atomic=") + (Sc.Atomic ? "1" : "0") +
-                      " por=" + std::to_string(static_cast<int>(Sc.Por));
-    EXPECT_EQ(RU.Ok, RC.Ok) << Tag;
-    EXPECT_EQ(RU.StatesExplored, RC.StatesExplored) << Tag;
-    EXPECT_EQ(RU.StatesDeduped, RC.StatesDeduped) << Tag;
-    EXPECT_EQ(RU.AmpleStates, RC.AmpleStates) << Tag;
-    EXPECT_EQ(RU.FullExpansions, RC.FullExpansions) << Tag;
-    EXPECT_EQ(RU.SleepSkips, RC.SleepSkips) << Tag;
-    EXPECT_EQ(RU.Exhausted, RC.Exhausted) << Tag;
-    expectSameCex(RU, RC, Tag);
-  }
-
-  // Suite rows build deep stacks, reduced frames and (under symmetry)
-  // canonical keys: the reference and the all-zero candidate of the
-  // lightest row of three families, under ample POR with symmetry off
-  // and on, plus the analysis-tuned machine CEGIS would build for the
-  // reference (packed keys, lock and heap footprints).
-  bool SawPacked = false;
-  for (const char *FamilyName : {"barrier1", "lazyset", "dinphilo"}) {
-    std::string Family = FamilyName;
-    auto Row = lightestRow(Family);
-    ASSERT_TRUE(Row.has_value()) << Family;
-    auto P = Row->Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-    ir::HoleAssignment Ref = Row->Reference
-                                 ? Row->Reference(*P)
-                                 : ir::HoleAssignment(P->holes().size(), 0);
-    ir::HoleAssignment Zero(P->holes().size(), 0);
-    analysis::CandidateFacts Facts = analysis::analyzeCandidate(*P, FP, Ref);
-    ASSERT_FALSE(Facts.Refuted) << Family;
-    exec::MachineTuning Tuning;
-    Tuning.Locks = &Facts.Locks;
-    Tuning.Bounds = &Facts.Bounds;
-    if (!Facts.Heap.empty())
-      Tuning.Heap = &Facts.Heap;
-    exec::Machine MRef(FP, Ref), MZero(FP, Zero), MTuned(FP, Ref, Tuning);
-    SawPacked = SawPacked || MTuned.packedLayout().Enabled;
-    for (SymmetryMode Sym : {SymmetryMode::Off, SymmetryMode::Orbit}) {
-      CheckerConfig Cfg;
-      Cfg.Por = PorMode::Ample;
-      Cfg.Symmetry = Sym;
-      std::string SymTag = Sym == SymmetryMode::Orbit ? "/sym" : "/nosym";
-      expectUndoMatchesCopy(MRef, Cfg, Family + "/ref" + SymTag);
-      expectUndoMatchesCopy(MZero, Cfg, Family + "/zero" + SymTag);
-      expectUndoMatchesCopy(MTuned, Cfg, Family + "/tuned" + SymTag);
-    }
-  }
-  EXPECT_TRUE(SawPacked) << "no tuned row packed its keys";
 }
 
 //===----------------------------------------------------------------------===//
@@ -364,22 +207,19 @@ TEST(StateEngine, StateKeyMatchesRawPackedAndEscapedKeys) {
 
 TEST(StateEngine, PackEscapesCountEachEnteredStateOnce) {
   // Every key escapes, so each state a check enters must add exactly
-  // one escape, however many probes (cycle proviso, membership, insert)
-  // the engine spends on it: PackEscapes == StatesExplored +
-  // StatesDeduped, for the racy program (a violation, so the Local
-  // re-derivation runs too) and the atomic one, in every W=1 engine.
+  // one escape, however many probes the engine spends on it:
+  // PackEscapes == StatesExplored + StatesDeduped, for the racy program
+  // (a violation, so the Local re-derivation runs too) and the atomic
+  // one, in every W=1 engine.
   struct Engine {
     const char *Name;
     PorMode Por;
     SearchOrder Order;
-    bool UndoLog;
   } Engines[] = {
-      {"ample undo DFS", PorMode::Ample, SearchOrder::Dfs, true},
-      {"ample copy DFS", PorMode::Ample, SearchOrder::Dfs, false},
-      {"ample BFS", PorMode::Ample, SearchOrder::Bfs, true},
-      {"local undo DFS", PorMode::Local, SearchOrder::Dfs, true},
-      {"local copy DFS", PorMode::Local, SearchOrder::Dfs, false},
-      {"local BFS", PorMode::Local, SearchOrder::Bfs, true},
+      {"ample DFS", PorMode::Ample, SearchOrder::Dfs},
+      {"ample BFS", PorMode::Ample, SearchOrder::Bfs},
+      {"local DFS", PorMode::Local, SearchOrder::Dfs},
+      {"local BFS", PorMode::Local, SearchOrder::Bfs},
   };
   for (bool Atomic : {true, false}) {
     Program P;
@@ -397,7 +237,6 @@ TEST(StateEngine, PackEscapesCountEachEnteredStateOnce) {
       Cfg.UseRandomFalsifier = false;
       Cfg.Por = E.Por;
       Cfg.Order = E.Order;
-      Cfg.UseUndoLog = E.UndoLog;
       CheckResult R = checkCandidate(M, Cfg);
       std::string Tag = std::string(E.Name) + (Atomic ? " atomic" : " racy");
       EXPECT_EQ(R.Ok, Atomic) << Tag;

@@ -14,20 +14,20 @@
 //    pi(sigma) from the initial state stays related by pi, step for step;
 //  * canon(apply(pi, s)) == canon(s) for every accepted pi over states
 //    sampled from real runs (the canonicalizer is constant on orbits);
-//  * SymmetryMode::Orbit agrees with Off on every suite verdict and (for
-//    the deterministic configurations) on the counterexample, across
-//    worker counts and POR modes, while exploring fewer states on a
-//    symmetric workload;
+//  * SymmetryMode::Orbit explores fewer states on a symmetric workload
+//    (its verdict and counterexample agreement with Off is
+//    tests/test_oracle.cpp's);
 //  * the near-symmetry lint flags thread pairs one literal away from an
 //    orbit.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
+
 #include "analysis/Analyzer.h"
 #include "analysis/SymmetryInfer.h"
 #include "benchmarks/Barrier.h"
 #include "benchmarks/Dining.h"
-#include "benchmarks/Suite.h"
 #include "desugar/Flatten.h"
 #include "support/Rng.h"
 #include "verify/Canon.h"
@@ -41,38 +41,9 @@
 using namespace psketch;
 using namespace psketch::ir;
 using namespace psketch::verify;
+using psketch::test::lightestRow;
 
 namespace {
-
-/// The lightest entry of one suite family.
-std::optional<bench::SuiteEntry> lightestRow(const std::string &Family) {
-  auto Entries = bench::paperSuite(Family);
-  if (Entries.empty())
-    return std::nullopt;
-  size_t Best = 0;
-  for (size_t I = 1; I < Entries.size(); ++I)
-    if (Entries[I].CostClass < Entries[Best].CostClass)
-      Best = I;
-  return Entries[Best];
-}
-
-ir::HoleAssignment randomAssignment(const ir::Program &P, Rng &R) {
-  ir::HoleAssignment A(P.holes().size(), 0);
-  for (size_t H = 0; H < A.size(); ++H)
-    A[H] = R.below(P.holes()[H].NumChoices);
-  return A;
-}
-
-void expectSameCex(const CheckResult &A, const CheckResult &B,
-                   const std::string &Tag) {
-  ASSERT_EQ(A.Cex.has_value(), B.Cex.has_value()) << Tag;
-  if (!A.Cex)
-    return;
-  ASSERT_EQ(A.Cex->Steps.size(), B.Cex->Steps.size()) << Tag;
-  for (size_t I = 0; I < A.Cex->Steps.size(); ++I)
-    EXPECT_TRUE(A.Cex->Steps[I] == B.Cex->Steps[I]) << Tag << " step " << I;
-  EXPECT_EQ(A.Cex->V.Label, B.Cex->V.Label) << Tag;
-}
 
 /// N threads each running `g = g + 1`, an epilogue asserting the sum —
 /// fully symmetric under Sym(N). \p Asymmetry injects one of three
@@ -435,51 +406,8 @@ TEST(Symmetry, CanonicalFormInvariantUnderOrbitPermutations) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine agreement and reduction.
+// Reduction.
 //===----------------------------------------------------------------------===//
-
-TEST(Symmetry, SuiteVerdictsAgreeAcrossWorkersAndPorModes) {
-  const char *Families[] = {"queueE1", "barrier1", "fineset1", "lazyset",
-                            "dinphilo"};
-  Rng R(0x0B17ull);
-  for (const char *Family : Families) {
-    auto E = lightestRow(Family);
-    ASSERT_TRUE(E.has_value()) << Family;
-    auto P = E->Build();
-    flat::FlatProgram FP = flat::flatten(*P);
-
-    std::vector<ir::HoleAssignment> Candidates;
-    if (E->Reference)
-      Candidates.push_back(E->Reference(*P));
-    Candidates.push_back(randomAssignment(*P, R));
-
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      exec::Machine M(FP, Candidates[CI]);
-      for (unsigned W : {1u, 2u, 4u})
-        for (PorMode Por : {PorMode::Off, PorMode::Ample}) {
-          CheckerConfig Off;
-          Off.MaxStates = 300000; // bound the test's runtime
-          Off.NumThreads = W;
-          Off.Por = Por;
-          Off.Symmetry = SymmetryMode::Off;
-          CheckerConfig Orbit = Off;
-          Orbit.Symmetry = SymmetryMode::Orbit;
-          CheckResult RO = checkCandidate(M, Off);
-          CheckResult RS = checkCandidate(M, Orbit);
-          if (RO.Exhausted || RS.Exhausted)
-            continue; // budget-capped verdicts carry no agreement promise
-          std::string Tag = std::string(Family) + " candidate " +
-                            std::to_string(CI) + " W=" + std::to_string(W) +
-                            (Por == PorMode::Off ? " por=off" : " por=ample");
-          EXPECT_EQ(RS.Ok, RO.Ok) << Tag;
-          // Orbit re-derives failing traces with symmetry off (and Ample
-          // demoted to Local, matching what the Off run re-derives
-          // with), so the canonical counterexample is identical.
-          expectSameCex(RS, RO, Tag);
-        }
-    }
-  }
-}
 
 TEST(Symmetry, OrbitReducesStatesAndCountsHits) {
   bench::BarrierOptions O;
