@@ -118,10 +118,6 @@ struct CegisRow {
   std::function<std::unique_ptr<ir::Program>()> Build;
   bool GatePrunes = false;      ///< require IntervalPrunes > 0 with on
   bool GateStatesShrink = false;///< require states-on <= states-off
-  /// The refutation row runs with the prescreen off: its pinned-probe
-  /// pass would ban the bad values up front, and this row measures the
-  /// per-candidate screen, not the unit bans.
-  bool Prescreen = true;
 };
 
 } // namespace
@@ -149,8 +145,7 @@ int main(int Argc, char **Argv) {
   std::vector<CegisRow> Rows;
   Rows.push_back({"refute-farm", "prunes",
                   [&] { return buildRefuteFarm(Smoke ? 3u : 4u, 4); },
-                  /*GatePrunes=*/true, /*GateStatesShrink=*/false,
-                  /*Prescreen=*/false});
+                  /*GatePrunes=*/true, /*GateStatesShrink=*/false});
   Rows.push_back({"lock-farm", "tuning",
                   [&] { return buildLockFarm(2, Smoke ? 2u : 3u); },
                   /*GatePrunes=*/false, /*GateStatesShrink=*/true});
@@ -177,7 +172,6 @@ int main(int Argc, char **Argv) {
       cegis::CegisConfig Cfg;
       Cfg.MaxIterations = 2000;
       Cfg.Checker.NumThreads = Opts.Jobs;
-      Cfg.Prescreen = Row.Prescreen;
       Cfg.AbsInt = AbsInt;
       Cfg.Analysis.AbsInt = AbsInt;
       cegis::ConcurrentCegis C(*P, Cfg);
@@ -220,7 +214,6 @@ int main(int Argc, char **Argv) {
         .field("off_states", Off.Stats.StatesExplored)
         .field("on_states", On.Stats.StatesExplored)
         .field("interval_prunes", On.Stats.IntervalPrunes)
-        .field("race_warnings", On.Stats.RaceWarnings)
         .field("tightened_bits", On.Stats.TightenedBits)
         .field("lock_indep_pairs", On.Stats.LockIndepPairs)
         .field("pack_escapes", On.Stats.PackEscapes)

@@ -229,7 +229,6 @@ int main(int Argc, char **Argv) {
       Cfg.Checker.NumThreads = Opts.Jobs;
       Cfg.Prescreen = false; // force candidates through the checker
       Cfg.Shape = true;
-      Cfg.Analysis.Shape = true;
       Cfg.ShapeAudit = true;
       cegis::ConcurrentCegis C(*A.P, Cfg);
       cegis::CegisResult R = C.run();

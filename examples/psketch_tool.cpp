@@ -9,10 +9,11 @@
 //                     [--shape on|off] [--warm-start on|off]
 //                     [--dump-cnf path] [--stats] [file.psk ...]
 //
-// Default mode parses one mini-PSketch source file, runs concurrent CEGIS
-// (with the static pre-screen analyzer unless --no-prescreen), and prints
-// the resolved implementation. With no file it runs the bundled
-// lock-free-enqueue demo equivalent to examples/enqueue.psk.
+// Default mode parses one mini-PSketch source file, prints its lint
+// warnings and errors, runs concurrent CEGIS (with the analyzer's
+// pre-pass unless --no-prescreen), and prints the resolved
+// implementation. With no file it runs the bundled lock-free-enqueue
+// demo equivalent to examples/enqueue.psk.
 //
 // --jobs N runs the model checker with N workers (0 = hardware
 // concurrency, default 1 = the sequential checker); --seed S seeds the
@@ -26,12 +27,11 @@
 // thread-modular abstract interpreter (on, the default, interval-refutes
 // candidates without verifier calls and tunes the Machine with proven
 // bounds and locksets — see docs/ANALYSIS.md; verdicts are identical
-// either way); --shape toggles the allocation-site points-to + shape
-// pass (on, the default, overridable via PSKETCH_SHAPE=off: lints heap
-// races/leaks/null derefs and splits the Machine's heap footprint into
-// per-(site, field) bits for site-aware POR — see docs/ANALYSIS.md
-// Pass 5; verdicts are identical either way); --warm-start toggles the
-// synthesizer's warm-started
+// either way); --shape toggles the per-candidate allocation-site
+// points-to pass (on, the default, overridable via PSKETCH_SHAPE=off:
+// splits the Machine's heap footprint into per-(site, field) bits for
+// site-aware POR — see docs/ANALYSIS.md Pass 5; verdicts are identical
+// either way); --warm-start toggles the synthesizer's warm-started
 // incremental SAT core (on, the default, continues one CDCL search
 // across CEGIS iterations — see docs/SOLVER.md; off reproduces the
 // from-scratch solver trajectory; the verdict is identical either way);
@@ -42,10 +42,10 @@
 // Bad values are typed diagnostics with a nonzero exit, like every
 // other usage error.
 //
-// --lint runs the frontend validator and all three analysis passes over
-// every given file, prints the diagnostics, and skips synthesis. Exit
-// status: 0 clean, 1 on any error-severity diagnostic or unreadable /
-// unparsable input.
+// --lint runs the frontend validator and analysis::lint() over every
+// given file, prints the diagnostics, and skips synthesis. Exit status:
+// 0 clean, 1 on any error-severity diagnostic or unreadable / unparsable
+// input.
 //
 //===----------------------------------------------------------------------===//
 
@@ -159,16 +159,14 @@ unsigned lintFile(const char *Path) {
 
   std::printf("== %s ==\n", Path ? Path : "<demo>");
   flat::FlatProgram FP = flat::flatten(*P);
-  analysis::AnalysisResult A = analysis::analyze(*P, FP);
+  std::vector<analysis::Diagnostic> Diags = analysis::lint(*P, FP);
   unsigned Errors = 0;
-  for (const analysis::Diagnostic &D : A.Diags) {
+  for (const analysis::Diagnostic &D : Diags) {
     printDiag(D);
     if (D.Sev == analysis::Severity::Error)
       ++Errors;
   }
-  std::printf("%zu finding(s): %u error(s); pruned %zu hole value(s), "
-              "%zu subspace exclusion(s)\n",
-              A.Diags.size(), Errors, A.Bans.size(), A.Exclusions.size());
+  std::printf("%zu finding(s): %u error(s)\n", Diags.size(), Errors);
   return Errors;
 }
 
@@ -305,7 +303,6 @@ void printStats(const cegis::CegisStats &S) {
   std::printf("  %-20s %.4fs\n", "CanonTime", S.CanonTime);
   std::printf("  %-20s %llu\n", "IntervalPrunes",
               static_cast<unsigned long long>(S.IntervalPrunes));
-  std::printf("  %-20s %u\n", "RaceWarnings", S.RaceWarnings);
   std::printf("  %-20s %u\n", "TightenedBits", S.TightenedBits);
   std::printf("  %-20s %llu\n", "LockIndepPairs",
               static_cast<unsigned long long>(S.LockIndepPairs));
@@ -316,7 +313,6 @@ void printStats(const cegis::CegisStats &S) {
               static_cast<unsigned long long>(S.SiteIndepPairs));
   std::printf("  %-20s %llu\n", "ShapeFalsePrunes",
               static_cast<unsigned long long>(S.ShapeFalsePrunes));
-  std::printf("  %-20s %u\n", "HeapRaceWarnings", S.HeapRaceWarnings);
   std::printf("  %-20s %zu\n", "SolverSolves", S.SolveLog.size());
   std::printf("  %-20s %llu\n", "SolverProbes",
               static_cast<unsigned long long>(S.SolverProbes));
@@ -478,7 +474,6 @@ int main(int Argc, char **Argv) {
   if (!AbsInt)
     std::printf("cegis: abstract-interpretation screen off (default: on)\n");
   Cfg.Shape = Shape;
-  Cfg.Analysis.Shape = Shape;
   if (!Shape)
     std::printf("cegis: points-to/shape pass off (default: on)\n");
   Cfg.SolverWarmStart = WarmStart;
@@ -494,10 +489,10 @@ int main(int Argc, char **Argv) {
     std::printf("checker: %u workers (seed %llu)\n", Workers,
                 static_cast<unsigned long long>(Seed));
   cegis::ConcurrentCegis C(P, Cfg);
-  cegis::CegisResult R = C.run();
-  for (const analysis::Diagnostic &D : R.Diags)
+  for (const analysis::Diagnostic &D : analysis::lint(P, C.flatProgram()))
     if (D.Sev != analysis::Severity::Note)
       printDiag(D);
+  cegis::CegisResult R = C.run();
   if (!R.Stats.Resolvable) {
     std::printf("UNRESOLVABLE after %u iterations (%.2fs)%s\n",
                 R.Stats.Iterations, R.Stats.TotalSeconds,

@@ -14,7 +14,6 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 using namespace psketch;
@@ -64,10 +63,8 @@ bool readsState(ExprRef E) {
 class AbsEval {
 public:
   AbsEval(const Program &P, const FlatProgram &FP, const HoleAssignment *Holes,
-          const AbsIntConfig &Cfg, int PinHole, uint64_t PinValue,
-          const PointsToResult *Pts)
-      : P(P), FP(FP), Holes(Holes), Cfg(Cfg), PinHole(PinHole),
-        PinValue(PinValue), Pts(Pts) {
+          const AbsIntConfig &Cfg, const PointsToResult *Pts)
+      : P(P), FP(FP), Holes(Holes), Cfg(Cfg), Pts(Pts) {
     for (const Global &G : P.globals()) {
       Offsets.push_back(static_cast<unsigned>(SlotTy.size()));
       unsigned Extent = G.ArraySize == 0 ? 1 : G.ArraySize;
@@ -94,8 +91,6 @@ private:
   const FlatProgram &FP;
   const HoleAssignment *Holes;
   const AbsIntConfig &Cfg;
-  int PinHole;
-  uint64_t PinValue;
 
   const PointsToResult *Pts; ///< optional heap refinement (may be null)
 
@@ -168,9 +163,6 @@ private:
                       : 0;
       return Interval::point(P.wrap(V, Type::Int));
     }
-    if (PinHole >= 0 && Id == static_cast<unsigned>(PinHole))
-      return Interval::point(
-          P.wrap(static_cast<int64_t>(PinValue), Type::Int));
     uint64_t Max = P.holes()[Id].NumChoices - 1;
     Interval T = typeTop(Type::Int);
     if (Max <= static_cast<uint64_t>(T.Hi))
@@ -182,9 +174,6 @@ private:
   ExprRef choicePick(ExprRef E) const {
     if (Holes && E->Id < Holes->size() && (*Holes)[E->Id] < E->Ops.size())
       return E->Ops[(*Holes)[E->Id]];
-    if (!Holes && PinHole >= 0 && E->Id == static_cast<unsigned>(PinHole) &&
-        PinValue < E->Ops.size())
-      return E->Ops[PinValue];
     return nullptr;
   }
 
@@ -637,10 +626,9 @@ AbsIntResult AbsEval::run() {
 
 AbsIntResult analysis::runAbsInt(const Program &P, const FlatProgram &FP,
                                  const HoleAssignment *Holes,
-                                 const AbsIntConfig &Cfg, int PinHole,
-                                 uint64_t PinValue,
+                                 const AbsIntConfig &Cfg,
                                  const PointsToResult *Pts) {
-  return AbsEval(P, FP, Holes, Cfg, PinHole, PinValue, Pts).run();
+  return AbsEval(P, FP, Holes, Cfg, Pts).run();
 }
 
 CandidateFacts analysis::analyzeCandidate(const Program &P,
@@ -653,7 +641,7 @@ CandidateFacts analysis::analyzeCandidate(const Program &P,
     Facts.Pts = runPointsTo(FP, &Holes);
     Facts.Heap = toHeapPartition(Facts.Pts);
   }
-  AbsIntResult R = runAbsInt(P, FP, &Holes, Cfg, -1, 0,
+  AbsIntResult R = runAbsInt(P, FP, &Holes, Cfg,
                              Facts.Pts.Ran ? &Facts.Pts : nullptr);
   Facts.Refuted = R.Refuted;
   Facts.RefutedWhere = R.RefutedWhere;
@@ -667,21 +655,25 @@ CandidateFacts analysis::analyzeCandidate(const Program &P,
 // The analyzer-facing screen.
 //===----------------------------------------------------------------------===//
 
-void analysis::runAbsIntScreen(Program &P, const FlatProgram &FP,
-                               const AnalysisConfig &Cfg,
-                               DiagnosticSink &Sink, AnalysisResult &Out) {
+void analysis::runAbsIntScreen(const Program &P, const FlatProgram &FP,
+                               bool Lint, DiagnosticSink &Sink,
+                               AnalysisResult &Out) {
   constexpr const char *PassName = "absint";
-  AbsIntConfig AC;
 
   // Whole-space run: holes at top. A refutation here holds for every
   // candidate, so CEGIS may answer NO without a verifier call.
-  AbsIntResult Whole = runAbsInt(P, FP, nullptr, AC);
+  AbsIntResult Whole = runAbsInt(P, FP, nullptr);
   if (Whole.Refuted && !Out.ProvedUnresolvable) {
     Out.ProvedUnresolvable = true;
     Out.UnresolvableWhy =
         "interval analysis: " + Whole.RefutedWhy + " at " + Whole.RefutedWhere;
-    Sink.note(PassName, Out.UnresolvableWhy, "whole space");
+    Sink.error(PassName,
+               "every candidate fails: " + Whole.RefutedWhy +
+                   " (interval analysis)",
+               Whole.RefutedWhere);
   }
+  if (!Lint)
+    return;
 
   // Interval-dead asserts: abstractly constant-true conditions that read
   // program state, invisible to the syntactic constant-assert lint.
@@ -694,50 +686,11 @@ void analysis::runAbsIntScreen(Program &P, const FlatProgram &FP,
 
   // Eraser-style inconsistent-locking lint.
   LocksetResult LS = runLockset(P, FP, nullptr);
-  for (const RaceFinding &R : LS.Races) {
+  for (const RaceFinding &R : LS.Races)
     Sink.warning(PassName,
                  format("'%s' is written by multiple threads with an "
                         "inconsistent lockset (some sites hold a lock, no "
                         "lock is common to all)",
                         R.SlotName.c_str()),
                  R.Where);
-    ++Out.RaceWarnings;
-  }
-
-  // Pinned-hole probes: refuting the whole space with hole H pinned to
-  // value V is a sound unit ban on (H, V). Skip when the whole space is
-  // already refuted; never ban every value of a hole (that case is the
-  // whole-space refutation's job, and keeping one value preserves the
-  // Resolvable verdict contract).
-  if (Whole.Refuted)
-    return;
-  unsigned Budget = Cfg.MaxAbsIntProbes;
-  std::vector<unsigned> BansPerHole(P.holes().size(), 0);
-  for (unsigned H = 0; H < P.holes().size() && Budget > 0; ++H) {
-    const Hole &Def = P.holes()[H];
-    if (Def.NumChoices > Cfg.MaxHoleChoices || Def.NumChoices > Budget)
-      continue;
-    std::vector<uint64_t> Refutable;
-    for (uint64_t V = 0; V < Def.NumChoices; ++V) {
-      --Budget;
-      if (runAbsInt(P, FP, nullptr, AC, static_cast<int>(H), V).Refuted)
-        Refutable.push_back(V);
-    }
-    if (Refutable.empty() || Refutable.size() == Def.NumChoices)
-      continue;
-    for (uint64_t V : Refutable)
-      Out.Bans.push_back({H, V});
-    BansPerHole[H] = static_cast<unsigned>(Refutable.size());
-    Sink.note(PassName,
-              format("hole '%s': %zu of %u values provably fail; banned",
-                     Def.Name.c_str(), Refutable.size(), Def.NumChoices),
-              "whole space");
-  }
-  for (unsigned H = 0; H < P.holes().size(); ++H) {
-    if (!BansPerHole[H] || !P.holes()[H].Counted)
-      continue;
-    unsigned N = P.holes()[H].NumChoices;
-    Out.SpaceLog10Delta += std::log10(static_cast<double>(N - BansPerHole[H])) -
-                           std::log10(static_cast<double>(N));
-  }
 }

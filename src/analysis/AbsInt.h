@@ -35,8 +35,7 @@
 /// evaluate to their full value range, Choice joins every alternative,
 /// unresolved static guards demote writes to weak updates and disable
 /// refutation at that site). Whole-space refutation therefore proves
-/// EVERY candidate fails; pinning a single hole refutes one value of
-/// that hole — a unit ban for the synthesizer.
+/// EVERY candidate fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,18 +124,15 @@ struct AbsIntResult {
 };
 
 /// Runs the abstract interpreter. \p Holes selects candidate mode
-/// (non-null) or whole-space mode (null). \p PinHole/\p PinValue, used
-/// with null \p Holes, pin one hole to one value while the rest stay
-/// top — the unit-ban probe. A non-null \p Pts (a points-to solution for
-/// the SAME mode) refines the heap abstraction from one interval per
-/// field class to one per (allocation site, field): resolved field reads
-/// see only their sites' cells, thread-private prologue state updates
-/// strongly, and — when the prologue is the sole allocator — the result
-/// carries per-pool-node ValueBounds::HeapSlots.
+/// (non-null) or whole-space mode (null). A non-null \p Pts (a points-to
+/// solution for the SAME mode) refines the heap abstraction from one
+/// interval per field class to one per (allocation site, field): resolved
+/// field reads see only their sites' cells, thread-private prologue state
+/// updates strongly, and — when the prologue is the sole allocator — the
+/// result carries per-pool-node ValueBounds::HeapSlots.
 AbsIntResult runAbsInt(const ir::Program &P, const flat::FlatProgram &FP,
                        const ir::HoleAssignment *Holes,
                        const AbsIntConfig &Cfg = AbsIntConfig(),
-                       int PinHole = -1, uint64_t PinValue = 0,
                        const PointsToResult *Pts = nullptr);
 
 /// The per-candidate bundle CEGIS feeds the verifier layer: interval

@@ -6,33 +6,43 @@
 
 #include "analysis/Analyzer.h"
 
-#include "analysis/HoleSpacePrune.h"
-#include "analysis/Prescreen.h"
-#include "analysis/SketchLint.h"
-#include "analysis/Util.h"
 #include "support/StrUtil.h"
 
 using namespace psketch;
 using namespace psketch::analysis;
 using namespace psketch::ir;
 
+namespace {
+
+/// The pre-pass passes, then (with \p Lint) the lint-only ones, all into
+/// one sink so lint() lists analyze()'s findings first.
+AnalysisResult runPasses(Program &P, const flat::FlatProgram &FP,
+                         bool AbsInt, bool Lint) {
+  AnalysisResult Out;
+  DiagnosticSink Sink;
+  runHoleSpacePrune(P, FP, Sink, Out);
+  runConstantAsserts(P, FP, Sink, Out);
+  if (AbsInt)
+    runAbsIntScreen(P, FP, Lint, Sink, Out);
+  if (Lint) {
+    runSketchLint(P, FP, Sink);
+    runShapeLint(P, FP, Sink);
+  }
+  Out.Diags = Sink.take();
+  return Out;
+}
+
+} // namespace
+
 AnalysisResult psketch::analysis::analyze(Program &P,
                                           const flat::FlatProgram &FP,
                                           const AnalysisConfig &Cfg) {
-  AnalysisResult Out;
-  DiagnosticSink Sink;
-  if (Cfg.Prune)
-    runHoleSpacePrune(P, FP, Cfg, Sink, Out);
-  if (Cfg.Prescreen)
-    runPrescreen(P, FP, Cfg, Sink, Out);
-  if (Cfg.Lint)
-    runSketchLint(P, FP, Cfg, Sink, Out);
-  if (Cfg.AbsInt)
-    runAbsIntScreen(P, FP, Cfg, Sink, Out);
-  if (Cfg.Shape)
-    runShapeScreen(P, FP, Cfg, Sink, Out);
-  Out.Diags = Sink.take();
-  return Out;
+  return runPasses(P, FP, Cfg.AbsInt, /*Lint=*/false);
+}
+
+std::vector<Diagnostic> psketch::analysis::lint(Program &P,
+                                                const flat::FlatProgram &FP) {
+  return runPasses(P, FP, /*AbsInt=*/true, /*Lint=*/true).Diags;
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,24 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The static analyzer that runs before CEGIS touches a verifier. Every
-/// CEGIS iteration pays a full model-checking pass, yet a class of
-/// candidate failures is decidable from the FlatProgram alone; the
-/// analyzer decides those up front and hands the synthesizer unit clauses
-/// and hole-only exclusion constraints, so whole subspaces of C are never
-/// proposed. Three passes share one Diagnostic sink:
+/// The static sketch analyzer. It has two entry points, each with one job:
 ///
-///  * hole-space pruning (HoleSpacePrune.h) — constant-folds static
-///    guards, detects syntactically-equivalent generator alternatives and
-///    redundant reorder positions, and emits unit bans / canonicalization
-///    constraints;
-///  * lockset + wait-graph pre-screen (Prescreen.h) — flags statically
-///    unprotected shared writes and detects wait-condition cycles that
-///    deadlock under every hole assignment of a subspace, which CEGIS
-///    then excludes without a verifier call;
-///  * sketch lint (SketchLint.h) — dead steps, unobservable holes,
-///    constant asserts, and structural mistakes, rendered with the
-///    flattener's step labels.
+///  * analyze() is the CEGIS pre-pass. It runs once before the loop and
+///    computes only what the loop asserts: unit bans and hole-only
+///    exclusion constraints, which keep whole subspaces of C from ever
+///    being proposed, and proofs that no candidate can pass, which let
+///    CEGIS answer NO with zero verifier calls. Three passes:
+///     - hole-space pruning (HoleSpacePrune.h) — unused holes, equivalent
+///       generator alternatives and redundant reorder positions become
+///       unit bans and canonicalization exclusions;
+///     - constant asserts (SketchLint.h) — a constant-false assert on an
+///       unguarded step proves the sketch unresolvable;
+///     - whole-space interval refutation (AbsInt.h, AnalysisConfig::AbsInt)
+///       — an assert that provably fails, or a wait that can never fire,
+///       under every candidate and schedule.
+///  * lint() returns every diagnostic for the sketch author: analyze()'s
+///    own, plus the rest of the sketch lint (unobservable holes,
+///    structure, near-symmetry), the interval-dead asserts and Eraser
+///    race warnings of AbsInt.h, and the heap lint of Shape.h. It never
+///    runs inside the loop; psketch_tool calls it.
 ///
 /// Soundness contract: every assignment covered by a ban or exclusion is
 /// either (a) guaranteed to fail verification, or (b) semantically
@@ -49,23 +51,11 @@
 namespace psketch {
 namespace analysis {
 
-/// The PSKETCH_SHAPE environment default (defined in Shape.cpp).
-bool defaultShape();
-
-/// Knobs for the analyzer. The enumeration caps bound the work each pass
-/// may spend per guard / hole / reorder block; exceeding a cap silently
-/// skips the (optional) finding, never affecting soundness.
+/// The pre-pass setting that is not fixed: SequentialCegis turns the
+/// interval refutation off, because `implements` tests override the
+/// declared initializers it reasons from.
 struct AnalysisConfig {
-  bool Prune = true;     ///< run the hole-space pruning pass
-  bool Prescreen = true; ///< run the lockset + wait-graph pre-screen
-  bool Lint = true;      ///< run the sketch lint pass
-  bool AbsInt = true;    ///< run the interval + lockset screen (AbsInt.h)
-  bool Shape = defaultShape(); ///< run the points-to + shape lint (Shape.h)
-  uint64_t MaxGuardEnum = 4096;       ///< assignments per static guard
-  unsigned MaxHoleChoices = 64;       ///< equivalence scan per-hole cap
-  uint64_t MaxReorderEnum = 4096;     ///< assignments per reorder block
-  unsigned MaxReorderExclusions = 256;///< exclusion constraints per block
-  unsigned MaxAbsIntProbes = 256;     ///< pinned-hole abstract runs
+  bool AbsInt = true; ///< run the whole-space interval refutation (AbsInt.h)
 };
 
 /// A unit clause: hole \p HoleId must not take \p Value.
@@ -82,8 +72,8 @@ struct AnalysisResult {
   /// guaranteed failure or equivalent to a smaller remaining value).
   std::vector<HoleValueBan> Bans;
 
-  /// Hole-only constraints every proposed candidate must satisfy
-  /// (deadlocking-subspace exclusions, reorder canonicalizations).
+  /// Hole-only constraints every proposed candidate must satisfy (reorder
+  /// canonicalizations).
   std::vector<ir::ExprRef> Exclusions;
 
   /// The analyzer proved that *no* hole assignment can satisfy the
@@ -94,32 +84,18 @@ struct AnalysisResult {
   /// log10 |C'| - log10 |C|: the candidate-space shrink from bans and
   /// canonicalizations (<= 0). bench_table1 adds this to Table 1's |C|.
   double SpaceLog10Delta = 0.0;
-
-  /// Eraser-style inconsistent-locking warnings emitted by the abstract
-  /// interpretation screen (subset of Diags, counted for --stats).
-  unsigned RaceWarnings = 0;
-
-  /// Pass-5 shape counters (--stats): allocation sites tracked by the
-  /// whole-space points-to solution, proven must-not-alias deref pairs,
-  /// and heap-field race warnings (the latter a subset of Diags). All
-  /// zero when the pass is off or refused (site overflow).
-  unsigned ShapeSites = 0;
-  uint64_t MustNotAliasPairs = 0;
-  unsigned HeapRaceWarnings = 0;
-
-  bool hasErrors() const {
-    for (const Diagnostic &D : Diags)
-      if (D.Sev == Severity::Error)
-        return true;
-    return false;
-  }
 };
 
-/// Runs the enabled passes over \p P / \p FP. \p FP must be the
-/// flattening of \p P (exclusion constraints are allocated in \p P's
-/// arena, which is why the program is taken mutably).
+/// The CEGIS pre-pass over \p P / \p FP. \p FP must be the flattening
+/// of \p P (exclusion constraints are allocated in \p P's arena, which is
+/// why the program is taken mutably).
 AnalysisResult analyze(ir::Program &P, const flat::FlatProgram &FP,
                        const AnalysisConfig &Cfg = AnalysisConfig());
+
+/// Every diagnostic for \p P / \p FP: analyze()'s (with the interval
+/// refutation on) followed by the lint-only passes. Same preconditions as
+/// analyze().
+std::vector<Diagnostic> lint(ir::Program &P, const flat::FlatProgram &FP);
 
 /// Frontend-facing well-formedness validation: out-of-range hole, global,
 /// field, and local references; Choice nodes whose alternative count
@@ -130,30 +106,28 @@ AnalysisResult analyze(ir::Program &P, const flat::FlatProgram &FP,
 std::vector<Diagnostic> validateProgram(const ir::Program &P);
 
 //===----------------------------------------------------------------------===//
-// Individual passes (exposed for unit testing; analyze() runs them all).
+// Individual passes (analyze() and lint() run them).
 //===----------------------------------------------------------------------===//
 
 void runHoleSpacePrune(ir::Program &P, const flat::FlatProgram &FP,
-                       const AnalysisConfig &Cfg, DiagnosticSink &Sink,
-                       AnalysisResult &Out);
-void runPrescreen(ir::Program &P, const flat::FlatProgram &FP,
-                  const AnalysisConfig &Cfg, DiagnosticSink &Sink,
-                  AnalysisResult &Out);
-void runSketchLint(ir::Program &P, const flat::FlatProgram &FP,
-                   const AnalysisConfig &Cfg, DiagnosticSink &Sink,
-                   AnalysisResult &Out);
-/// The thread-modular abstract interpretation screen (AbsInt.h): whole-
-/// space refutation (ProvedUnresolvable), pinned-hole unit bans,
-/// interval-dead asserts, and Eraser-style race warnings.
-void runAbsIntScreen(ir::Program &P, const flat::FlatProgram &FP,
-                     const AnalysisConfig &Cfg, DiagnosticSink &Sink,
-                     AnalysisResult &Out);
-/// The allocation-site points-to + shape lint screen (Shape.h):
-/// definite-null derefs, leaked sites, and heap-field races, plus the
-/// ShapeSites / MustNotAliasPairs counters.
-void runShapeScreen(ir::Program &P, const flat::FlatProgram &FP,
-                    const AnalysisConfig &Cfg, DiagnosticSink &Sink,
-                    AnalysisResult &Out);
+                       DiagnosticSink &Sink, AnalysisResult &Out);
+/// The constant-assert half of the sketch lint (SketchLint.h): the one
+/// that can prove the sketch unresolvable.
+void runConstantAsserts(const ir::Program &P, const flat::FlatProgram &FP,
+                        DiagnosticSink &Sink, AnalysisResult &Out);
+/// The whole-space abstract run (AbsInt.h): refutation of every
+/// candidate (ProvedUnresolvable, an Error diagnostic); with \p Lint, also
+/// interval-dead asserts and Eraser-style race warnings.
+void runAbsIntScreen(const ir::Program &P, const flat::FlatProgram &FP,
+                     bool Lint, DiagnosticSink &Sink, AnalysisResult &Out);
+/// The rest of the sketch lint: unobservable holes, structure and
+/// near-symmetry.
+void runSketchLint(const ir::Program &P, const flat::FlatProgram &FP,
+                   DiagnosticSink &Sink);
+/// The allocation-site points-to + shape lint (Shape.h): definite-null
+/// derefs, leaked sites and heap-field races.
+void runShapeLint(const ir::Program &P, const flat::FlatProgram &FP,
+                  DiagnosticSink &Sink);
 
 } // namespace analysis
 } // namespace psketch

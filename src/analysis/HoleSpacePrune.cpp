@@ -26,6 +26,13 @@ namespace {
 
 constexpr const char *PassName = "prune";
 
+// Enumeration caps. Exceeding one skips the (optional) finding; it never
+// affects soundness.
+constexpr uint64_t MaxGuardEnum = 4096;       ///< assignments per static guard
+constexpr unsigned MaxHoleChoices = 64;       ///< equivalence scan per-hole cap
+constexpr uint64_t MaxReorderEnum = 4096;     ///< assignments per reorder block
+constexpr size_t MaxReorderExclusions = 256;  ///< exclusion constraints per block
+
 /// A hole id no expression can mention; turns the substitution-equality
 /// helpers into plain structural equality.
 constexpr unsigned NoHole = ~0u;
@@ -138,7 +145,6 @@ std::optional<GuardFold> foldGuard(const Program &P, ExprRef G, uint64_t Cap) {
 } // namespace
 
 void psketch::analysis::runHoleSpacePrune(Program &P, const FlatProgram &FP,
-                                          const AnalysisConfig &Cfg,
                                           DiagnosticSink &Sink,
                                           AnalysisResult &Out) {
   std::set<unsigned> Mentioned;
@@ -167,7 +173,7 @@ void psketch::analysis::runHoleSpacePrune(Program &P, const FlatProgram &FP,
                           Info.Name.c_str(), Info.NumChoices - 1));
       continue;
     }
-    if (Info.NumChoices > Cfg.MaxHoleChoices)
+    if (Info.NumChoices > MaxHoleChoices)
       continue;
     for (uint64_t V = 1; V < Info.NumChoices; ++V) {
       for (uint64_t U = 0; U < V; ++U) {
@@ -194,7 +200,7 @@ void psketch::analysis::runHoleSpacePrune(Program &P, const FlatProgram &FP,
       ExprRef G = B.Steps[Pc].StaticGuard;
       if (!G)
         continue;
-      auto F = foldGuard(P, G, Cfg.MaxGuardEnum);
+      auto F = foldGuard(P, G, MaxGuardEnum);
       if (!F)
         continue;
       if (!F->AnyTrue)
@@ -297,7 +303,7 @@ void psketch::analysis::runHoleSpacePrune(Program &P, const FlatProgram &FP,
     std::unordered_map<std::string, bool> Seen;
     bool Capped = false;
     bool Complete = forEachAssignment(
-        P, Holes, Cfg.MaxReorderEnum, [&](const HoleAssignment &A) {
+        P, Holes, MaxReorderEnum, [&](const HoleAssignment &A) {
           for (ExprRef C : GroupConstraints) {
             auto V = tryEvalStatic(P, C, A);
             if (V && *V == 0)
@@ -327,8 +333,7 @@ void psketch::analysis::runHoleSpacePrune(Program &P, const FlatProgram &FP,
           }
           if (Seen.emplace(Key, true).second)
             return; // canonical representative of this order
-          if (Out.Exclusions.size() >=
-              static_cast<size_t>(Cfg.MaxReorderExclusions)) {
+          if (Out.Exclusions.size() >= MaxReorderExclusions) {
             Capped = true;
             return;
           }

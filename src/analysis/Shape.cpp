@@ -257,15 +257,11 @@ ShapeResult analysis::runShape(const Program &P,
   return Out;
 }
 
-void analysis::runShapeScreen(Program &P, const flat::FlatProgram &FP,
-                              const AnalysisConfig &Cfg,
-                              DiagnosticSink &Sink, AnalysisResult &Out) {
-  (void)Cfg;
+void analysis::runShapeLint(const Program &P, const flat::FlatProgram &FP,
+                            DiagnosticSink &Sink) {
   ShapeResult R = runShape(P, FP);
   if (!R.Ran)
     return;
-  Out.ShapeSites = static_cast<unsigned>(R.Pts.Sites.size());
-  Out.MustNotAliasPairs = R.Pts.mustNotAliasPairs();
   constexpr const char *Pass = "shape";
   for (const NullDerefFinding &F : R.NullDerefs)
     Sink.warning(Pass,
@@ -280,13 +276,11 @@ void analysis::runShapeScreen(Program &P, const flat::FlatProgram &FP,
                           "(leaked pool capacity, %s)",
                           shapeKindName(R.SiteShapes[S])),
                    stepWhere(FP, R.Pts.Sites[S].Ctx, R.Pts.Sites[S].Pc));
-  for (const HeapRaceFinding &F : R.HeapRaces) {
+  for (const HeapRaceFinding &F : R.HeapRaces)
     Sink.warning(Pass,
                  format("possible race on heap field '%s' of the shared "
                         "node allocated at '%s': no common lock protects "
                         "all access sites",
                         F.FieldName.c_str(), F.SiteLabel.c_str()),
                  F.Where);
-    ++Out.HeapRaceWarnings;
-  }
 }

@@ -23,7 +23,8 @@
 ///    RaceFinding of Lockset.h to the heap.
 ///
 /// Everything here is whole-space: the facts hold for every hole
-/// assignment, so the findings are candidate-independent lint. The
+/// assignment, so the findings are candidate-independent lint, emitted
+/// by analysis::lint() (runShapeLint) and never inside the CEGIS loop. The
 /// per-candidate consumers (footprint partitioning, interval refinement)
 /// use candidate-mode runPointsTo directly.
 ///
@@ -94,9 +95,9 @@ struct ShapeResult {
 /// Runs the whole-space points-to and classifies shapes + findings.
 ShapeResult runShape(const ir::Program &P, const flat::FlatProgram &FP);
 
-/// The PSKETCH_SHAPE environment default for CegisConfig::Shape and the
-/// analyzer's Shape pass: "off"/"0"/"false" disables, anything else (or
-/// unset) enables. Mirrors synth::defaultWarmStart().
+/// The PSKETCH_SHAPE environment default for CegisConfig::Shape:
+/// "off"/"0"/"false" disables, anything else (or unset) enables. Mirrors
+/// synth::defaultWarmStart().
 bool defaultShape();
 
 } // namespace analysis

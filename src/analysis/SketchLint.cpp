@@ -41,12 +41,16 @@ void opReadLocals(const MicroOp &Op, std::set<unsigned> &Out) {
   collectLocals(Op.Target.Index, Out);
 }
 
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // Constant asserts.
 //===----------------------------------------------------------------------===//
 
-void lintConstantAsserts(const Program &P, const FlatProgram &FP,
-                         DiagnosticSink &Sink, AnalysisResult &Out) {
+void psketch::analysis::runConstantAsserts(const Program &P,
+                                           const FlatProgram &FP,
+                                           DiagnosticSink &Sink,
+                                           AnalysisResult &Out) {
   HoleAssignment Empty; // assigns nothing: only true constants fold
   for (unsigned Ctx = 0; Ctx < numContexts(FP); ++Ctx) {
     const flat::FlatBody &B = bodyOf(FP, Ctx);
@@ -89,6 +93,8 @@ void lintConstantAsserts(const Program &P, const FlatProgram &FP,
     }
   }
 }
+
+namespace {
 
 //===----------------------------------------------------------------------===//
 // Unobservable holes (backward liveness over locals).
@@ -256,12 +262,8 @@ void lintNearSymmetry(const Program &P, const FlatProgram &FP,
 
 } // namespace
 
-void psketch::analysis::runSketchLint(Program &P, const FlatProgram &FP,
-                                      const AnalysisConfig &Cfg,
-                                      DiagnosticSink &Sink,
-                                      AnalysisResult &Out) {
-  (void)Cfg;
-  lintConstantAsserts(P, FP, Sink, Out);
+void psketch::analysis::runSketchLint(const Program &P, const FlatProgram &FP,
+                                      DiagnosticSink &Sink) {
   lintUnobservableHoles(P, FP, Sink);
   lintStructure(P, FP, Sink);
   lintNearSymmetry(P, FP, Sink);

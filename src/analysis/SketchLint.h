@@ -6,13 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sketch lint pass: findings that do not shrink the candidate space
-/// but tell the sketch author the sketch is probably not what they meant.
+/// The sketch lint passes: findings that tell the sketch author the
+/// sketch is probably not what they meant.
 ///
-///  * constant asserts — an assert whose condition folds to a constant
-///    with no hole assigned: constant-true is vacuous (warning);
-///    constant-false on an unguarded straight-line step makes every
-///    candidate fail, which proves the sketch unresolvable (error);
+///  * constant asserts (runConstantAsserts, part of the CEGIS pre-pass) —
+///    an assert whose condition folds to a constant with no hole
+///    assigned: constant-true is vacuous (warning); constant-false on an
+///    unguarded straight-line step makes every candidate fail, which
+///    proves the sketch unresolvable (error);
+///
+/// and, in lint() only (runSketchLint), findings that never shrink the
+/// candidate space:
+///
 ///  * unobservable holes — a backward liveness pass over locals finds
 ///    holes none of whose occurrences can reach an observable effect
 ///    (a shared write, an assert, an allocation, a wait condition, or a

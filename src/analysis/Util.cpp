@@ -6,7 +6,6 @@
 
 #include "analysis/Util.h"
 
-#include "ir/StaticEval.h"
 #include "support/StrUtil.h"
 
 using namespace psketch;
@@ -95,54 +94,9 @@ bool psketch::analysis::forEachAssignment(
   return true;
 }
 
-std::optional<bool> psketch::analysis::guardSatisfiable(const Program &P,
-                                                        ExprRef G,
-                                                        uint64_t Cap) {
-  if (!G)
-    return true;
-  if (!G->isHoleOnly())
-    return std::nullopt;
-  std::set<unsigned> Holes;
-  collectHoles(G, Holes);
-  std::vector<unsigned> Ids(Holes.begin(), Holes.end());
-  bool Sat = false;
-  bool Complete = forEachAssignment(P, Ids, Cap, [&](const HoleAssignment &A) {
-    if (Sat)
-      return;
-    auto V = tryEvalStatic(P, G, A);
-    if (V && *V != 0)
-      Sat = true;
-  });
-  if (!Complete)
-    return std::nullopt;
-  return Sat;
-}
-
 //===----------------------------------------------------------------------===//
-// Closed evaluation over initial globals.
+// Global reads.
 //===----------------------------------------------------------------------===//
-
-bool psketch::analysis::readsOnlyScalarGlobals(ExprRef E) {
-  if (!E)
-    return true;
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-    return true;
-  case ExprKind::GlobalRead:
-    return true; // scalar-ness is checked against the program in eval
-  case ExprKind::LocalRead:
-  case ExprKind::FieldRead:
-  case ExprKind::GlobalArrayRead:
-  case ExprKind::HoleRead:
-  case ExprKind::Choice:
-    return false;
-  default:
-    for (ExprRef Op : E->Ops)
-      if (!readsOnlyScalarGlobals(Op))
-        return false;
-    return true;
-  }
-}
 
 void psketch::analysis::collectScalarGlobals(ExprRef E,
                                              std::set<unsigned> &Out) {
@@ -152,74 +106,6 @@ void psketch::analysis::collectScalarGlobals(ExprRef E,
     Out.insert(E->Id);
   for (ExprRef Op : E->Ops)
     collectScalarGlobals(Op, Out);
-}
-
-std::optional<int64_t>
-psketch::analysis::evalOverGlobals(const Program &P, ExprRef E,
-                                   const std::vector<int64_t> &GlobalValues) {
-  switch (E->Kind) {
-  case ExprKind::ConstInt:
-    return E->IntValue;
-  case ExprKind::GlobalRead:
-    if (E->Id >= GlobalValues.size() || P.globals()[E->Id].ArraySize != 0)
-      return std::nullopt;
-    return GlobalValues[E->Id];
-  case ExprKind::Not: {
-    auto V = evalOverGlobals(P, E->Ops[0], GlobalValues);
-    if (!V)
-      return std::nullopt;
-    return *V != 0 ? 0 : 1;
-  }
-  case ExprKind::And: {
-    auto A = evalOverGlobals(P, E->Ops[0], GlobalValues);
-    auto B = evalOverGlobals(P, E->Ops[1], GlobalValues);
-    if (!A || !B)
-      return std::nullopt;
-    return (*A != 0 && *B != 0) ? 1 : 0;
-  }
-  case ExprKind::Or: {
-    auto A = evalOverGlobals(P, E->Ops[0], GlobalValues);
-    auto B = evalOverGlobals(P, E->Ops[1], GlobalValues);
-    if (!A || !B)
-      return std::nullopt;
-    return (*A != 0 || *B != 0) ? 1 : 0;
-  }
-  case ExprKind::Ite: {
-    auto C = evalOverGlobals(P, E->Ops[0], GlobalValues);
-    if (!C)
-      return std::nullopt;
-    return evalOverGlobals(P, E->Ops[*C != 0 ? 1 : 2], GlobalValues);
-  }
-  case ExprKind::Add:
-  case ExprKind::Sub:
-  case ExprKind::Eq:
-  case ExprKind::Ne:
-  case ExprKind::Lt:
-  case ExprKind::Le: {
-    auto A = evalOverGlobals(P, E->Ops[0], GlobalValues);
-    auto B = evalOverGlobals(P, E->Ops[1], GlobalValues);
-    if (!A || !B)
-      return std::nullopt;
-    switch (E->Kind) {
-    case ExprKind::Add:
-      return P.wrap(*A + *B, E->Ty);
-    case ExprKind::Sub:
-      return P.wrap(*A - *B, E->Ty);
-    case ExprKind::Eq:
-      return *A == *B ? 1 : 0;
-    case ExprKind::Ne:
-      return *A != *B ? 1 : 0;
-    case ExprKind::Lt:
-      return *A < *B ? 1 : 0;
-    case ExprKind::Le:
-      return *A <= *B ? 1 : 0;
-    default:
-      return std::nullopt;
-    }
-  }
-  default:
-    return std::nullopt;
-  }
 }
 
 //===----------------------------------------------------------------------===//

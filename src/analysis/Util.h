@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Expression- and program-level helpers shared by the three analysis
-/// passes: hole collection, bounded enumeration of small hole subspaces,
-/// closed-form evaluation over initial global values, and structural
-/// program equality under a single-hole substitution (the workhorse of
-/// generator-alternative equivalence detection).
+/// Expression- and program-level helpers shared by the analysis passes:
+/// step labels, hole and global-read collection, bounded enumeration of
+/// small hole subspaces, and structural program equality under a
+/// single-hole substitution (the workhorse of generator-alternative
+/// equivalence detection).
 ///
 /// Context numbering follows exec::Machine: threads are 0..N-1, the
 /// prologue is N, the epilogue is N+1.
@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -45,11 +44,6 @@ inline unsigned numContexts(const flat::FlatProgram &FP) {
 
 /// \returns the flat body of context \p Ctx (Machine numbering).
 const flat::FlatBody &bodyOf(const flat::FlatProgram &FP, unsigned Ctx);
-
-/// True if \p Ctx is a thread (not prologue/epilogue).
-inline bool isThreadCtx(const flat::FlatProgram &FP, unsigned Ctx) {
-  return Ctx < FP.Threads.size();
-}
 
 /// "prologue", "thread 2", or "epilogue".
 std::string contextName(const flat::FlatProgram &FP, unsigned Ctx);
@@ -77,28 +71,12 @@ bool forEachAssignment(const ir::Program &P,
                        const std::vector<unsigned> &HoleIds, uint64_t Cap,
                        const std::function<void(const ir::HoleAssignment &)> &Fn);
 
-/// Decides satisfiability of hole-only guard \p G by enumerating the
-/// holes it mentions. \returns nullopt when the subspace exceeds \p Cap
-/// or the guard is not hole-only.
-std::optional<bool> guardSatisfiable(const ir::Program &P, ir::ExprRef G,
-                                     uint64_t Cap);
-
 //===----------------------------------------------------------------------===//
-// Closed evaluation over initial globals.
+// Global reads.
 //===----------------------------------------------------------------------===//
-
-/// True if \p E reads only constants and scalar globals (no locals,
-/// fields, arrays, or holes) — the fragment the wait-graph pre-screen can
-/// evaluate in the initial state.
-bool readsOnlyScalarGlobals(ir::ExprRef E);
 
 /// Adds every scalar-global id read by \p E to \p Out.
 void collectScalarGlobals(ir::ExprRef E, std::set<unsigned> &Out);
-
-/// Evaluates \p E over \p GlobalValues (indexed by global id, scalars
-/// only). \returns nullopt when \p E leaves the scalar-global fragment.
-std::optional<int64_t> evalOverGlobals(const ir::Program &P, ir::ExprRef E,
-                                       const std::vector<int64_t> &GlobalValues);
 
 //===----------------------------------------------------------------------===//
 // Structural equality under a single-hole substitution.

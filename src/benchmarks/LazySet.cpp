@@ -357,3 +357,21 @@ psketch::bench::buildLazySet(const Workload &W, const LazySetOptions &O) {
   B.build();
   return P;
 }
+
+static unsigned holeIdx(const Program &P, const std::string &Name) {
+  for (size_t I = 0; I < P.holes().size(); ++I)
+    if (P.holes()[I].Name == Name)
+      return static_cast<unsigned>(I);
+  assert(false && "hole not found");
+  return 0;
+}
+
+HoleAssignment psketch::bench::lazySetReferenceCandidate(const Program &P) {
+  HoleAssignment H(P.holes().size(), 0);
+  H[holeIdx(P, "rem.lockPos")] = 0;   // before the validation
+  H[holeIdx(P, "rem.lockTgt")] = 1;   // curr
+  H[holeIdx(P, "rem.unlockPos")] = 3; // after the unlink
+  H[holeIdx(P, "rem.unlockTgt")] = 1; // curr
+  H[holeIdx(P, "rem.valid")] = 0;     // pred.next == curr
+  return H;
+}

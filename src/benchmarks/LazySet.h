@@ -42,6 +42,12 @@ std::unique_ptr<ir::Program> buildLazySet(const Workload &W,
                                           const LazySetOptions &O =
                                               LazySetOptions());
 
+/// A known-correct remove() for the one-adder, one-remover workloads
+/// (`ar(aa|rr)`): lock curr before validating, validate that pred still
+/// links to curr, unlock curr at the end. Sketched add() (SketchAdd) is
+/// not covered. No single-lock remove() passes `ar(ar|ar)`.
+ir::HoleAssignment lazySetReferenceCandidate(const ir::Program &P);
+
 } // namespace bench
 } // namespace psketch
 

@@ -74,6 +74,8 @@ static SuiteEntry lazyRow(const std::string &Test, bool Resolvable,
   E.Sketch = "lazyset";
   E.Test = Test;
   E.Build = [Test]() { return buildLazySet(parseWorkload(Test)); };
+  if (Resolvable)
+    E.Reference = lazySetReferenceCandidate;
   E.PaperResolvable = Resolvable;
   E.PaperItns = Itns;
   E.PaperTotalSeconds = Total;

@@ -40,9 +40,6 @@ bool applyPrescreen(ir::Program &P, const flat::FlatProgram &FP,
   R.Stats.PrunedHoleValues = A.Bans.size();
   R.Stats.ExclusionConstraints = A.Exclusions.size();
   R.Stats.SpaceLog10Delta = A.SpaceLog10Delta;
-  R.Stats.RaceWarnings = A.RaceWarnings;
-  R.Stats.HeapRaceWarnings = A.HeapRaceWarnings;
-  R.Diags = std::move(A.Diags);
   R.Stats.SpruneSeconds = Watch.seconds();
   if (Cfg.Log && (!A.Bans.empty() || !A.Exclusions.empty()))
     Cfg.Log(format("prescreen: %zu unit bans, %zu exclusion constraints "
@@ -291,14 +288,11 @@ SequentialCegis::SequentialCegis(ir::Program &P,
   // Interval facts are computed from the declared global initializers,
   // which `implements` tests override per input — both the per-candidate
   // screen and the analyzer's whole-space interval pass would be unsound
-  // here, so they are forced off (CegisConfig doc).
+  // here, so they are forced off (CegisConfig doc). The per-candidate
+  // heap partition rides the same screen, so it goes too.
   this->Cfg.AbsInt = false;
   this->Cfg.Analysis.AbsInt = false;
-  // The shape screen's leak lint likewise reasons from declared
-  // initializers (reachability at quiescence), so it is forced off with
-  // the same argument; the per-candidate partition rides AbsInt anyway.
   this->Cfg.Shape = false;
-  this->Cfg.Analysis.Shape = false;
   WallTimer Watch;
   FP = flat::flatten(P);
   FlattenSeconds = Watch.seconds();

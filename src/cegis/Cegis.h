@@ -25,6 +25,7 @@
 #define PSKETCH_CEGIS_CEGIS_H
 
 #include "analysis/Analyzer.h"
+#include "analysis/Shape.h"
 #include "desugar/Flatten.h"
 #include "ir/HoleAssignment.h"
 #include "ir/Program.h"
@@ -49,14 +50,15 @@ struct CegisConfig {
   /// generate-and-test baseline the paper's CEGIS improves on. Used by
   /// the observation-ablation bench.
   bool LearnFromTraces = true;
-  /// When true (the default), the static analyzer (src/analysis) runs
-  /// once before the loop; its unit bans and exclusion constraints are
-  /// asserted into the synthesizer, and an analyzer proof of
-  /// unresolvability short-circuits the loop with zero verifier calls.
-  /// The analyzer is sound, so verdicts are unchanged — only iterations
-  /// and solver work can shrink. Opt out for ablation measurements.
+  /// When true (the default), the analyzer's pre-pass (analysis::analyze)
+  /// runs once before the loop; its unit bans and exclusion constraints
+  /// are asserted into the synthesizer, and a proof of unresolvability
+  /// short-circuits the loop with zero verifier calls. The pre-pass is
+  /// sound, so verdicts are unchanged — only iterations and solver work
+  /// can shrink. Opt out for ablation measurements. Diagnostics come from
+  /// analysis::lint(), never from the loop.
   bool Prescreen = true;
-  /// Pass toggles and enumeration caps for the pre-screen analyzer.
+  /// The pre-pass's one setting (the whole-space interval refutation).
   analysis::AnalysisConfig Analysis;
   /// When true (the default), every proposed candidate runs the
   /// thread-modular abstract interpreter (analysis/AbsInt.h) before the
@@ -151,13 +153,12 @@ struct CegisStats {
   double CanonTime = 0.0;
   /// Abstract-interpretation observability (CegisConfig::AbsInt).
   /// Candidates excluded by interval refutation without a verifier call;
-  /// race warnings from the analyzer screen; the max key-bits shed /
-  /// lock-independent step pairs any candidate's Machine achieved; time
-  /// spent in per-candidate abstract runs; and audit-mode refutations the
-  /// concrete checker contradicted (must be zero — a nonzero value is an
-  /// analysis soundness bug surfaced by the bench gate).
+  /// the max key-bits shed / lock-independent step pairs any candidate's
+  /// Machine achieved; time spent in per-candidate abstract runs; and
+  /// audit-mode refutations the concrete checker contradicted (must be
+  /// zero — a nonzero value is an analysis soundness bug surfaced by the
+  /// bench gate).
   uint64_t IntervalPrunes = 0;
-  unsigned RaceWarnings = 0;
   unsigned TightenedBits = 0;
   uint64_t LockIndepPairs = 0;
   uint64_t PackEscapes = 0;
@@ -167,14 +168,12 @@ struct CegisStats {
   /// SiteIndepPairs follow the SymmetryOrbits min-where-ran policy: the
   /// weakest partition any candidate's Machine actually ran with (0 when
   /// the pass was off or refused everywhere); MustNotAliasPairs is the
-  /// min across candidates where points-to ran. HeapRaceWarnings counts
-  /// the pre-screen's heap-field race findings. ShapeFalsePrunes counts
+  /// min across candidates where points-to ran. ShapeFalsePrunes counts
   /// audit-mode disagreements between a shape-tuned check and its
   /// untuned re-run (must be zero — enforced by the bench_shape gate).
   unsigned ShapeSites = 0;
   uint64_t MustNotAliasPairs = 0;
   uint64_t SiteIndepPairs = 0;
-  unsigned HeapRaceWarnings = 0;
   uint64_t ShapeFalsePrunes = 0;
   /// Per-iteration solver telemetry: one record per candidate-proposing
   /// SAT solve (synth::SolveRecord — seconds, conflicts, decisions,
@@ -196,8 +195,6 @@ void accumulateCheckerStats(CegisStats &Stats,
 struct CegisResult {
   CegisStats Stats;
   ir::HoleAssignment Candidate; ///< meaningful when Stats.Resolvable
-  /// The pre-screen analyzer's findings (empty when Prescreen is off).
-  std::vector<analysis::Diagnostic> Diags;
 };
 
 /// CEGIS for concurrent sketches: the paper's main algorithm.

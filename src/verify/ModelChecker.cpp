@@ -37,6 +37,8 @@ std::string Counterexample::describe(const Machine &M) const {
 }
 
 unsigned psketch::verify::resolvedNumThreads(const CheckerConfig &Cfg) {
+  if (Cfg.Order == SearchOrder::Bfs)
+    return 1;
   if (Cfg.NumThreads != 0)
     return Cfg.NumThreads;
   unsigned HW = std::thread::hardware_concurrency();

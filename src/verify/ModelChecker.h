@@ -29,7 +29,8 @@
 /// (verify/SearchCore.h), which mutates one state in place, and a BFS
 /// that copies every node's state and returns shortest counterexamples
 /// (CheckerConfig::Order). The DFS is optionally multi-threaded
-/// (CheckerConfig::NumThreads): each worker runs the same core over one
+/// (CheckerConfig::NumThreads; the BFS always runs one worker, whatever
+/// NumThreads asks for): each worker runs the same core over one
 /// shared, sharded seen-state table; idle workers receive the untried
 /// choices of a busy worker's shallowest frame, and the first violation
 /// cancels every worker (docs/PARALLEL.md describes the design).
@@ -138,7 +139,8 @@ struct CheckerConfig {
   uint64_t MaxStates = 4000000;   ///< exploration safety net
   uint64_t Seed = 1;              ///< random falsifier seed
   /// Checker workers: 1 = exact legacy single-threaded behaviour,
-  /// 0 = hardware concurrency, N = that many workers.
+  /// 0 = hardware concurrency, N = that many workers. Ignored when
+  /// Order == Bfs: the BFS has no parallel form and runs one worker.
   unsigned NumThreads = 1;
   /// When true (default) a violation found by the exhaustive phase is
   /// re-derived by a deterministic sequential search so the reported
@@ -156,8 +158,10 @@ struct CheckerConfig {
   bool DeterministicCex = true;
 };
 
-/// \returns the worker count \p Cfg resolves to: NumThreads, with 0
-/// mapped to std::thread::hardware_concurrency() (at least 1).
+/// \returns the worker count \p Cfg resolves to: 1 for a BFS, else
+/// NumThreads, with 0 mapped to std::thread::hardware_concurrency() (at
+/// least 1). CheckResult::WorkersUsed and CegisStats::CheckerWorkers
+/// report it.
 unsigned resolvedNumThreads(const CheckerConfig &Cfg);
 
 /// The checker's verdict.

@@ -316,14 +316,14 @@ TEST(Fixture, DeadAssertIsFlaggedByIntervalsOnly) {
   Program &P = *Parsed.Program;
   flat::FlatProgram FP = flat::flatten(P);
 
-  AnalysisResult A = analyze(P, FP);
-  EXPECT_FALSE(A.ProvedUnresolvable);
-  EXPECT_TRUE(hasDiag(A.Diags, "absint", "flag stays boolean"))
+  EXPECT_FALSE(analyze(P, FP).ProvedUnresolvable);
+  std::vector<Diagnostic> Diags = lint(P, FP);
+  EXPECT_TRUE(hasDiag(Diags, "absint", "flag stays boolean"))
       << "interval-dead assert not flagged";
   // The control assert (done == 1 is falsifiable: done ∈ [0,1]) and the
   // syntactic lint must both stay quiet about dead asserts here.
-  EXPECT_FALSE(hasDiag(A.Diags, "absint", "some thread finished"));
-  EXPECT_FALSE(hasDiag(A.Diags, "lint", "flag stays boolean"));
+  EXPECT_FALSE(hasDiag(Diags, "absint", "some thread finished"));
+  EXPECT_FALSE(hasDiag(Diags, "lint", "flag stays boolean"));
 
   // And the analysis claim is concretely true: no candidate fires it.
   for (const HoleAssignment &C : allCandidates(P)) {
@@ -618,8 +618,9 @@ TEST(Cegis, AbsIntOnOffAgreeOnSuiteVerdicts) {
 }
 
 TEST(Cegis, AuditModeConfirmsZeroFalsePrunes) {
-  // With the prescreen on, the pinned-probe pass bans x := 3 up front
-  // and the run resolves straight to x := 5.
+  // The per-candidate screen refutes x := 3 when the solver proposes it
+  // (the pre-pass bans nothing here), the audit re-checks that refutation
+  // concretely, and the run resolves to x := 5.
   {
     auto P = buildPickFive();
     cegis::CegisConfig Cfg;
@@ -627,6 +628,7 @@ TEST(Cegis, AuditModeConfirmsZeroFalsePrunes) {
     cegis::ConcurrentCegis C(*P, Cfg);
     cegis::CegisResult R = C.run();
     EXPECT_TRUE(R.Stats.Resolvable);
+    EXPECT_GE(R.Stats.IntervalPrunes, 1u) << "x := 3 must reach the screen";
     EXPECT_EQ(R.Stats.AbsIntFalsePrunes, 0u);
     ASSERT_EQ(R.Candidate.size(), 1u);
     EXPECT_EQ(R.Candidate[0], 1u) << "only x := 5 satisfies the assert";

@@ -3,10 +3,11 @@
 // Part of psketch-cpp, a reproduction of "Sketching Concurrent Data
 // Structures" (PLDI 2008).
 //
-// Unit tests for each analysis pass, the frontend validator, and the
-// soundness property the whole analyzer promises: running CEGIS with the
-// pre-screen on must give the same verdict as running it with the
-// pre-screen off, on every sketch.
+// Unit tests for each analysis pass, the frontend validator, the split
+// between the CEGIS pre-pass (analyze) and the diagnostics (lint), and
+// the soundness property the pre-pass promises: running CEGIS with the
+// pre-pass on must give the same verdict as running it with the pre-pass
+// off, on every sketch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +49,11 @@ bool hasDiag(const std::vector<Diagnostic> &Diags, const std::string &Pass,
 AnalysisResult analyzeProgram(Program &P) {
   flat::FlatProgram FP = flat::flatten(P);
   return analyze(P, FP);
+}
+
+std::vector<Diagnostic> lintProgram(Program &P) {
+  flat::FlatProgram FP = flat::flatten(P);
+  return lint(P, FP);
 }
 
 } // namespace
@@ -202,132 +208,6 @@ TEST(Prune, CanonicalizesReorderOfIdenticalStatements) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lockset + wait-graph pre-screen.
-//===----------------------------------------------------------------------===//
-
-TEST(Prescreen, ProvesUnconditionalDeadlockUnresolvable) {
-  Program P;
-  unsigned Go = P.addGlobal("go", Type::Int, 0);
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  unsigned T = P.addThread("t");
-  // Nothing ever writes go, so the wait blocks every candidate.
-  P.setRoot(BodyId::thread(T),
-            P.seq({P.condAtomic(P.eq(P.global(Go), P.constInt(1)), P.nop()),
-                   P.assign(P.locGlobal(X), P.constInt(1))}));
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(1)), "x"));
-
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_TRUE(A.ProvedUnresolvable);
-  EXPECT_TRUE(hasDiag(A.Diags, "prescreen", Severity::Error, "deadlock"));
-
-  // The CEGIS driver must report NO with zero verifier calls.
-  Program P2;
-  unsigned Go2 = P2.addGlobal("go", Type::Int, 0);
-  unsigned X2 = P2.addGlobal("x", Type::Int, 0);
-  unsigned T2 = P2.addThread("t");
-  P2.setRoot(BodyId::thread(T2),
-             P2.seq({P2.condAtomic(P2.eq(P2.global(Go2), P2.constInt(1)),
-                                   P2.nop()),
-                     P2.assign(P2.locGlobal(X2), P2.constInt(1))}));
-  P2.setRoot(BodyId::epilogue(),
-             P2.assertS(P2.eq(P2.global(X2), P2.constInt(1)), "x"));
-  cegis::ConcurrentCegis C(P2);
-  cegis::CegisResult R = C.run();
-  EXPECT_FALSE(R.Stats.Resolvable);
-  EXPECT_FALSE(R.Stats.Aborted);
-  EXPECT_EQ(R.Stats.Iterations, 0u) << "proved without a verifier call";
-}
-
-TEST(Prescreen, DeadlockIsNotFlaggedWhenAWriterExists) {
-  Program P;
-  unsigned Go = P.addGlobal("go", Type::Int, 0);
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  unsigned T0 = P.addThread("waiter");
-  unsigned T1 = P.addThread("signaler");
-  P.setRoot(BodyId::thread(T0),
-            P.seq({P.condAtomic(P.eq(P.global(Go), P.constInt(1)), P.nop()),
-                   P.assign(P.locGlobal(X), P.constInt(1))}));
-  P.setRoot(BodyId::thread(T1), P.assign(P.locGlobal(Go), P.constInt(1)));
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(1)), "x"));
-
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_FALSE(A.ProvedUnresolvable);
-  EXPECT_TRUE(A.Exclusions.empty());
-
-  cegis::ConcurrentCegis C(P);
-  cegis::CegisResult R = C.run();
-  EXPECT_TRUE(R.Stats.Resolvable);
-}
-
-TEST(Prescreen, ExcludesGuardedDeadlockSubspace) {
-  Program P;
-  unsigned Go = P.addGlobal("go", Type::Int, 0);
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  unsigned H = P.addHole("useWait", 2);
-  unsigned T = P.addThread("t");
-  // hole=1 waits forever; hole=0 goes straight through. The analyzer
-  // must hand CEGIS the exclusion so it resolves with zero failures.
-  P.setRoot(
-      BodyId::thread(T),
-      P.seq({P.ifS(P.eq(P.holeValue(H), P.constInt(1)),
-                   P.condAtomic(P.eq(P.global(Go), P.constInt(1)), P.nop())),
-             P.assign(P.locGlobal(X), P.constInt(1))}));
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(1)), "x"));
-
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_FALSE(A.ProvedUnresolvable);
-  EXPECT_EQ(A.Exclusions.size(), 1u);
-
-  cegis::ConcurrentCegis C(P);
-  cegis::CegisResult R = C.run();
-  ASSERT_TRUE(R.Stats.Resolvable);
-  EXPECT_EQ(R.Candidate[H], 0u);
-  EXPECT_EQ(R.Stats.Iterations, 1u)
-      << "the deadlocking half must never be proposed";
-}
-
-TEST(Prescreen, WarnsOnMultiStepRmwWithoutLock) {
-  Program P;
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  for (int T = 0; T < 2; ++T) {
-    unsigned Id = P.addThread("inc");
-    BodyId B = BodyId::thread(Id);
-    unsigned Tmp = P.addLocal(B, "tmp", Type::Int, 0);
-    P.setRoot(B, P.seq({P.assign(P.locLocal(Tmp), P.global(X)),
-                        P.assign(P.locGlobal(X),
-                                 P.add(P.local(Tmp, Type::Int),
-                                       P.constInt(1)))}));
-  }
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(2)), "total"));
-
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_TRUE(
-      hasDiag(A.Diags, "prescreen", Severity::Warning, "read-modify-write"));
-}
-
-TEST(Prescreen, SingleStepRmwIsNotFlagged) {
-  Program P;
-  unsigned X = P.addGlobal("x", Type::Int, 0);
-  for (int T = 0; T < 2; ++T) {
-    unsigned Id = P.addThread("inc");
-    P.setRoot(BodyId::thread(Id),
-              P.atomic(P.assign(P.locGlobal(X),
-                                P.add(P.global(X), P.constInt(1)))));
-  }
-  P.setRoot(BodyId::epilogue(),
-            P.assertS(P.eq(P.global(X), P.constInt(2)), "total"));
-
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_FALSE(
-      hasDiag(A.Diags, "prescreen", Severity::Warning, "read-modify-write"))
-      << "a one-step RMW is atomic by construction";
-}
-
-//===----------------------------------------------------------------------===//
 // Sketch lint.
 //===----------------------------------------------------------------------===//
 
@@ -370,8 +250,8 @@ TEST(Lint, FlagsUnobservableHole) {
   P.setRoot(BodyId::epilogue(),
             P.assertS(P.eq(P.global(X), P.constInt(1)), "x"));
 
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_TRUE(hasDiag(A.Diags, "lint", Severity::Warning, "observable"));
+  std::vector<Diagnostic> Diags = lintProgram(P);
+  EXPECT_TRUE(hasDiag(Diags, "lint", Severity::Warning, "observable"));
 }
 
 TEST(Lint, ObservableHoleIsNotFlagged) {
@@ -387,8 +267,8 @@ TEST(Lint, ObservableHoleIsNotFlagged) {
   P.setRoot(BodyId::epilogue(),
             P.assertS(P.le(P.constInt(1), P.global(X)), "x"));
 
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_FALSE(hasDiag(A.Diags, "lint", Severity::Warning, "observable"));
+  std::vector<Diagnostic> Diags = lintProgram(P);
+  EXPECT_FALSE(hasDiag(Diags, "lint", Severity::Warning, "observable"));
 }
 
 TEST(Lint, WarnsWhenSketchHasNoAsserts) {
@@ -397,8 +277,8 @@ TEST(Lint, WarnsWhenSketchHasNoAsserts) {
   unsigned T = P.addThread("t");
   P.setRoot(BodyId::thread(T), P.assign(P.locGlobal(X), P.constInt(1)));
 
-  AnalysisResult A = analyzeProgram(P);
-  EXPECT_TRUE(hasDiag(A.Diags, "lint", Severity::Warning, "no asserts"));
+  std::vector<Diagnostic> Diags = lintProgram(P);
+  EXPECT_TRUE(hasDiag(Diags, "lint", Severity::Warning, "no asserts"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -410,17 +290,30 @@ TEST(Fixture, BrokenSketchYieldsTrueDiagnostics) {
   ASSERT_TRUE(File.good()) << "fixture missing";
   std::stringstream Buffer;
   Buffer << File.rdbuf();
-  frontend::ParseResult Parsed = frontend::parseProgram(Buffer.str());
+  std::string Source = Buffer.str();
+  frontend::ParseResult Parsed = frontend::parseProgram(Source);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
 
   Program &P = *Parsed.Program;
   EXPECT_TRUE(validateProgram(P).empty());
   AnalysisResult A = analyzeProgram(P);
   EXPECT_TRUE(A.ProvedUnresolvable) << "the wait can never unblock";
-  EXPECT_TRUE(hasDiag(A.Diags, "prescreen", Severity::Error, "deadlock"));
-  EXPECT_TRUE(
-      hasDiag(A.Diags, "prescreen", Severity::Warning, "read-modify-write"));
-  EXPECT_TRUE(hasDiag(A.Diags, "lint", Severity::Warning, "observable"));
+  EXPECT_TRUE(hasDiag(A.Diags, "absint", Severity::Error, "can never fire"));
+  EXPECT_FALSE(hasDiag(A.Diags, "lint", Severity::Warning, "observable"))
+      << "lint-only findings stay out of the CEGIS pre-pass";
+
+  std::vector<Diagnostic> Diags = lintProgram(P);
+  EXPECT_TRUE(hasDiag(Diags, "absint", Severity::Error, "can never fire"));
+  EXPECT_TRUE(hasDiag(Diags, "lint", Severity::Warning, "observable"));
+
+  // ConcurrentCegis must answer NO with zero verifier calls.
+  frontend::ParseResult Fresh = frontend::parseProgram(Source);
+  ASSERT_TRUE(Fresh.ok()) << Fresh.Error;
+  cegis::ConcurrentCegis C(*Fresh.Program);
+  cegis::CegisResult R = C.run();
+  EXPECT_FALSE(R.Stats.Resolvable);
+  EXPECT_FALSE(R.Stats.Aborted);
+  EXPECT_EQ(R.Stats.Iterations, 0u) << "proved without a verifier call";
 }
 
 //===----------------------------------------------------------------------===//
@@ -521,17 +414,11 @@ TEST(Soundness, EquivalenceBansPointToIdenticalBehavior) {
   // For every equivalence ban the analyzer emits on the random sketches,
   // the banned value and its canonical representative must drive
   // exec::Machine to identical verdicts on the full program order.
-  // The abstract-interpretation screen is off here: its bans are
-  // guaranteed-fail refutations (the other clause of the soundness
-  // contract), validated by the refutation-agreement test in
-  // test_absint.cpp.
   unsigned BansChecked = 0;
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
     auto P = buildRandomSketch(Seed);
     flat::FlatProgram FP = flat::flatten(*P);
-    AnalysisConfig EquivOnly;
-    EquivOnly.AbsInt = false;
-    AnalysisResult A = analyze(*P, FP, EquivOnly);
+    AnalysisResult A = analyze(*P, FP);
     for (const HoleValueBan &Ban : A.Bans) {
       // Find the smallest unbanned representative.
       uint64_t Rep = 0;

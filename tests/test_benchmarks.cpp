@@ -108,6 +108,12 @@ TEST(FineSetSpec, ReferencePasses) {
   }
 }
 
+TEST(LazySetSpec, ReferencePasses) {
+  auto P = buildLazySet(parseWorkload("ar(aa|rr)"));
+  auto R = checkCandidateOf(*P, lazySetReferenceCandidate(*P));
+  EXPECT_TRUE(R.Ok) << (R.Cex ? R.Cex->V.Label : "");
+}
+
 TEST(DiningSpec, ReferencePasses) {
   DiningOptions O{3, 3};
   auto P = buildDining(O);

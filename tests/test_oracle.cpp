@@ -8,7 +8,8 @@
 // the one place that checks it. Each subject is checked in every cell of
 // a config lattice:
 //  * Por Off/Local/Ample x Symmetry Off/Orbit x W in {1, 4}, DFS;
-//  * BFS at W = 1 under every Por x Symmetry pair;
+//  * the same for BFS, which always runs one worker: its W = 4 cells
+//    must report W = 1's worker count, counts and counterexample;
 //  * the DFS cells again on the analysis-tuned Machine CEGIS builds
 //    (interval bounds, locks and heap partition).
 // The reference cell is the plain Machine, Por Local, Symmetry Off,
@@ -191,9 +192,8 @@ std::vector<Cell> runLattice(const exec::Machine &Plain,
       for (PorMode Por : {PorMode::Off, PorMode::Local, PorMode::Ample})
         for (SymmetryMode Sym : {SymmetryMode::Off, SymmetryMode::Orbit})
           for (unsigned W : {1u, 4u}) {
-            // Parallel workers always search depth first; BFS runs on the
-            // plain Machine only.
-            if (Order == SearchOrder::Bfs && (W != 1 || T))
+            // BFS runs on the plain Machine only.
+            if (Order == SearchOrder::Bfs && T)
               continue;
             Cell C;
             C.Tuned = T;
@@ -271,9 +271,21 @@ void expectLatticeAgrees(const std::vector<Cell> &Cells,
   }
 
   for (const Cell &C : Cells) {
-    if (C.W != 1 || C.capped())
+    if (C.capped())
       continue;
     std::string Tag = Name + " " + C.tag();
+    if (C.W != 1) {
+      if (C.Order == SearchOrder::Bfs) {
+        const Cell &One =
+            findCell(Cells, false, SearchOrder::Bfs, C.Por, C.Sym, 1);
+        EXPECT_EQ(C.R.WorkersUsed, 1u) << Tag;
+        if (!One.capped()) {
+          expectSameCounts(C.R, One.R, Tag + " vs W=1");
+          expectSameCex(C.R, One.R, Tag + " vs W=1");
+        }
+      }
+      continue;
+    }
     if (C.Order == SearchOrder::Bfs && C.Por != PorMode::Ample && C.R.Ok) {
       const Cell &Dfs = findCell(Cells, C.Tuned, SearchOrder::Dfs, C.Por,
                                  C.Sym, 1);

@@ -63,14 +63,6 @@ std::unique_ptr<Program> parseFixture(const std::string &RelPath) {
   return std::move(Parsed.Program);
 }
 
-/// Shape explicitly on: the PSKETCH_SHAPE=off CI job must not turn the
-/// pass under test off.
-AnalysisConfig shapeOnConfig() {
-  AnalysisConfig Cfg;
-  Cfg.Shape = true;
-  return Cfg;
-}
-
 bool hasDiag(const std::vector<Diagnostic> &Diags, const std::string &Pass,
              const std::string &Needle) {
   for (const Diagnostic &D : Diags)
@@ -235,44 +227,41 @@ TEST(Fixture, SortedListRaceIsFlagged) {
   auto P = parseFixture("../examples/sorted_list_race.psk");
   ASSERT_TRUE(P);
   flat::FlatProgram FP = flat::flatten(*P);
-  AnalysisResult A = analyze(*P, FP, shapeOnConfig());
+  std::vector<Diagnostic> Diags = lint(*P, FP);
 
-  EXPECT_EQ(A.ShapeSites, 2u);
-  EXPECT_GE(A.MustNotAliasPairs, 1u);
-  EXPECT_EQ(A.HeapRaceWarnings, 1u);
   EXPECT_TRUE(hasDiag(
-      A.Diags, "shape",
+      Diags, "shape",
       "possible race on heap field 'val' of the shared node allocated at "
       "'lo = new Node();': no common lock protects all access sites"))
       << "exact race diagnostic missing";
   // The locked field is the only race; the list links stay quiet, and
   // nothing leaks (both nodes are published through head).
-  EXPECT_EQ(countDiags(A.Diags, "shape", "possible race"), 1u);
-  EXPECT_FALSE(hasDiag(A.Diags, "shape", "allocation never published"));
-  EXPECT_FALSE(hasDiag(A.Diags, "shape", "provably-null"));
+  EXPECT_EQ(countDiags(Diags, "shape", "possible race"), 1u);
+  EXPECT_FALSE(hasDiag(Diags, "shape", "allocation never published"));
+  EXPECT_FALSE(hasDiag(Diags, "shape", "provably-null"));
 }
 
 TEST(Fixture, LeakAndNullDerefAreFlagged) {
   auto P = parseFixture("fixtures/leak_null.psk");
   ASSERT_TRUE(P);
   flat::FlatProgram FP = flat::flatten(*P);
-  AnalysisResult A = analyze(*P, FP, shapeOnConfig());
+  std::vector<Diagnostic> Diags = lint(*P, FP);
 
   EXPECT_TRUE(hasDiag(
-      A.Diags, "shape",
+      Diags, "shape",
       "field access through a provably-null pointer: this dereference "
       "faults on every execution that reaches it"))
       << "exact null-deref diagnostic missing";
   EXPECT_TRUE(hasDiag(
-      A.Diags, "shape",
+      Diags, "shape",
       "allocation never published: the node is unreachable from every "
       "global at quiescence (leaked pool capacity, acyclic-list)"))
       << "exact leak diagnostic missing";
   // Exactly one leak: the published `keep` node must stay quiet. And an
   // unlocked single-writer heap is not a race.
-  EXPECT_EQ(countDiags(A.Diags, "shape", "allocation never published"), 1u);
-  EXPECT_EQ(countDiags(A.Diags, "shape", "provably-null"), 1u);
-  EXPECT_EQ(A.HeapRaceWarnings, 0u);
+  EXPECT_EQ(countDiags(Diags, "shape", "allocation never published"), 1u);
+  EXPECT_EQ(countDiags(Diags, "shape", "provably-null"), 1u);
+  EXPECT_EQ(countDiags(Diags, "shape", "possible race"), 0u);
 }
 
 TEST(Fixture, ShapeClassifiesRaceListSites) {
@@ -282,6 +271,8 @@ TEST(Fixture, ShapeClassifiesRaceListSites) {
   ShapeResult R = runShape(*P, FP);
   ASSERT_TRUE(R.Ran);
   ASSERT_EQ(R.SiteShapes.size(), 2u);
+  EXPECT_EQ(R.Pts.Sites.size(), 2u);
+  EXPECT_GE(R.Pts.mustNotAliasPairs(), 1u);
   // Both list nodes are reachable from `head`: escaping, not leaked.
   EXPECT_EQ(R.SiteShapes[0], ShapeKind::Escaping);
   EXPECT_EQ(R.SiteShapes[1], ShapeKind::Escaping);
@@ -386,7 +377,7 @@ TEST(AbsInt, HeapSlotsExportForPrologueOwnedPool) {
   PointsToResult Pts = runPointsTo(FP, &C);
   ASSERT_TRUE(Pts.Ran);
 
-  AbsIntResult R = runAbsInt(*P, FP, &C, AbsIntConfig(), -1, 0, &Pts);
+  AbsIntResult R = runAbsInt(*P, FP, &C, AbsIntConfig(), &Pts);
   EXPECT_FALSE(R.Refuted);
   // Both sites are unconditional prologue allocations: per-node bounds
   // export, and each node's val cell sees only its own thread's store.
@@ -408,7 +399,7 @@ TEST(AbsInt, ThreadAllocatedPoolRefusesSlotExport) {
   HoleAssignment C(P->holes().size(), 0);
   PointsToResult Pts = runPointsTo(FP, &C);
   ASSERT_TRUE(Pts.Ran);
-  AbsIntResult R = runAbsInt(*P, FP, &C, AbsIntConfig(), -1, 0, &Pts);
+  AbsIntResult R = runAbsInt(*P, FP, &C, AbsIntConfig(), &Pts);
   // Thread allocations: node identity depends on the schedule, so the
   // node-major export must stay off.
   EXPECT_TRUE(R.Bounds.HeapSlots.empty());
@@ -466,11 +457,9 @@ TEST(Cegis, ShapeOnOffAgreeOnHeapSketchVerdict) {
   cegis::CegisConfig On;
   On.MaxIterations = 64;
   On.Shape = true;
-  On.Analysis.Shape = true;
   On.ShapeAudit = true;
   cegis::CegisConfig Off = On;
   Off.Shape = false;
-  Off.Analysis.Shape = false;
   Off.ShapeAudit = false;
 
   cegis::ConcurrentCegis COn(*POn, On);

@@ -450,17 +450,15 @@ TEST(Symmetry, NearSymmetryLintFlagsOneLiteralAway) {
   P.setRoot(BodyId::epilogue(),
             P.assertS(P.eq(P.global(G), P.constInt(3)), "sum"));
   flat::FlatProgram FP = flat::flatten(P);
-  analysis::AnalysisResult A = analysis::analyze(P, FP);
   bool Found = false;
-  for (const analysis::Diagnostic &D : A.Diags)
+  for (const analysis::Diagnostic &D : analysis::lint(P, FP))
     Found = Found || D.Message.find("near-symmetry") != std::string::npos;
   EXPECT_TRUE(Found);
 
   // Identical threads form an orbit: nothing near-symmetric to report.
   auto Sym = buildCounter(2, 0);
   flat::FlatProgram FPS = flat::flatten(*Sym);
-  analysis::AnalysisResult AS = analysis::analyze(*Sym, FPS);
-  for (const analysis::Diagnostic &D : AS.Diags)
+  for (const analysis::Diagnostic &D : analysis::lint(*Sym, FPS))
     EXPECT_EQ(D.Message.find("near-symmetry"), std::string::npos)
         << D.Message;
 }
