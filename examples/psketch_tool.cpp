@@ -105,12 +105,14 @@ epilogue {
 
 namespace {
 
-void printDiag(const analysis::Diagnostic &D) {
-  std::fprintf(stderr, "%s\n", analysis::render(D).c_str());
+void printDiag(const analysis::Diagnostic &D, std::FILE *Out = stderr) {
+  std::fprintf(Out, "%s\n", analysis::render(D).c_str());
 }
 
-/// Reads \p Path (or the demo when null). \returns false on I/O error.
-bool readSource(const char *Path, std::string &Out) {
+/// Reads \p Path (or the demo when null). \returns false on I/O error,
+/// after printing it to \p DiagOut.
+bool readSource(const char *Path, std::string &Out,
+                std::FILE *DiagOut = stderr) {
   if (!Path) {
     Out = DemoSource;
     return true;
@@ -118,7 +120,8 @@ bool readSource(const char *Path, std::string &Out) {
   std::ifstream File(Path);
   if (!File) {
     printDiag({analysis::Severity::Error, "frontend",
-               std::string("cannot open ") + Path, ""});
+               std::string("cannot open ") + Path, ""},
+              DiagOut);
     return false;
   }
   std::stringstream Buffer;
@@ -128,41 +131,45 @@ bool readSource(const char *Path, std::string &Out) {
 }
 
 /// Parses and validates one source. \returns null after printing
-/// diagnostics when the program is unusable.
+/// diagnostics to \p DiagOut when the program is unusable.
 std::unique_ptr<ir::Program> loadProgram(const char *Path,
-                                         const std::string &Source) {
+                                         const std::string &Source,
+                                         std::FILE *DiagOut = stderr) {
   frontend::ParseResult Parsed = frontend::parseProgram(Source);
   if (!Parsed.ok()) {
     printDiag({analysis::Severity::Error, "frontend", Parsed.Error,
-               Path ? Path : "<demo>"});
+               Path ? Path : "<demo>"},
+              DiagOut);
     return nullptr;
   }
   std::vector<analysis::Diagnostic> Bad =
       analysis::validateProgram(*Parsed.Program);
   if (!Bad.empty()) {
     for (const analysis::Diagnostic &D : Bad)
-      printDiag(D);
+      printDiag(D, DiagOut);
     return nullptr;
   }
   return std::move(Parsed.Program);
 }
 
-/// --lint over one file. \returns the number of error diagnostics (or 1
-/// when the file does not even load).
+/// --lint over one file: its header, its findings (or why it does not
+/// load) and its summary, all on stdout so a batch reads in file order.
+/// \returns the number of error diagnostics (or 1 when the file does not
+/// even load).
 unsigned lintFile(const char *Path) {
+  std::printf("== %s ==\n", Path ? Path : "<demo>");
   std::string Source;
-  if (!readSource(Path, Source))
+  if (!readSource(Path, Source, stdout))
     return 1;
-  std::unique_ptr<ir::Program> P = loadProgram(Path, Source);
+  std::unique_ptr<ir::Program> P = loadProgram(Path, Source, stdout);
   if (!P)
     return 1;
 
-  std::printf("== %s ==\n", Path ? Path : "<demo>");
   flat::FlatProgram FP = flat::flatten(*P);
   std::vector<analysis::Diagnostic> Diags = analysis::lint(*P, FP);
   unsigned Errors = 0;
   for (const analysis::Diagnostic &D : Diags) {
-    printDiag(D);
+    printDiag(D, stdout);
     if (D.Sev == analysis::Severity::Error)
       ++Errors;
   }

@@ -3,7 +3,7 @@
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance F]
 
-Three gates; any failure exits 1 (bad usage exits 2):
+Four gates; any failure exits 1 (bad usage exits 2):
 
 * Exact work counters. CURRENT.json may be a bench_suite report (the
   `<workload>-seed<S>-trace<T>.json` that `bench_suite/run.py --json-dir`
@@ -14,6 +14,13 @@ Three gates; any failure exits 1 (bad usage exits 2):
   missing on either side fails too. To refresh bench/baselines/suite.json
   after a change that is meant to move them, rerun the smoke workloads
   with --json-dir and rewrite the rows from the reports' "rows" arrays.
+
+* Per-layer ceilings. A baseline `layer_ceiling` row names a workload,
+  one of its per-layer metrics and a `max`; a W=1 bench_suite report of
+  that workload fails when the metric is above the max or missing. Only
+  metrics that are deterministic at W=1 belong here (today `verify`'s
+  `verify.bytes_per_state`: the visited tables' allocated bytes per
+  state, which no timing or machine moves).
 
 * The warm-start ratio. The `ssolve_total_speedup` of a
   `sat_incremental_total` row (bench_sat_incremental) fails when it falls
@@ -57,7 +64,8 @@ EXACT = {
 
 def load_rows(path):
     """Loads a bench JSON report as a list of rows. A bench_suite report
-    (a dict) becomes its provenance plus one suite_counters row per row."""
+    (a dict) becomes its provenance, one suite_counters row per row and
+    one layer_values row holding its per-layer metrics."""
     with open(path) as f:
         report = json.load(f)
     if isinstance(report, list):
@@ -71,6 +79,9 @@ def load_rows(path):
     for row in report.get("rows", []):
         rows.append(dict(row, kind="suite_counters",
                          workload=report.get("workload")))
+    rows.append({"kind": "layer_values", "workload": report.get("workload"),
+                 "values": {name: m.get("value") for name, m
+                            in report.get("per_layer", {}).items()}})
     return rows
 
 
@@ -105,6 +116,26 @@ def check_exact(current, baseline, failures):
     if cur:
         print("check_bench_regression: %d exact-counter rows compared"
               % compared)
+
+
+def check_ceilings(current, baseline, failures):
+    """Compares every baseline layer_ceiling row of a workload the current
+    rows carry per-layer values for."""
+    values = {row["workload"]: row["values"] for row in current
+              if row.get("kind") == "layer_values"}
+    for row in baseline:
+        if row.get("kind") != "layer_ceiling" or row["workload"] not in values:
+            continue
+        ident = (row["workload"], row["metric"])
+        got = values[row["workload"]].get(row["metric"])
+        if got is None:
+            failures.append("%s: missing from current report" % (ident,))
+        elif got > row["max"]:
+            failures.append("%s: %.4g above ceiling %.4g"
+                            % (ident, got, row["max"]))
+        else:
+            print("check_bench_regression: %s %.4g within ceiling %.4g"
+                  % (ident, got, row["max"]))
 
 
 def provenance(rows):
@@ -146,6 +177,7 @@ def main(argv):
                 failures.append("disagreement row: %s" % json.dumps(row))
 
     check_exact(current, baseline, failures)
+    check_ceilings(current, baseline, failures)
 
     cur_prov, base_prov = provenance(current), provenance(baseline)
     same_machine = all(

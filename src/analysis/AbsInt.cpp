@@ -462,7 +462,8 @@ private:
           Interval C = eval(Op.Value, Locals);
           if (CertainOp && C.definitelyFalse())
             refute(Ctx, Pc, "assert '" + Op.Label + "' provably fails");
-          else if (Report && C.definitelyTrue() && readsState(Op.Value))
+          else if (Report && C.definitelyTrue() && readsState(Op.Value) &&
+                   !S.LoopBound)
             Report->DeadAsserts.push_back(
                 {Ctx, Pc, Op.Label, stepWhere(FP, Ctx, Pc)});
           break;

@@ -109,7 +109,9 @@ struct AbsIntResult {
   exec::ValueBounds Bounds;
 
   /// Asserts that are abstractly constant-true yet read program state —
-  /// invisible to the syntactic lint, dead by interval reasoning.
+  /// invisible to the syntactic lint, dead by interval reasoning. The
+  /// flattener's loop-bound checks are left out: always true there only
+  /// says the unroll bound suffices, and no author wrote them.
   struct DeadAssert {
     unsigned Ctx = 0;
     unsigned Pc = 0;

@@ -62,6 +62,7 @@ struct Step {
   std::vector<MicroOp> Ops;
   std::string Label;        ///< short rendering for trace display
   bool TouchesShared = false; ///< scheduler-visible (POR classification)
+  bool LoopBound = false;     ///< the flattener's while-bound check
 };
 
 /// A flattened body: a straight list of steps.

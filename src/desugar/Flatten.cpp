@@ -306,6 +306,7 @@ private:
       // Termination: a candidate that still wants another iteration after
       // the unroll bound fails (bounded-liveness approximation).
       Step Bound;
+      Bound.LoopBound = true;
       Bound.Ops.push_back(
           check(nullptr, P.lnot(S->Cond), "loop bound exceeded"));
       emit(std::move(Bound), format("while-bound (%s)", CondText.c_str()));

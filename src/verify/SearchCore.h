@@ -201,10 +201,6 @@ inline int selectAmple(const exec::Machine &M, exec::State &S,
   return -1;
 }
 
-/// Sleep sets are per-thread bit masks; the DFS disables them
-/// beyond 64 threads (far past anything the suite models).
-constexpr unsigned MaxSleepThreads = 64;
-
 /// Builds the sleep mask a child inherits after executing \p Ctx's step
 /// at \p Pc: of the contexts slept or already branched at the parent
 /// (\p Prior), those whose pending step commutes with the executed one

@@ -15,14 +15,16 @@
 /// Both tables see a state through one StateProbe: its canonical image,
 /// packed and hashed once (Machine::stateKey). A cell owns the full
 /// scheduler-relevant key (Machine::encodeState, 8 bytes per state word,
-/// or the packed rendering) in an open-addressing slot array indexed by
-/// the state fingerprint plus a chunked arena of key bytes. Exactness
-/// never rests on the fingerprint (a slot hit is always confirmed by
-/// memcmp; a mismatch walks on) — the fingerprint only places the entry.
+/// or the packed rendering) in a chunked arena, found through an
+/// open-addressing array of 8-byte slots, each a 32-bit fingerprint tag
+/// and an arena index. Exactness never rests on the fingerprint (a tag
+/// hit is always confirmed by memcmp; a mismatch walks on) — the
+/// fingerprint only places the entry.
 ///
-/// Every entry also carries the sleep-set mask the state was (last)
-/// entered with, for the ample engine's sleep sets (docs/POR.md): plain
-/// dedup is the mask-0 special case. A revisit with sleep set T of a
+/// Every arena entry stores, in front of its key, the sleep-set mask the
+/// state was (last) entered with, in as many bytes as the machine has
+/// threads to name, for the ample engine's sleep sets (docs/POR.md):
+/// plain dedup is the mask-0 special case. A revisit with sleep set T of a
 /// state stored with mask B is covered only when B is a subset of T (the
 /// prior visits explore every transition this one would); otherwise the
 /// revisit must explore the woken transitions B \ T and the stored mask
@@ -74,17 +76,35 @@ enum class InsertOutcome : uint8_t {
   Wake,  ///< revisit, but some previously-slept transitions must now run
 };
 
+/// Sleep sets are per-thread bit masks; the DFS disables them
+/// beyond 64 threads (far past anything the suite models).
+constexpr unsigned MaxSleepThreads = 64;
+
+/// Bytes of sleep mask a visited entry stores for machine \p M: one bit
+/// per thread a sleep set can name.
+inline unsigned maskBytesOf(const exec::Machine &M) {
+  return (std::min(M.numThreads(), MaxSleepThreads) + 7) / 8;
+}
+
 /// One dedup domain: the whole table for one worker, one shard of the
 /// shared table. Not synchronized — callers lock around it.
 ///
-/// The slot array holds (fingerprint, entry index) pairs placed by linear
-/// probing on the fingerprint; the key bytes live in chunked arenas
-/// indexed by entry at a fixed stride (the first key's length — one
-/// machine, one encoding), so keys never move and inserts never allocate
-/// per key. A probe touches one slot cache line plus, on a fingerprint
-/// match, the key bytes. A fingerprint match is always confirmed by
-/// memcmp and a mismatch walks on, so dedup stays exact under any hash,
-/// including the test suite's forced-collision one.
+/// The slot array is open-addressed by linear probing. A slot is one
+/// 64-bit word: the fingerprint's high 32 bits (the tag) over the entry
+/// index plus one, 0 meaning empty. The home slot is the tag modulo the
+/// capacity, so grow() re-places every entry from its slot word alone,
+/// and the sharded table's shard choice (the fingerprint's low bits)
+/// never correlates with the in-shard position.
+///
+/// Entries live in chunked arenas at a fixed stride: the entry's sleep
+/// mask (MaskBytes little-endian bytes, fixed by the first insert: the
+/// machine's thread count rounded up to bytes) followed by its key (the
+/// first key's length — one machine, one encoding). Entries never move
+/// and inserts never allocate per key. A probe touches one slot word
+/// plus, on a tag match, one entry: the key bytes and the mask beside
+/// them. A tag match is always confirmed by memcmp and a mismatch walks
+/// on, so dedup stays exact under any hash, including the test suite's
+/// forced-collision ones.
 ///
 /// Keys of any other length — a packed layout's out-of-range escapes
 /// render RawBytes+1 bytes where packed keys render KeyBytes
@@ -94,124 +114,145 @@ enum class InsertOutcome : uint8_t {
 /// the map's extra cost never shows.
 ///
 /// \p KeysPerChunkLog2 sizes the arena chunks: large enough to amortize
-/// the chunk allocation, small enough that growth never copies key bytes.
-/// Chunks are not zero-filled, so a page costs memory only once a key is
-/// written to it.
+/// the chunk allocation, small enough that growth never copies entries.
+/// Chunks are not zero-filled, so a page costs memory only once an entry
+/// is written to it.
 template <unsigned KeysPerChunkLog2> class VisitedCell {
 public:
   /// Mask-aware check-and-insert of the state with key \p Key and
-  /// fingerprint \p Fp. \p Sleep is the sleep mask the state is being
-  /// entered with (0 when sleep sets are off); on Wake, \p WakeOut
-  /// receives the transitions a prior visit slept through that this one
-  /// must explore.
-  InsertOutcome insertMask(uint64_t Fp, std::string_view Key, uint64_t Sleep,
+  /// fingerprint \p Fp; \p MaskBytes is maskBytesOf the machine. \p Sleep
+  /// is the sleep mask the state is being entered with (0 when sleep sets
+  /// are off); on Wake, \p WakeOut receives the transitions a prior visit
+  /// slept through that this one must explore.
+  InsertOutcome insertMask(uint64_t Fp, std::string_view Key,
+                           unsigned MaskBytes, uint64_t Sleep,
                            uint64_t &WakeOut) {
-    auto [MaskSlot, New] = findOrInsert(Fp, Key, Sleep);
+    auto [Mask, New] = findOrInsert(Fp, Key, MaskBytes, Sleep);
     if (New)
       return InsertOutcome::Fresh;
     // The prior visits explored everything outside the stored mask;
     // covered iff that includes everything outside Sleep.
-    uint64_t Stored = *MaskSlot;
+    uint64_t Stored = loadMask(Mask);
     if ((Stored & ~Sleep) == 0)
       return InsertOutcome::Prune;
-    WakeOut = Stored & ~Sleep; // slept then, needed now
-    *MaskSlot = Stored & Sleep; // strictly shrinks: re-expansion terminates
+    WakeOut = Stored & ~Sleep;       // slept then, needed now
+    storeMask(Mask, Stored & Sleep); // strictly shrinks: re-expansion ends
     return InsertOutcome::Wake;
   }
 
   /// Plain check-and-insert (the mask-0 case). \returns true when the
   /// state was newly inserted (caller explores it), false on a revisit.
-  bool insert(uint64_t Fp, std::string_view Key) {
-    return findOrInsert(Fp, Key, /*Mask0=*/0).second;
+  bool insert(uint64_t Fp, std::string_view Key, unsigned MaskBytes) {
+    return findOrInsert(Fp, Key, MaskBytes, /*Mask0=*/0).second;
   }
 
-  /// Bytes this cell owns right now: the slot array, the key-arena
-  /// chunks at their allocated (not just occupied) size, the mask array,
-  /// and the odd-key side map.
+  /// Bytes this cell owns right now: the slot array, the arena chunks at
+  /// their allocated (not just occupied) size, and the odd-key side map.
   uint64_t keyBytes() const {
-    return Slots.size() * sizeof(Slot) +
-           Arena.size() * std::max<size_t>(1, KeyLen << KeysPerChunkLog2) +
-           Masks.size() * sizeof(uint64_t) + OddBytes;
+    return Slots.size() * sizeof(uint64_t) + Arena.size() * chunkBytes() +
+           OddBytes;
   }
 
 private:
-  static constexpr uint32_t Absent = ~0u;
-
-  struct Slot {
-    uint64_t Fp;
-    uint32_t Idx; ///< arena entry, or Absent for an empty slot
-    uint32_t Pad;
-  };
-
-  /// Check-and-insert. \returns the entry's mask slot and whether the
+  /// Check-and-insert. \returns the entry's mask bytes and whether the
   /// key was freshly inserted; a fresh entry's mask starts as \p Mask0.
   /// The pointer is valid until the next insert.
-  std::pair<uint64_t *, bool> findOrInsert(uint64_t Fp, std::string_view Key,
-                                           uint64_t Mask0) {
+  std::pair<unsigned char *, bool> findOrInsert(uint64_t Fp,
+                                                std::string_view Key,
+                                                unsigned MaskBytes,
+                                                uint64_t Mask0) {
     if (Slots.empty()) {
       KeyLen = Key.size();
-      Slots.assign(1024, Slot{0, Absent, 0});
+      this->MaskBytes = MaskBytes;
+      Slots.assign(1024, 0);
     }
+    assert(MaskBytes == this->MaskBytes && "one machine per table");
+    assert((MaskBytes >= 8 || Mask0 >> (8 * MaskBytes) == 0) &&
+           "sleep mask names a thread the machine does not have");
     if (Key.size() != KeyLen) {
-      auto [It, New] = Odd.try_emplace(std::string(Key), Mask0);
-      if (New)
+      auto [It, New] = Odd.try_emplace(std::string(Key), 0);
+      auto *Mask = reinterpret_cast<unsigned char *>(&It->second);
+      if (New) {
         OddBytes += It->first.size() + sizeof(std::string) + sizeof(uint64_t);
-      return {&It->second, New};
+        storeMask(Mask, Mask0);
+      }
+      return {Mask, New};
     }
     if ((Count + 1) * 10 > Slots.size() * 7)
       grow();
+    uint64_t Tag = Fp >> 32;
     size_t M = Slots.size() - 1;
-    for (size_t I = Fp & M;; I = (I + 1) & M) {
-      Slot &S = Slots[I];
-      if (S.Idx == Absent) {
-        assert(Count < Absent && "flat table full");
-        S.Fp = Fp;
-        S.Idx = static_cast<uint32_t>(Count);
-        appendKey(Key);
-        Masks.push_back(Mask0);
+    for (size_t I = Tag & M;; I = (I + 1) & M) {
+      uint64_t W = Slots[I];
+      if (W == 0) {
+        assert(Count + 1 < (uint64_t(1) << 32) && "flat table full");
+        Slots[I] = Tag << 32 | (Count + 1);
+        unsigned char *E = appendEntry(Key, Mask0);
         ++Count;
-        return {&Masks.back(), true};
+        return {E, true};
       }
-      if (S.Fp == Fp && std::memcmp(keyPtr(S.Idx), Key.data(), KeyLen) == 0)
-        return {&Masks[S.Idx], false};
+      if (W >> 32 != Tag)
+        continue;
+      unsigned char *E = entryPtr(static_cast<uint32_t>(W) - 1);
+      if (std::memcmp(E + MaskBytes, Key.data(), KeyLen) == 0)
+        return {E, false};
     }
   }
 
   void grow() {
-    std::vector<Slot> Old(Slots.size() * 2, Slot{0, Absent, 0});
+    std::vector<uint64_t> Old(Slots.size() * 2, 0);
     Old.swap(Slots);
     size_t M = Slots.size() - 1;
-    for (const Slot &S : Old) {
-      if (S.Idx == Absent)
+    for (uint64_t W : Old) {
+      if (W == 0)
         continue;
-      size_t I = S.Fp & M;
-      while (Slots[I].Idx != Absent)
+      size_t I = (W >> 32) & M;
+      while (Slots[I] != 0)
         I = (I + 1) & M;
-      Slots[I] = S;
+      Slots[I] = W;
     }
   }
 
-  const char *keyPtr(uint32_t Idx) const {
-    return Arena[Idx >> KeysPerChunkLog2].get() +
-           (Idx & ((size_t(1) << KeysPerChunkLog2) - 1)) * KeyLen;
+  /// Masks are stored little-endian in MaskBytes bytes (odd keys keep a
+  /// full word, whose first MaskBytes bytes these read and write).
+  uint64_t loadMask(const unsigned char *P) const {
+    uint64_t Mask = 0;
+    for (unsigned B = 0; B < MaskBytes; ++B)
+      Mask |= uint64_t(P[B]) << (8 * B);
+    return Mask;
+  }
+  void storeMask(unsigned char *P, uint64_t Mask) const {
+    for (unsigned B = 0; B < MaskBytes; ++B)
+      P[B] = static_cast<unsigned char>(Mask >> (8 * B));
   }
 
-  void appendKey(std::string_view Key) {
+  size_t stride() const { return MaskBytes + KeyLen; }
+  size_t chunkBytes() const {
+    return std::max<size_t>(1, stride() << KeysPerChunkLog2);
+  }
+
+  unsigned char *entryPtr(uint32_t Idx) const {
+    return Arena[Idx >> KeysPerChunkLog2].get() +
+           (Idx & ((size_t(1) << KeysPerChunkLog2) - 1)) * stride();
+  }
+
+  unsigned char *appendEntry(std::string_view Key, uint64_t Mask0) {
     size_t Chunk = Count >> KeysPerChunkLog2;
     if (Chunk == Arena.size())
-      Arena.push_back(std::make_unique_for_overwrite<char[]>(
-          std::max<size_t>(1, KeyLen << KeysPerChunkLog2)));
-    std::memcpy(Arena[Chunk].get() +
-                    (Count & ((size_t(1) << KeysPerChunkLog2) - 1)) * KeyLen,
-                Key.data(), KeyLen);
+      Arena.push_back(
+          std::make_unique_for_overwrite<unsigned char[]>(chunkBytes()));
+    unsigned char *E = entryPtr(static_cast<uint32_t>(Count));
+    storeMask(E, Mask0);
+    std::memcpy(E + MaskBytes, Key.data(), KeyLen);
+    return E;
   }
 
-  std::vector<Slot> Slots; ///< power-of-two capacity
-  std::vector<std::unique_ptr<char[]>> Arena;
-  std::vector<uint64_t> Masks; ///< per entry: stored sleep mask
+  std::vector<uint64_t> Slots; ///< power-of-two capacity; 0 is empty
+  std::vector<std::unique_ptr<unsigned char[]>> Arena;
   std::unordered_map<std::string, uint64_t> Odd; ///< off-stride keys -> mask
   size_t Count = 0;
   size_t KeyLen = 0;
+  unsigned MaskBytes = 0;
   size_t OddBytes = 0; ///< estimated bytes owned by Odd
 };
 
@@ -269,7 +310,7 @@ public:
   bool insert(const exec::Machine &M, const exec::State &S) {
     StateProbe P = probeState(M, S, Canon, Hash);
     noteEntered(M, Canon, P);
-    return Cell.insert(P.Key.Fp, P.Key.Bytes);
+    return Cell.insert(P.Key.Fp, P.Key.Bytes, maskBytesOf(M));
   }
 
   /// Mask-aware insert for the sleep-set DFS (file comment). Sleep/wake
@@ -280,7 +321,7 @@ public:
     StateProbe P = probeState(M, S, Canon, Hash);
     noteEntered(M, Canon, P);
     uint64_t CWake = 0;
-    InsertOutcome Out = Cell.insertMask(P.Key.Fp, P.Key.Bytes,
+    InsertOutcome Out = Cell.insertMask(P.Key.Fp, P.Key.Bytes, maskBytesOf(M),
                                         maskIn(Canon, P, Sleep), CWake);
     if (Out == InsertOutcome::Wake)
       WakeOut = maskOut(Canon, P, CWake);
@@ -298,8 +339,9 @@ private:
 /// Mutex-striped seen-state table shared by the workers of a parallel
 /// search. The stripe count only needs to beat the worker count
 /// comfortably; 64 keeps contention negligible without wasting cache.
-/// The fingerprint doubles as the shard index and places the entry in
-/// the shard's cell. Shard cells use 1 Ki-key arena chunks: 64 shards of
+/// The fingerprint's low 6 bits pick the shard; its high 32 bits place
+/// the entry in the shard's cell, so every slot of a shard is some
+/// state's home slot. Shard cells use 1 Ki-key arena chunks: 64 shards of
 /// 8 Ki-key chunks would hold tens of megabytes whatever the state count.
 class ShardedVisited {
 public:
@@ -315,7 +357,7 @@ public:
     noteEntered(M, Canon, P);
     ShardT &Shard = shardOf(P);
     std::lock_guard<std::mutex> Lock(Shard.Mu);
-    return Shard.Cell.insert(P.Key.Fp, P.Key.Bytes);
+    return Shard.Cell.insert(P.Key.Fp, P.Key.Bytes, maskBytesOf(M));
   }
 
   /// VisitedTable::insertMask, with the check, the Prune/Wake decision
@@ -329,7 +371,8 @@ public:
     InsertOutcome Out;
     {
       std::lock_guard<std::mutex> Lock(Shard.Mu);
-      Out = Shard.Cell.insertMask(P.Key.Fp, P.Key.Bytes, CSleep, CWake);
+      Out = Shard.Cell.insertMask(P.Key.Fp, P.Key.Bytes, maskBytesOf(M),
+                                  CSleep, CWake);
     }
     if (Out == InsertOutcome::Wake)
       WakeOut = maskOut(Canon, P, CWake);

@@ -51,14 +51,14 @@ inline ir::HoleAssignment randomAssignment(const ir::Program &P, Rng &R) {
   return A;
 }
 
-/// Two threads increment a shared counter \p Count times each; \p Atomic
-/// selects protected or racy increments. The epilogue asserts the total
-/// equals \p Expected.
+/// \p Threads threads (two by default) increment a shared counter \p Count
+/// times each; \p Atomic selects protected or racy increments. The
+/// epilogue asserts the total equals \p Expected.
 inline void buildCounter(ir::Program &P, bool Atomic, int Count,
-                         int Expected) {
+                         int Expected, int Threads = 2) {
   using namespace ir;
   unsigned X = P.addGlobal("x", Type::Int, 0);
-  for (int T = 0; T < 2; ++T) {
+  for (int T = 0; T < Threads; ++T) {
     unsigned Id = P.addThread("inc");
     BodyId B = BodyId::thread(Id);
     unsigned Tmp = P.addLocal(B, "tmp", Type::Int, 0);

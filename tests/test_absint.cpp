@@ -332,6 +332,35 @@ TEST(Fixture, DeadAssertIsFlaggedByIntervalsOnly) {
   }
 }
 
+TEST(Fixture, LoopBoundChecksAreNeverDeadAsserts) {
+  // b reaches 2 within the unroll bound, so the flattener's while-bound
+  // check is abstractly always true: that says only that the bound
+  // suffices, and no author wrote it. The author's own always-true
+  // assert beside it is still a finding.
+  frontend::ParseResult Parsed = frontend::parseProgram(R"(
+global int flag;
+
+fork (i, 2) {
+  var int b;
+  while (b < 2) bound 2 {
+    b = b + 1;
+  }
+  flag = {| 0 | 1 |};
+}
+
+epilogue {
+  assert flag <= 1 : "flag stays boolean";
+}
+)");
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  Program &P = *Parsed.Program;
+  flat::FlatProgram FP = flat::flatten(P);
+
+  std::vector<Diagnostic> Diags = lint(P, FP);
+  EXPECT_FALSE(hasDiag(Diags, "absint", "loop bound exceeded"));
+  EXPECT_TRUE(hasDiag(Diags, "absint", "flag stays boolean"));
+}
+
 //===----------------------------------------------------------------------===//
 // Lockset discipline.
 //===----------------------------------------------------------------------===//

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Self-test of scripts/check_bench_regression.py: the gate must pass a
-baseline against itself and fail each kind of breach it claims to catch.
+baseline against itself (and a report within its ceilings) and fail each
+kind of breach it claims to catch.
 
 Every input is a temporary copy of bench/baselines/suite.json, edited in
 memory; no checked-in file changes. Run directly or through ctest.
@@ -58,6 +59,31 @@ class CheckBenchRegressionTest(unittest.TestCase):
         rows.append({"kind": "sat_agreement", "sketch": "queueE1",
                      "test": "ed(ee|dd)", "agrees": False})
         self.assertEqual(self.gate(rows), 1)
+
+    def verify_report(self, bytes_per_state):
+        """A W=1 bench_suite report of `verify` carrying the baseline's
+        counter rows and the given per-layer bytes per state."""
+        prov = dict(next(r for r in self.rows
+                         if r.get("kind") == "provenance"))
+        prov.pop("kind")
+        rows = [{k: v for k, v in r.items() if k not in ("kind", "workload")}
+                for r in self.counter_rows(self.rows)
+                if r["workload"] == "verify"]
+        per_layer = {}
+        if bytes_per_state is not None:
+            per_layer["verify.bytes_per_state"] = {"value": bytes_per_state,
+                                                   "unit": "B"}
+        return {"workload": "verify", "provenance": prov, "rows": rows,
+                "per_layer": per_layer}
+
+    def test_bytes_per_state_under_ceiling_passes(self):
+        self.assertEqual(self.gate(self.verify_report(38.7)), 0)
+
+    def test_bytes_per_state_over_ceiling_fails(self):
+        self.assertEqual(self.gate(self.verify_report(65.4)), 1)
+
+    def test_missing_bytes_per_state_fails(self):
+        self.assertEqual(self.gate(self.verify_report(None)), 1)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@
 #include "cegis/Cegis.h"
 #include "cegis/Enumerate.h"
 #include "desugar/Flatten.h"
+#include "support/Hash.h"
 #include "verify/ModelChecker.h"
 #include "verify/SearchCore.h"
 #include "verify/Visited.h"
@@ -211,25 +212,32 @@ namespace {
 /// with every other.
 uint64_t collideEverything(const int64_t *, size_t) { return 0x1234; }
 
-} // namespace
+/// Every state lands in shard 0, at a home slot of its own.
+uint64_t collideShard(const int64_t *W, size_t N) {
+  return hashWords(W, N) & ~uint64_t{63};
+}
 
-TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
-  // Four threads offer the same 600 colliding states three times over.
-  // The outcome of every offer follows from the masks alone, whatever
-  // the interleaving:
-  //  1. all asleep (mask 0xF): each state is Fresh for exactly one
-  //     thread and a Prune for the other three;
-  //  2. thread t wakes only its own context (mask 0xF minus bit t): the
-  //     stored mask still holds bit t, so every offer is a Wake of
-  //     exactly bit t, and the stored mask loses that bit;
-  //  3. nothing asleep (mask 0): the stored mask is now empty, so every
-  //     offer is a Prune.
+/// Four threads offer the same 1500 states (x set to 0..1499: more than
+/// a fresh cell's 1024 slots hold, so the offers run across grow())
+/// three times over, thread t naming machine thread \p FirstBit + t in
+/// its masks. The outcome of every offer follows from the masks alone,
+/// whatever the interleaving:
+///  1. all asleep (all four bits): each state is Fresh for exactly one
+///     thread and a Prune for the other three;
+///  2. thread t wakes only its own bit: the stored mask still holds bit
+///     t, so every offer is a Wake of exactly bit t, and the stored mask
+///     loses that bit;
+///  3. nothing asleep (mask 0): the stored mask is now empty, so every
+///     offer is a Prune.
+void expectAtomicMaskProtocol(int MachineThreads, detail::StateHashFn Hash,
+                              unsigned FirstBit) {
   constexpr unsigned Threads = 4;
-  constexpr int64_t NumStates = 600;
+  constexpr int64_t NumStates = 1500;
   Program P;
-  buildCounter(P, /*Atomic=*/true, 1, 2);
+  buildCounter(P, /*Atomic=*/true, 1, 2, MachineThreads);
   flat::FlatProgram FP = flat::flatten(P);
   exec::Machine M(FP, {});
+  ASSERT_GE(M.numThreads(), FirstBit + Threads);
   std::vector<exec::State> States;
   for (int64_t X = 0; X < NumStates; ++X) {
     exec::State S = M.initialState();
@@ -237,7 +245,7 @@ TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
     States.push_back(std::move(S));
   }
 
-  detail::ShardedVisited Table(&collideEverything);
+  detail::ShardedVisited Table(Hash);
   struct Tally {
     uint64_t Fresh = 0, Prune = 0, Wake = 0, WrongWake = 0;
   };
@@ -257,7 +265,7 @@ TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
             break;
           case detail::InsertOutcome::Wake:
             ++Tallies[T].Wake;
-            Tallies[T].WrongWake += Wake != (1ull << T);
+            Tallies[T].WrongWake += Wake != (1ull << (FirstBit + T));
             break;
           }
         }
@@ -274,12 +282,14 @@ TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
     return Sum;
   };
 
-  Tally Asleep = Round([](unsigned) { return uint64_t{0xF}; });
+  const uint64_t All = uint64_t{0xF} << FirstBit;
+  Tally Asleep = Round([&](unsigned) { return All; });
   EXPECT_EQ(Asleep.Fresh, uint64_t(NumStates));
   EXPECT_EQ(Asleep.Prune, uint64_t(NumStates) * (Threads - 1));
   EXPECT_EQ(Asleep.Wake, 0u);
 
-  Tally OwnAwake = Round([](unsigned T) { return 0xFull & ~(1ull << T); });
+  Tally OwnAwake =
+      Round([&](unsigned T) { return All & ~(1ull << (FirstBit + T)); });
   EXPECT_EQ(OwnAwake.Fresh, 0u);
   EXPECT_EQ(OwnAwake.Prune, 0u);
   EXPECT_EQ(OwnAwake.Wake, uint64_t(NumStates) * Threads);
@@ -289,6 +299,22 @@ TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
   EXPECT_EQ(Awake.Fresh, 0u);
   EXPECT_EQ(Awake.Prune, uint64_t(NumStates) * Threads);
   EXPECT_EQ(Awake.Wake, 0u);
+}
+
+} // namespace
+
+TEST(ParallelChecker, ShardedInsertMaskIsAtomicPerState) {
+  // Every state collides with every other in one shard.
+  expectAtomicMaskProtocol(/*MachineThreads=*/4, &collideEverything,
+                           /*FirstBit=*/0);
+}
+
+TEST(ParallelChecker, ShardedInsertMaskKeepsWideMasksInOneShard) {
+  // Twelve machine threads store two mask bytes; bits 8..11, all in the
+  // second byte, carry the whole protocol, in a shard that holds every
+  // state.
+  expectAtomicMaskProtocol(/*MachineThreads=*/12, &collideShard,
+                           /*FirstBit=*/8);
 }
 
 //===----------------------------------------------------------------------===//

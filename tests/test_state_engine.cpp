@@ -8,9 +8,12 @@
 //    encodeWords / fingerprintWords do, and the checker counts one
 //    escape per entered state, in every engine;
 //  * randomized step/undo sequences restore states bit-for-bit;
-//  * under a hash where every state collides, the sequential and the
-//    sharded visited tables still admit each distinct state once and
-//    dedup every revisit, across table growth.
+//  * under a hash where every state collides, or only the slot tags, or
+//    only the shard bits, the sequential and the sharded visited tables
+//    still admit each distinct state once and dedup every revisit,
+//    across table growth;
+//  * sleep masks wider than one byte (ten threads) wake and shrink
+//    exactly in both tables.
 // Engine agreement (undo-log DFS vs BFS, reductions, worker counts) is
 // tests/test_oracle.cpp's.
 //
@@ -316,4 +319,88 @@ TEST(StateEngine, ShardedTableForcedCollisionMatchesSequentialTable) {
     for (size_t J : {I, I / 2})
       Disagree += Sharded.insert(M, States[J]) != Seq.insert(M, States[J]);
   EXPECT_EQ(Disagree, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Slot tags, shards and sleep-mask widths of the visited cells.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Equal high 32 bits (the slot tag, hence the home slot) for every
+/// state and distinct low bits: every probe walks tag hits that only
+/// memcmp tells apart, while the sharded table spreads the states.
+uint64_t collideTag(const int64_t *W, size_t N) {
+  return uint64_t{0x5eed} << 32 | (hashWords(W, N) & 0xffffffffu);
+}
+
+/// Equal low 6 bits (the shard) for every state and distinct tags.
+uint64_t collideShard(const int64_t *W, size_t N) {
+  return hashWords(W, N) & ~uint64_t{63};
+}
+
+/// Offers every state of \p States to \p T once per round, with sleep
+/// masks over machine threads 1, 8 and 9: the stored mask must keep the
+/// bits of its second byte across grow() and shrink one wake at a time.
+template <typename Table>
+void expectWideMaskProtocol(Table &T, const exec::Machine &M,
+                            const std::vector<exec::State> &States) {
+  constexpr uint64_t B1 = 1u << 1, B8 = 1u << 8, B9 = 1u << 9;
+  struct Offer {
+    uint64_t Sleep;
+    detail::InsertOutcome Want;
+    uint64_t WantWake;
+  };
+  using detail::InsertOutcome;
+  const Offer Rounds[] = {
+      {B1 | B8 | B9, InsertOutcome::Fresh, 0},
+      {B1 | B8, InsertOutcome::Wake, B9},
+      {B1, InsertOutcome::Wake, B8},
+      {B1 | B8 | B9, InsertOutcome::Prune, 0},
+      {0, InsertOutcome::Wake, B1},
+      {0, InsertOutcome::Prune, 0},
+  };
+  for (const Offer &O : Rounds) {
+    size_t Wrong = 0;
+    for (const exec::State &S : States) {
+      uint64_t Wake = 0;
+      Wrong += T.insertMask(M, S, O.Sleep, Wake) != O.Want ||
+               Wake != O.WantWake;
+    }
+    EXPECT_EQ(Wrong, 0u) << "sleep mask " << O.Sleep;
+  }
+}
+
+} // namespace
+
+TEST(StateEngine, PartialCollisionsDedupExactlyInBothTables) {
+  Program P;
+  buildCounter(P, /*Atomic=*/true, 1, 2);
+  flat::FlatProgram FP = flat::flatten(P);
+  exec::Machine M(FP, {});
+  std::vector<exec::State> States = collidingStates(M);
+
+  for (detail::StateHashFn Hash : {&collideTag, &collideShard}) {
+    detail::VisitedTable Seq(Hash);
+    expectExactDedup(Seq, M, States);
+    detail::ShardedVisited Sharded(Hash);
+    expectExactDedup(Sharded, M, States);
+  }
+}
+
+TEST(StateEngine, WideSleepMasksWakeAndShrinkInBothTables) {
+  Program P;
+  buildCounter(P, /*Atomic=*/true, 1, 10, /*Threads=*/10);
+  flat::FlatProgram FP = flat::flatten(P);
+  exec::Machine M(FP, {});
+  ASSERT_EQ(detail::maskBytesOf(M), 2u);
+  std::vector<exec::State> States = collidingStates(M);
+
+  for (detail::StateHashFn Hash :
+       {&hashWords, &collideTag, &collideShard, &collideEverything}) {
+    detail::VisitedTable Seq(Hash);
+    expectWideMaskProtocol(Seq, M, States);
+    detail::ShardedVisited Sharded(Hash);
+    expectWideMaskProtocol(Sharded, M, States);
+  }
 }
