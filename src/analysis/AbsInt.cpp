@@ -418,12 +418,12 @@ private:
   // Body scans.
   //===--------------------------------------------------------------------===//
 
-  void refute(unsigned Ctx, unsigned Pc, const std::string &Why) {
+  /// \p Assert: the failing assert's property name; null for a wait.
+  void refute(unsigned Ctx, unsigned Pc, const char *Assert) {
     if (!Report || Report->Refuted)
       return;
     Report->Refuted = true;
-    Report->RefutedWhere = stepWhere(FP, Ctx, Pc);
-    Report->RefutedWhy = Why;
+    Report->RefutedAt = Refutation{Ctx, Pc, Assert};
   }
 
   void scanBody(unsigned Ctx) {
@@ -450,7 +450,7 @@ private:
           eval(S.WaitCond, Locals).definitelyFalse())
         // An always-reached wait that can never fire under the invariant:
         // no run completes this context, so no run completes at all.
-        refute(Ctx, Pc, "wait condition can never fire");
+        refute(Ctx, Pc, nullptr);
 
       for (const MicroOp &Op : S.Ops) {
         Tri PredTri = Op.Pred ? triOf(eval(Op.Pred, Locals)) : Tri::True;
@@ -461,11 +461,10 @@ private:
         case MicroOp::Kind::Assert: {
           Interval C = eval(Op.Value, Locals);
           if (CertainOp && C.definitelyFalse())
-            refute(Ctx, Pc, "assert '" + Op.Label + "' provably fails");
+            refute(Ctx, Pc, Op.Label);
           else if (Report && C.definitelyTrue() && readsState(Op.Value) &&
-                   !S.LoopBound)
-            Report->DeadAsserts.push_back(
-                {Ctx, Pc, Op.Label, stepWhere(FP, Ctx, Pc)});
+                   !S.loopBound())
+            Report->DeadAsserts.push_back({Ctx, Pc, Op.Label});
           break;
         }
         case MicroOp::Kind::Write:
@@ -625,6 +624,12 @@ AbsIntResult AbsEval::run() {
 
 } // namespace
 
+std::string analysis::Refutation::why() const {
+  if (!Assert)
+    return "wait condition can never fire";
+  return format("assert '%s' provably fails", Assert);
+}
+
 AbsIntResult analysis::runAbsInt(const Program &P, const FlatProgram &FP,
                                  const HoleAssignment *Holes,
                                  const AbsIntConfig &Cfg,
@@ -645,8 +650,7 @@ CandidateFacts analysis::analyzeCandidate(const Program &P,
   AbsIntResult R = runAbsInt(P, FP, &Holes, Cfg,
                              Facts.Pts.Ran ? &Facts.Pts : nullptr);
   Facts.Refuted = R.Refuted;
-  Facts.RefutedWhere = R.RefutedWhere;
-  Facts.RefutedWhy = R.RefutedWhy;
+  Facts.RefutedAt = R.RefutedAt;
   Facts.Bounds = std::move(R.Bounds);
   Facts.Locks = runLockset(P, FP, &Holes).Locks;
   return Facts;
@@ -666,12 +670,13 @@ void analysis::runAbsIntScreen(const Program &P, const FlatProgram &FP,
   AbsIntResult Whole = runAbsInt(P, FP, nullptr);
   if (Whole.Refuted && !Out.ProvedUnresolvable) {
     Out.ProvedUnresolvable = true;
-    Out.UnresolvableWhy =
-        "interval analysis: " + Whole.RefutedWhy + " at " + Whole.RefutedWhere;
+    const Refutation &At = Whole.RefutedAt;
+    std::string Why = At.why();
+    std::string Where = stepWhere(FP, At.Ctx, At.Pc);
+    Out.UnresolvableWhy = "interval analysis: " + Why + " at " + Where;
     Sink.error(PassName,
-               "every candidate fails: " + Whole.RefutedWhy +
-                   " (interval analysis)",
-               Whole.RefutedWhere);
+               "every candidate fails: " + Why + " (interval analysis)",
+               Where);
   }
   if (!Lint)
     return;
@@ -682,8 +687,8 @@ void analysis::runAbsIntScreen(const Program &P, const FlatProgram &FP,
     Sink.warning(PassName,
                  format("assert '%s' is provably always true (interval "
                         "analysis); it constrains nothing",
-                        D.Label.c_str()),
-                 D.Where);
+                        D.Label),
+                 stepWhere(FP, D.Ctx, D.Pc));
 
   // Eraser-style inconsistent-locking lint.
   LocksetResult LS = runLockset(P, FP, nullptr);
@@ -692,6 +697,6 @@ void analysis::runAbsIntScreen(const Program &P, const FlatProgram &FP,
                  format("'%s' is written by multiple threads with an "
                         "inconsistent lockset (some sites hold a lock, no "
                         "lock is common to all)",
-                        R.SlotName.c_str()),
-                 R.Where);
+                        slotName(P, R.GlobalSlot).c_str()),
+                 stepWhere(FP, R.Ctx, R.Pc));
 }

@@ -96,13 +96,25 @@ struct AbsIntConfig {
   unsigned MaxClosureRounds = 8;
 };
 
+/// The step an abstract run refuted at. It stays a (context, pc) pair
+/// until a diagnostic or a log line prints it: the screen runs once per
+/// candidate and formats no text.
+struct Refutation {
+  unsigned Ctx = 0;
+  unsigned Pc = 0;
+  /// The provably failing assert's property name; null when the step's
+  /// wait condition can never fire.
+  const char *Assert = nullptr;
+  /// "assert 'safety' provably fails" / "wait condition can never fire".
+  std::string why() const;
+};
+
 /// Everything one abstract run concluded.
 struct AbsIntResult {
   /// The candidate (or, whole-space: every candidate) provably violates
   /// an assertion or blocks forever on every schedule.
   bool Refuted = false;
-  std::string RefutedWhere; ///< site of the refuting assert/wait
-  std::string RefutedWhy;   ///< "assert provably false" / "wait never fires"
+  Refutation RefutedAt; ///< the refuting assert or wait (when Refuted)
 
   /// Sound per-slot intervals for the parallel phase (candidate mode;
   /// whole-space bounds are valid too but nobody consumes them).
@@ -115,8 +127,7 @@ struct AbsIntResult {
   struct DeadAssert {
     unsigned Ctx = 0;
     unsigned Pc = 0;
-    std::string Label;
-    std::string Where;
+    const char *Label = ""; ///< the assert's property name
   };
   std::vector<DeadAssert> DeadAsserts;
 
@@ -144,8 +155,7 @@ AbsIntResult runAbsInt(const ir::Program &P, const flat::FlatProgram &FP,
 /// analysis/PointsTo.h).
 struct CandidateFacts {
   bool Refuted = false;
-  std::string RefutedWhere;
-  std::string RefutedWhy;
+  Refutation RefutedAt;
   exec::ValueBounds Bounds;
   exec::LockAnnotations Locks;
   /// Candidate-mode points-to solution (Ran == false when \p WithHeap

@@ -8,6 +8,8 @@
 
 #include "support/StrUtil.h"
 
+#include <algorithm>
+
 using namespace psketch;
 using namespace psketch::analysis;
 using namespace psketch::ir;
@@ -57,6 +59,7 @@ struct Validator {
   const Program &P;
   DiagnosticSink Sink;
   std::string Where; // current body name
+  unsigned AtomicDepth = 0; // enclosing atomic / conditional-atomic blocks
 
   void checkExpr(ExprRef E, unsigned NumLocals) {
     if (!E)
@@ -95,6 +98,10 @@ struct Validator {
                           "'%s' has %u choices",
                           E->Ops.size(), P.holes()[E->Id].Name.c_str(),
                           P.holes()[E->Id].NumChoices),
+                   Where);
+      if (std::any_of(E->Ops.begin(), E->Ops.end(),
+                      [&](ExprRef Alt) { return Alt->Ty != E->Ty; }))
+        Sink.error(FrontendPass, "generator alternatives disagree on type",
                    Where);
       break;
     default:
@@ -160,8 +167,24 @@ struct Validator {
     if (S->Kind == StmtKind::Reorder)
       for (unsigned H : S->ReorderHoles)
         checkHoleId(H, "reorder");
+    // An atomic block flattens into one step of predicated writes: it
+    // cannot loop, block or hold a reorder.
+    if (AtomicDepth > 0 && (S->Kind == StmtKind::While ||
+                            S->Kind == StmtKind::CondAtomic ||
+                            S->Kind == StmtKind::Reorder))
+      Sink.error(FrontendPass,
+                 format("%s inside an atomic block (an atomic step cannot "
+                        "loop, wait or reorder)",
+                        S->Kind == StmtKind::While        ? "loop"
+                        : S->Kind == StmtKind::CondAtomic ? "wait"
+                                                          : "reorder"),
+                 Where);
+    bool Atomic =
+        S->Kind == StmtKind::Atomic || S->Kind == StmtKind::CondAtomic;
+    AtomicDepth += Atomic;
     for (StmtRef Child : S->Children)
       checkStmt(Child, NumLocals);
+    AtomicDepth -= Atomic;
   }
 
   void checkBody(BodyId Id, const std::string &Name) {

@@ -99,7 +99,8 @@ std::vector<Diagnostic> lint(ir::Program &P, const flat::FlatProgram &FP);
 
 /// Frontend-facing well-formedness validation: out-of-range hole, global,
 /// field, and local references; Choice nodes whose alternative count
-/// disagrees with their selector hole. \returns error diagnostics (empty
+/// disagrees with their selector hole; a loop, wait (conditional atomic)
+/// or reorder inside an atomic block. \returns error diagnostics (empty
 /// when the program is well-formed). Used by psketch_tool to reject
 /// malformed inputs with a real diagnostic instead of crashing or
 /// silently reporting non-resolution.

@@ -9,6 +9,7 @@
 
 #include "analysis/Util.h"
 #include "ir/StaticEval.h"
+#include "support/StrUtil.h"
 
 #include <algorithm>
 #include <map>
@@ -299,8 +300,12 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
     std::vector<std::vector<uint8_t>> Held;
   };
   std::vector<Cell> Cells;
-  auto Refuse = [&](unsigned Slot, const std::string &Why) {
-    Out.Refusals.push_back("cell " + SM.name(P, Slot) + ": " + Why);
+  auto Refuse = [&](unsigned Slot, const char *Why) {
+    Out.Refusals.push_back({Slot, Why});
+  };
+  auto RefuseAt = [&](unsigned Slot, const char *Why, unsigned Ctx,
+                      unsigned Pc) {
+    Out.Refusals.push_back({Slot, Why, /*AtStep=*/true, Ctx, Pc});
   };
 
   for (auto &[Slot, As] : Acquires) {
@@ -338,7 +343,7 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
         continue;
       if (W.PredNull && W.Value && *W.Value == Free)
         continue; // release form; must-held checked below
-      Refuse(Slot, "non-conforming write at " + stepWhere(FP, W.Ctx, W.Pc));
+      RefuseAt(Slot, "non-conforming write", W.Ctx, W.Pc);
       Ok = false;
       break;
     }
@@ -376,8 +381,7 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
           // A release at a site that does not provably hold the lock
           // breaks the mutual-exclusion argument: refuse the cell.
           if (!Held) {
-            Refuse(Slot, "release without provable ownership at " +
-                             stepWhere(FP, Ctx, Pc));
+            RefuseAt(Slot, "release without provable ownership", Ctx, Pc);
             ReleasesOk = false;
             break;
           }
@@ -395,10 +399,7 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
   }
 
   if (Cells.size() > exec::LockAnnotations::MaxLocks) {
-    Out.Refusals.push_back("more than " +
-                           std::to_string(exec::LockAnnotations::MaxLocks) +
-                           " qualified cells; keeping the first " +
-                           std::to_string(exec::LockAnnotations::MaxLocks));
+    Out.Refusals.push_back({LocksetRefusal::NoSlot});
     Cells.resize(exec::LockAnnotations::MaxLocks);
   }
 
@@ -484,9 +485,24 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
         Bad = &A;
         break;
       }
-    Out.Races.push_back(
-        {Slot, SM.name(P, Slot), stepWhere(FP, Bad->Ctx, Bad->Pc)});
+    Out.Races.push_back({Slot, Bad->Ctx, Bad->Pc});
   }
 
   return Out;
+}
+
+std::string analysis::slotName(const Program &P, unsigned Slot) {
+  return SlotMap(P).name(P, Slot);
+}
+
+std::string analysis::describe(const Program &P, const FlatProgram &FP,
+                               const LocksetRefusal &R) {
+  if (R.Slot == LocksetRefusal::NoSlot)
+    return format("more than %u qualified cells; keeping the first %u",
+                  exec::LockAnnotations::MaxLocks,
+                  exec::LockAnnotations::MaxLocks);
+  std::string Text = "cell " + slotName(P, R.Slot) + ": " + R.Why;
+  if (R.AtStep)
+    Text += " at " + stepWhere(FP, R.Ctx, R.Pc);
+  return Text;
 }

@@ -27,7 +27,9 @@
 /// anything it cannot prove: hole-dependent lock values, writes through
 /// unresolved array indices, prologue writes to a lock cell, more than one
 /// write to the cell inside one step, or more than 32 qualifying cells.
-/// Refusals are recorded as human-readable notes for the stats surface.
+/// Refusals are recorded as (reason, cell, step) records; describe()
+/// renders one as text. The pass runs once per candidate inside the CEGIS
+/// loop, so it formats no text itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,9 +49,20 @@ namespace analysis {
 
 /// One inconsistently-protected shared slot.
 struct RaceFinding {
-  unsigned GlobalSlot = 0;   ///< flattened slot index
-  std::string SlotName;      ///< "owner" or "acct[2]"
-  std::string Where;         ///< first unprotected access site
+  unsigned GlobalSlot = 0; ///< flattened slot index (slotName() names it)
+  unsigned Ctx = 0;        ///< first unprotected access site
+  unsigned Pc = 0;
+};
+
+/// Why a slot was refused as a lock cell.
+struct LocksetRefusal {
+  /// Slot of the MaxLocks-cap refusal, which names no single cell.
+  static constexpr unsigned NoSlot = ~0u;
+  unsigned Slot = NoSlot;
+  const char *Why = ""; ///< "written by the prologue", ...
+  bool AtStep = false;  ///< Why is followed by " at " + step (Ctx, Pc)
+  unsigned Ctx = 0;
+  unsigned Pc = 0;
 };
 
 /// Everything the lockset pass concluded.
@@ -65,10 +78,17 @@ struct LocksetResult {
   /// qualified lock, no site "holds" anything and nothing is reported.
   std::vector<RaceFinding> Races;
 
-  /// Human-readable refusal notes ("cell owner: hole-dependent write at
-  /// thread 1, step 3"), for --stats and tests.
-  std::vector<std::string> Refusals;
+  /// Refused lock cells, for tests and diagnostics (describe()).
+  std::vector<LocksetRefusal> Refusals;
 };
+
+/// "owner" or "acct[2]": the global element at flattened slot \p Slot.
+std::string slotName(const ir::Program &P, unsigned Slot);
+
+/// "cell owner: release without provable ownership at thread 1, step 3:
+/// owner = 0;".
+std::string describe(const ir::Program &P, const flat::FlatProgram &FP,
+                     const LocksetRefusal &R);
 
 /// Runs the lockset analysis. \p Holes resolves static guards, Choice
 /// selectors, and write values per candidate; pass nullptr for the

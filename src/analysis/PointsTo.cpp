@@ -108,7 +108,7 @@ private:
             continue;
           SiteIndex[siteKey(Ctx, Pc, Op)] =
               static_cast<unsigned>(R.Sites.size());
-          R.Sites.push_back({Ctx, Pc, Op, S.Label});
+          R.Sites.push_back({Ctx, Pc, Op});
         }
       }
     }

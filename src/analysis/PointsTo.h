@@ -43,7 +43,6 @@
 #include "ir/HoleAssignment.h"
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -57,7 +56,6 @@ struct AllocSite {
   unsigned Ctx = 0;
   unsigned Pc = 0;
   unsigned OpIndex = 0;
-  std::string Label; ///< the owning step's label, for diagnostics
 };
 
 /// A points-to set: a bitmask over at most 64 allocation sites, plus a

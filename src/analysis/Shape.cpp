@@ -10,6 +10,7 @@
 #include "analysis/Analyzer.h"
 #include "analysis/Lockset.h"
 #include "analysis/Util.h"
+#include "desugar/Flatten.h"
 #include "ir/StaticEval.h"
 #include "support/StrUtil.h"
 
@@ -248,7 +249,8 @@ ShapeResult analysis::runShape(const Program &P,
         Bad = &A;
         break;
       }
-    Out.HeapRaces.push_back({Site, Field, Pts.Sites[Site].Label,
+    const AllocSite &A = Pts.Sites[Site];
+    Out.HeapRaces.push_back({Site, Field, flat::stepLabel(FP, A.Ctx, A.Pc),
                              P.fields()[Field].Name,
                              stepWhere(FP, Bad->Ctx, Bad->Pc)});
   }

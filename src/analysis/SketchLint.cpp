@@ -66,7 +66,7 @@ void psketch::analysis::runConstantAsserts(const Program &P,
           Sink.warning(PassName,
                        format("assert '%s' is constant-true: it can never "
                               "fail and constrains nothing",
-                              Op.Label.c_str()),
+                              Op.Label),
                        stepWhere(FP, Ctx, Pc));
           continue;
         }
@@ -76,7 +76,7 @@ void psketch::analysis::runConstantAsserts(const Program &P,
           Sink.error(PassName,
                      format("assert '%s' is constant-false on an "
                             "unguarded step: every candidate fails",
-                            Op.Label.c_str()),
+                            Op.Label),
                      Where);
           Out.ProvedUnresolvable = true;
           if (Out.UnresolvableWhy.empty())
@@ -86,7 +86,7 @@ void psketch::analysis::runConstantAsserts(const Program &P,
           Sink.warning(PassName,
                        format("assert '%s' is constant-false: any "
                               "execution reaching it fails",
-                              Op.Label.c_str()),
+                              Op.Label),
                        stepWhere(FP, Ctx, Pc));
         }
       }
@@ -213,7 +213,7 @@ void lintStructure(const Program &P, const FlatProgram &FP,
                       format("assert '%s' reads global '%s', which no "
                              "step writes: it only checks the initial "
                              "value",
-                             Op.Label.c_str(), P.globals()[G].Name.c_str()),
+                             Op.Label, P.globals()[G].Name.c_str()),
                       stepWhere(FP, Ctx, Pc));
       }
   }

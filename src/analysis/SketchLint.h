@@ -28,8 +28,8 @@
 ///    globals no step ever writes, and globals written but never read
 ///    (workload/specification pattern mismatches).
 ///
-/// All findings are rendered with the flattener's step labels via
-/// Diagnostic::Where.
+/// Each finding names its step in Diagnostic::Where (stepWhere), whose
+/// text flat::stepLabel renders from the step's origin statement.
 ///
 //===----------------------------------------------------------------------===//
 

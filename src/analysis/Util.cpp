@@ -6,6 +6,7 @@
 
 #include "analysis/Util.h"
 
+#include "desugar/Flatten.h"
 #include "support/StrUtil.h"
 
 using namespace psketch;
@@ -38,9 +39,9 @@ std::string psketch::analysis::contextName(const FlatProgram &FP,
 
 std::string psketch::analysis::stepWhere(const FlatProgram &FP, unsigned Ctx,
                                          unsigned Pc) {
-  const FlatBody &B = bodyOf(FP, Ctx);
-  std::string Label =
-      Pc < B.Steps.size() ? B.Steps[Pc].Label : std::string("<end>");
+  std::string Label = Pc < bodyOf(FP, Ctx).Steps.size()
+                          ? flat::stepLabel(FP, Ctx, Pc)
+                          : std::string("<end>");
   return format("%s, step %u: %s", contextName(FP, Ctx).c_str(), Pc,
                 Label.c_str());
 }

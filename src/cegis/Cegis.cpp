@@ -7,6 +7,7 @@
 #include "cegis/Cegis.h"
 
 #include "analysis/AbsInt.h"
+#include "analysis/Util.h"
 #include "exec/Machine.h"
 #include "ir/Printer.h"
 #include "support/MemUsage.h"
@@ -174,11 +175,14 @@ CegisResult ConcurrentCegis::run() {
     bool Refuted = HaveFacts && Facts.Refuted;
     if (Refuted && !Cfg.AbsIntAudit) {
       ++R.Stats.IntervalPrunes;
-      if (Cfg.Log)
+      if (Cfg.Log) {
+        const analysis::Refutation &At = Facts.RefutedAt;
         Cfg.Log(format("absint: pruned candidate (%s at %s), %llu prunes",
-                       Facts.RefutedWhy.c_str(), Facts.RefutedWhere.c_str(),
+                       At.why().c_str(),
+                       analysis::stepWhere(FP, At.Ctx, At.Pc).c_str(),
                        static_cast<unsigned long long>(
                            R.Stats.IntervalPrunes)));
+      }
       Synth.excludeCandidate(Candidate);
       // Prunes are free of verifier calls, so they bypass MaxIterations;
       // exclusion makes the loop finite regardless, but a hard cap keeps

@@ -23,7 +23,12 @@
 ///  * an optional wait condition — the step is a conditional atomic and is
 ///    only schedulable when the condition holds (the paper's only blocking
 ///    primitive);
-///  * a list of predicated micro-ops executed atomically in order.
+///  * a list of predicated micro-ops executed atomically in order;
+///  * its origin — the source statement it was lowered from, a label kind
+///    and an unroll index. Step text ("x = y", "while#1 (!done)") exists
+///    only in diagnostics, counterexample traces and log lines, so it is
+///    rendered from the origin on request (flat::stepLabel in
+///    desugar/Flatten.h), never stored.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +38,7 @@
 #include "ir/Expr.h"
 #include "ir/Program.h"
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 namespace psketch {
@@ -51,7 +56,17 @@ struct MicroOp {
   ir::ExprRef Pred = nullptr; ///< null = unconditional within the step
   ir::Loc Target;             ///< Write/Alloc destination
   ir::ExprRef Value = nullptr;///< Write value or Assert condition
-  std::string Label;          ///< Assert property name
+  const char *Label = "";     ///< Assert property name (the origin
+                              ///< statement's, or a flattener literal)
+};
+
+/// How stepLabel() renders a step from its origin statement.
+enum class LabelKind : uint8_t {
+  Plain,      ///< the statement's first printed line: "x = y;"
+  Atomic,     ///< "atomic " + the first line of the block's body
+  If,         ///< "if (cond)": the branch-condition evaluation step
+  While,      ///< "while#K (cond)": iteration K's condition evaluation
+  WhileBound, ///< "while-bound (cond)": the flattener's unroll-bound check
 };
 
 /// One atomic, schedulable step.
@@ -60,9 +75,13 @@ struct Step {
   ir::ExprRef DynGuard = nullptr;    ///< boolean temp read; null = true
   ir::ExprRef WaitCond = nullptr;    ///< non-null: conditional atomic
   std::vector<MicroOp> Ops;
-  std::string Label;        ///< short rendering for trace display
+  ir::StmtRef Origin = nullptr;      ///< the statement this step lowers
+  uint32_t Unroll = 0;               ///< K of a While step
+  LabelKind Kind = LabelKind::Plain; ///< how stepLabel() renders it
   bool TouchesShared = false; ///< scheduler-visible (POR classification)
-  bool LoopBound = false;     ///< the flattener's while-bound check
+
+  /// The flattener's while-bound check (an assert no author wrote).
+  bool loopBound() const { return Kind == LabelKind::WhileBound; }
 };
 
 /// A flattened body: a straight list of steps.

@@ -2,6 +2,10 @@
 //
 // Part of psketch-cpp.
 //
+// The flattener records where each step came from (Step::Origin, Kind,
+// Unroll) and never prints: stepLabel() at the bottom of this file turns
+// that record into text for diagnostics, traces and log lines.
+//
 //===----------------------------------------------------------------------===//
 
 #include "desugar/Flatten.h"
@@ -53,7 +57,7 @@ private:
   }
 
   unsigned newTemp(Type Ty, const char *Tag) {
-    return P.addLocal(Cur, format("%%t%u_%s", TempCount++, Tag), Ty, 0);
+    return P.addTemp(Cur, Ty, Tag, TempCount++);
   }
 
   ExprRef readOfLoc(const Loc &L) {
@@ -90,21 +94,15 @@ private:
     return false;
   }
 
-  void emit(Step S, const std::string &Label) {
+  void emit(Step S, StmtRef Origin, LabelKind Label = LabelKind::Plain,
+            unsigned Unroll = 0) {
     S.StaticGuard = StaticG;
     S.DynGuard = DynG;
-    S.Label = Label;
+    S.Origin = Origin;
+    S.Unroll = Unroll;
+    S.Kind = Label;
     S.TouchesShared = stepTouchesShared(S);
     Steps.push_back(std::move(S));
-  }
-
-  std::string labelOf(StmtRef S) {
-    Printer Pr(P);
-    std::string Text = Pr.stmt(S, Cur);
-    size_t Newline = Text.find('\n');
-    if (Newline != std::string::npos)
-      Text = Text.substr(0, Newline);
-    return trim(Text);
   }
 
   MicroOp write(ExprRef Pred, Loc Target, ExprRef Value) {
@@ -116,12 +114,12 @@ private:
     return Op;
   }
 
-  MicroOp check(ExprRef Pred, ExprRef Cond, std::string Label) {
+  MicroOp check(ExprRef Pred, ExprRef Cond, const char *Label) {
     MicroOp Op;
     Op.OpKind = MicroOp::Kind::Assert;
     Op.Pred = Pred;
     Op.Value = Cond;
-    Op.Label = std::move(Label);
+    Op.Label = Label;
     return Op;
   }
 
@@ -164,7 +162,8 @@ private:
   }
 
   /// Collects the predicated micro-ops of a statement inside an atomic
-  /// section. Only loop-free, non-blocking statements are allowed there.
+  /// section. Only loop-free, non-blocking statements are allowed there
+  /// (analysis::validateProgram rejects the rest).
   void atomicOps(StmtRef S, ExprRef Pred, std::vector<MicroOp> &Ops) {
     if (!S)
       return;
@@ -191,7 +190,7 @@ private:
       swapOps(S, Pred, Ops);
       return;
     case StmtKind::Assert:
-      Ops.push_back(check(Pred, S->Cond, S->Label));
+      Ops.push_back(check(Pred, S->Cond, S->Label.c_str()));
       return;
     case StmtKind::Alloc:
       Ops.push_back(allocate(Pred, S->Target));
@@ -232,7 +231,7 @@ private:
     case StmtKind::Assign: {
       Step St;
       St.Ops.push_back(write(nullptr, S->Target, S->Value));
-      emit(std::move(St), labelOf(S));
+      emit(std::move(St), S);
       return;
     }
     case StmtKind::ChoiceAssign:
@@ -241,20 +240,20 @@ private:
     case StmtKind::Alloc: {
       Step St;
       atomicOps(S, nullptr, St.Ops);
-      emit(std::move(St), labelOf(S));
+      emit(std::move(St), S);
       return;
     }
     case StmtKind::Atomic: {
       Step St;
       atomicOps(S->Children[0], nullptr, St.Ops);
-      emit(std::move(St), "atomic " + labelOf(S->Children[0]));
+      emit(std::move(St), S, LabelKind::Atomic);
       return;
     }
     case StmtKind::CondAtomic: {
       Step St;
       St.WaitCond = S->Cond;
       atomicOps(S->Children[0], nullptr, St.Ops);
-      emit(std::move(St), labelOf(S));
+      emit(std::move(St), S);
       return;
     }
     case StmtKind::If: {
@@ -277,8 +276,7 @@ private:
       if (HasElse)
         Eval.Ops.push_back(
             write(nullptr, P.locLocal(ElseTmp), P.lnot(S->Cond)));
-      Printer Pr(P);
-      emit(std::move(Eval), "if (" + Pr.expr(S->Cond, Cur) + ")");
+      emit(std::move(Eval), S, LabelKind::If);
 
       ExprRef SavedDyn = DynG;
       DynG = P.local(ThenTmp, Type::Bool);
@@ -292,24 +290,20 @@ private:
     }
     case StmtKind::While: {
       ExprRef SavedDyn = DynG;
-      Printer Pr(P);
-      std::string CondText = Pr.expr(S->Cond, Cur);
       for (unsigned K = 0; K < S->UnrollBound; ++K) {
         unsigned IterTmp = newTemp(Type::Bool, "while");
         Step Eval;
         Eval.Ops.push_back(write(nullptr, P.locLocal(IterTmp), S->Cond));
-        emit(std::move(Eval),
-             format("while#%u (%s)", K, CondText.c_str()));
+        emit(std::move(Eval), S, LabelKind::While, K);
         DynG = P.local(IterTmp, Type::Bool);
         flattenStmt(S->Children[0]);
       }
       // Termination: a candidate that still wants another iteration after
       // the unroll bound fails (bounded-liveness approximation).
       Step Bound;
-      Bound.LoopBound = true;
       Bound.Ops.push_back(
           check(nullptr, P.lnot(S->Cond), "loop bound exceeded"));
-      emit(std::move(Bound), format("while-bound (%s)", CondText.c_str()));
+      emit(std::move(Bound), S, LabelKind::WhileBound);
       DynG = SavedDyn;
       return;
     }
@@ -338,4 +332,39 @@ FlatProgram psketch::flat::flatten(Program &P) {
     FP.Threads.push_back(F.run(BodyId::thread(I)));
   FP.Epilogue = F.run(BodyId::epilogue());
   return FP;
+}
+
+/// The first printed line of \p S, trimmed: "x = y;", "atomic {".
+static std::string firstLine(const Printer &Pr, StmtRef S, BodyId Scope) {
+  std::string Text = Pr.stmt(S, Scope);
+  size_t Newline = Text.find('\n');
+  if (Newline != std::string::npos)
+    Text.resize(Newline);
+  return trim(Text);
+}
+
+std::string psketch::flat::stepLabel(const FlatProgram &FP, unsigned Ctx,
+                                     unsigned Pc) {
+  unsigned N = static_cast<unsigned>(FP.Threads.size());
+  BodyId Scope = Ctx < N    ? BodyId::thread(Ctx)
+                 : Ctx == N ? BodyId::prologue()
+                            : BodyId::epilogue();
+  const FlatBody &B = Ctx < N ? FP.Threads[Ctx] : Ctx == N ? FP.Prologue
+                                                           : FP.Epilogue;
+  const Step &S = B.Steps[Pc];
+  Printer Pr(*FP.Source);
+  switch (S.Kind) {
+  case LabelKind::Plain:
+    return firstLine(Pr, S.Origin, Scope);
+  case LabelKind::Atomic:
+    return "atomic " + firstLine(Pr, S.Origin->Children[0], Scope);
+  case LabelKind::If:
+    return "if (" + Pr.expr(S.Origin->Cond, Scope) + ")";
+  case LabelKind::While:
+    return format("while#%u (%s)", S.Unroll,
+                  Pr.expr(S.Origin->Cond, Scope).c_str());
+  case LabelKind::WhileBound:
+    return "while-bound (" + Pr.expr(S.Origin->Cond, Scope) + ")";
+  }
+  __builtin_unreachable();
 }

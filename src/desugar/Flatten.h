@@ -20,6 +20,9 @@
 ///
 /// Flattening adds hidden temp locals to the program's bodies, so it takes
 /// the Program by mutable reference and must run exactly once per Program.
+/// It formats no text: each step records its origin statement, and
+/// stepLabel() renders the step's text from it on request, as temps render
+/// their "%t3_then" names (ir::Local::name()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,12 +32,21 @@
 #include "desugar/Flat.h"
 #include "ir/Program.h"
 
+#include <string>
+
 namespace psketch {
 namespace flat {
 
 /// Flattens every body of \p P. \returns the flat program, which holds a
 /// pointer to \p P (the program must outlive it).
 FlatProgram flatten(ir::Program &P);
+
+/// The text of step \p Pc of context \p Ctx (exec::Machine numbering:
+/// threads 0..N-1, the prologue N, the epilogue N+1), rendered from the
+/// step's origin statement: "x = y;", "atomic lock(l);", "if (c)",
+/// "while#1 (!done)", "while-bound (!done)". For diagnostics, traces and
+/// log lines; no search decision reads it.
+std::string stepLabel(const FlatProgram &FP, unsigned Ctx, unsigned Pc);
 
 } // namespace flat
 } // namespace psketch

@@ -275,6 +275,10 @@ ExprRef Parser::parsePostfix(ExprRef Base) {
       fail("unknown field '" + Name + "'");
       return Base;
     }
+    if (Base->Ty != Type::Ptr) {
+      fail("field '" + Name + "' of a non-pointer value");
+      return Base;
+    }
     Base = P->field(Base, It->second);
   }
   return Base;
@@ -300,7 +304,16 @@ ExprRef Parser::parsePrimary() {
         fail("expected hole range");
         return P->constInt(0);
       }
-      Choices = static_cast<unsigned>(take().Number);
+      // A hole's value is a signed int of the program's width.
+      int64_t Given = take().Number;
+      int64_t Max = int64_t(1) << (P->intWidth() - 1);
+      if (Given < 1 || Given > Max) {
+        fail(format("hole range %lld is outside 1..%lld",
+                    static_cast<long long>(Given),
+                    static_cast<long long>(Max)));
+        return P->constInt(0);
+      }
+      Choices = static_cast<unsigned>(Given);
       expect(TokenKind::RParen, "hole range");
     }
     unsigned Id = holeAt(Key, format("??@%zu", Key), Choices);
@@ -398,6 +411,10 @@ Loc Parser::parseLval() {
     auto FIt = Fields.find(FieldName);
     if (FIt == Fields.end()) {
       fail("unknown field '" + FieldName + "'");
+      return Loc();
+    }
+    if (BaseExpr->Ty != Type::Ptr) {
+      fail("field '" + FieldName + "' of a non-pointer value");
       return Loc();
     }
     if (at(TokenKind::Dot)) {
@@ -522,7 +539,13 @@ StmtRef Parser::parseStmt() {
         fail("expected loop bound");
         return P->nop();
       }
-      Bound = static_cast<unsigned>(take().Number);
+      int64_t Given = take().Number;
+      if (Given < 1 || Given > UINT16_MAX) {
+        fail(format("loop bound %lld is outside 1..%u",
+                    static_cast<long long>(Given), UINT16_MAX));
+        return P->nop();
+      }
+      Bound = static_cast<unsigned>(Given);
     }
     StmtRef Body = parseStmt();
     return P->whileS(Cond, Body, Bound);

@@ -58,6 +58,17 @@ unsigned Program::addLocal(BodyId Id, const std::string &Name, Type Ty,
   return static_cast<unsigned>(B.Locals.size() - 1);
 }
 
+unsigned Program::addTemp(BodyId Id, Type Ty, const char *Tag,
+                          unsigned Index) {
+  Body &B = body(Id);
+  B.Locals.push_back(Local{std::string(), Ty, 0, Tag, Index});
+  return static_cast<unsigned>(B.Locals.size() - 1);
+}
+
+std::string Local::name() const {
+  return isTemp() ? format("%%t%u_%s", TempIndex, TempTag) : Name;
+}
+
 unsigned Program::addHoleNoCount(const std::string &Name,
                                  unsigned NumChoices) {
   assert(NumChoices >= 1 && "hole needs at least one choice");
@@ -200,8 +211,10 @@ ExprRef Program::field(ExprRef Pointer, unsigned FieldId) {
   return E;
 }
 
+// holeValue and choiceOf build a node for any hole id, alternative count
+// and alternative types: a malformed reference is
+// analysis::validateProgram's typed diagnostic, not a builder abort.
 ExprRef Program::holeValue(unsigned HoleId) {
-  assert(HoleId < HoleTable.size() && "bad hole id");
   Expr *E = newExpr(ExprKind::HoleRead);
   E->Id = HoleId;
   E->Ty = Type::Int;
@@ -226,15 +239,10 @@ ExprRef Program::choose(const std::string &Name,
 }
 
 ExprRef Program::choiceOf(unsigned HoleId, std::vector<ExprRef> Alternatives) {
-  assert(HoleId < HoleTable.size() && "bad hole id");
-  assert(Alternatives.size() == HoleTable[HoleId].NumChoices &&
-         "alternative count must match the shared hole");
-  Type Ty = Alternatives[0]->Ty;
-  for ([[maybe_unused]] ExprRef Alt : Alternatives)
-    assert(Alt->Ty == Ty && "generator alternatives disagree on type");
+  assert(!Alternatives.empty() && "empty generator");
   Expr *E = newExpr(ExprKind::Choice);
   E->Id = HoleId;
-  E->Ty = Ty;
+  E->Ty = Alternatives[0]->Ty;
   E->Ops = std::move(Alternatives);
   return E;
 }

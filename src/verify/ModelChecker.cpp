@@ -6,6 +6,7 @@
 
 #include "verify/ModelChecker.h"
 
+#include "desugar/Flatten.h"
 #include "support/Rng.h"
 #include "support/StrUtil.h"
 #include "verify/Canon.h"
@@ -27,10 +28,9 @@ using exec::Violation;
 std::string Counterexample::describe(const Machine &M) const {
   std::string Out = format("violation: %s (phase %d)\n", V.Label.c_str(),
                            static_cast<int>(Where));
-  for (const TraceStep &S : Steps) {
-    const flat::Step &St = M.bodyOf(S.Thread).Steps[S.Pc];
-    Out += format("  T%u#%u: %s\n", S.Thread, S.Pc, St.Label.c_str());
-  }
+  for (const TraceStep &S : Steps)
+    Out += format("  T%u#%u: %s\n", S.Thread, S.Pc,
+                  flat::stepLabel(M.program(), S.Thread, S.Pc).c_str());
   for (const TraceStep &S : DeadlockSet)
     Out += format("  blocked T%u#%u\n", S.Thread, S.Pc);
   return Out;

@@ -32,6 +32,7 @@
 #include "analysis/AbsInt.h"
 #include "analysis/Analyzer.h"
 #include "analysis/Lockset.h"
+#include "analysis/Util.h"
 #include "benchmarks/Suite.h"
 #include "cegis/Cegis.h"
 #include "desugar/Flatten.h"
@@ -212,7 +213,8 @@ TEST(AbsInt, DeterministicRefutationAndPass) {
 
   CandidateFacts Three = analyzeCandidate(*P, FP, HoleAssignment{0});
   EXPECT_TRUE(Three.Refuted);
-  EXPECT_FALSE(Three.RefutedWhere.empty());
+  EXPECT_FALSE(
+      stepWhere(FP, Three.RefutedAt.Ctx, Three.RefutedAt.Pc).empty());
 
   CandidateFacts Five = analyzeCandidate(*P, FP, HoleAssignment{1});
   EXPECT_FALSE(Five.Refuted);
@@ -392,7 +394,7 @@ TEST(Lockset, InconsistentProtectionIsARace) {
   // counter is accessed with an empty common lockset.
   ASSERT_EQ(L.Locks.LockSlots.size(), 1u);
   ASSERT_EQ(L.Races.size(), 1u);
-  EXPECT_EQ(L.Races[0].SlotName, "x");
+  EXPECT_EQ(slotName(*P, L.Races[0].GlobalSlot), "x");
 }
 
 TEST(Lockset, ReleaseWithoutOwnershipRefusesCell) {
@@ -415,8 +417,8 @@ TEST(Lockset, ReleaseWithoutOwnershipRefusesCell) {
   LocksetResult L = runLockset(P, FP, nullptr);
   EXPECT_TRUE(L.Locks.empty());
   ASSERT_FALSE(L.Refusals.empty());
-  EXPECT_NE(L.Refusals[0].find("ownership"), std::string::npos)
-      << L.Refusals[0];
+  std::string Refusal = describe(P, FP, L.Refusals[0]);
+  EXPECT_NE(Refusal.find("ownership"), std::string::npos) << Refusal;
 }
 
 TEST(Lockset, DiningPhilosophersPolicyGuardedAcquiresAreRefused) {

@@ -98,6 +98,17 @@ TEST(Validate, FlagsGeneratorHoleMismatch) {
   std::vector<Diagnostic> Diags = validateProgram(P);
   ASSERT_FALSE(Diags.empty());
   EXPECT_TRUE(hasDiag(Diags, "frontend", Severity::Error, "alternatives"));
+
+  // An int and a bool alternative behind one two-choice hole.
+  Program Q;
+  unsigned Y = Q.addGlobal("y", Type::Int, 0);
+  unsigned G = Q.addHole("g", 2);
+  unsigned U = Q.addThread("t");
+  Q.setRoot(BodyId::thread(U),
+            Q.assign(Q.locGlobal(Y),
+                     Q.choiceOf(G, {Q.constInt(1), Q.constBool(true)})));
+  EXPECT_TRUE(hasDiag(validateProgram(Q), "frontend", Severity::Error,
+                      "disagree on type"));
 }
 
 TEST(Validate, FlagsUndefinedHoleReference) {
@@ -108,6 +119,46 @@ TEST(Validate, FlagsUndefinedHoleReference) {
   std::vector<Diagnostic> Diags = validateProgram(P);
   ASSERT_FALSE(Diags.empty());
   EXPECT_TRUE(hasDiag(Diags, "frontend", Severity::Error, "undefined hole"));
+}
+
+TEST(Validate, FlagsLoopInsideAtomic) {
+  // An atomic block is one flat step: a loop, a wait or a reorder inside
+  // it (at any depth, here under an if) is an error, not a dropped
+  // statement or a flattener abort.
+  auto Check = [](const char *Needle, auto MakeInner) {
+    Program P;
+    unsigned X = P.addGlobal("x", Type::Int, 0);
+    unsigned T = P.addThread("t");
+    StmtRef Inner = MakeInner(P, X);
+    P.setRoot(BodyId::thread(T),
+              P.atomic(P.ifS(P.eq(P.global(X), P.constInt(0)), Inner)));
+    std::vector<Diagnostic> Diags = validateProgram(P);
+    EXPECT_TRUE(hasDiag(Diags, "frontend", Severity::Error, Needle))
+        << Needle;
+  };
+  Check("loop inside an atomic block", [](Program &P, unsigned X) {
+    return P.whileS(P.eq(P.global(X), P.constInt(0)),
+                    P.assign(P.locGlobal(X), P.constInt(1)), 2);
+  });
+  Check("wait inside an atomic block", [](Program &P, unsigned X) {
+    return P.condAtomic(P.eq(P.global(X), P.constInt(1)), P.nop());
+  });
+  Check("reorder inside an atomic block", [](Program &P, unsigned X) {
+    return P.reorder("r", {P.assign(P.locGlobal(X), P.constInt(1)),
+                           P.assign(P.locGlobal(X), P.constInt(2))});
+  });
+
+  // The same statements outside an atomic block are well-formed.
+  Program P;
+  unsigned X = P.addGlobal("x", Type::Int, 0);
+  unsigned T = P.addThread("t");
+  P.setRoot(BodyId::thread(T),
+            P.seq({P.whileS(P.eq(P.global(X), P.constInt(0)),
+                            P.assign(P.locGlobal(X), P.constInt(1)), 2),
+                   P.condAtomic(P.eq(P.global(X), P.constInt(1)),
+                                P.atomic(P.assign(P.locGlobal(X),
+                                                  P.constInt(2))))}));
+  EXPECT_TRUE(validateProgram(P).empty());
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,12 +5,25 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "benchmarks/DList.h"
+#include "benchmarks/LazySet.h"
+#include "benchmarks/Stack.h"
+#include "benchmarks/Suite.h"
+#include "benchmarks/Workload.h"
 #include "desugar/Flatten.h"
 #include "exec/Machine.h"
+#include "frontend/Parser.h"
+#include "ir/Printer.h"
+#include "ir/ReorderExpand.h"
+#include "support/StrUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <set>
+#include <sstream>
 
 using namespace psketch;
 using namespace psketch::ir;
@@ -301,4 +314,170 @@ TEST(Flatten, ExponentialReorderRealizesAllPermutations) {
       Seen.insert(Order);
     }
   EXPECT_EQ(Seen.size(), 6u);
+}
+
+//===----------------------------------------------------------------------===//
+// Step labels: stepLabel() renders what the flattener once stored.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The step labels as the flattener rendered them eagerly before step
+/// text became lazy: the same walk over the IR as flattenStmt, with the
+/// same printing, one label per emitted step.
+class EagerLabels {
+public:
+  EagerLabels(Program &P, BodyId Cur) : P(P), Cur(Cur) {}
+
+  std::vector<std::string> run() {
+    Labels.clear();
+    if (StmtRef Root = P.body(Cur).Root)
+      walk(Root);
+    return Labels;
+  }
+
+private:
+  Program &P;
+  BodyId Cur;
+  std::vector<std::string> Labels;
+
+  std::string labelOf(StmtRef S) {
+    Printer Pr(P);
+    std::string Text = Pr.stmt(S, Cur);
+    size_t Newline = Text.find('\n');
+    if (Newline != std::string::npos)
+      Text = Text.substr(0, Newline);
+    return trim(Text);
+  }
+
+  void walk(StmtRef S) {
+    if (!S)
+      return;
+    Printer Pr(P);
+    switch (S->Kind) {
+    case StmtKind::Nop:
+      return;
+    case StmtKind::Seq:
+      for (StmtRef Child : S->Children)
+        walk(Child);
+      return;
+    case StmtKind::Assign:
+    case StmtKind::ChoiceAssign:
+    case StmtKind::Swap:
+    case StmtKind::Assert:
+    case StmtKind::Alloc:
+    case StmtKind::CondAtomic:
+      Labels.push_back(labelOf(S));
+      return;
+    case StmtKind::Atomic:
+      Labels.push_back("atomic " + labelOf(S->Children[0]));
+      return;
+    case StmtKind::If: {
+      bool HasElse = S->Children[1] && S->Children[1]->Kind != StmtKind::Nop;
+      if (!S->Cond->isHoleOnly())
+        Labels.push_back("if (" + Pr.expr(S->Cond, Cur) + ")");
+      walk(S->Children[0]);
+      if (HasElse)
+        walk(S->Children[1]);
+      return;
+    }
+    case StmtKind::While: {
+      std::string CondText = Pr.expr(S->Cond, Cur);
+      for (unsigned K = 0; K < S->UnrollBound; ++K) {
+        Labels.push_back(format("while#%u (%s)", K, CondText.c_str()));
+        walk(S->Children[0]);
+      }
+      Labels.push_back(format("while-bound (%s)", CondText.c_str()));
+      return;
+    }
+    case StmtKind::Reorder:
+      for (const ReorderEntry &E : expandReorder(P, S))
+        walk(E.Child);
+      return;
+    }
+  }
+};
+
+using Builder = std::function<std::unique_ptr<Program>()>;
+
+/// Every Figure 9 row, the extension rows and the example sketches.
+std::vector<std::pair<std::string, Builder>> labelSubjects() {
+  std::vector<std::pair<std::string, Builder>> Out;
+  for (const bench::SuiteEntry &E : bench::paperSuite())
+    Out.push_back({E.Sketch + " " + E.Test, E.Build});
+  for (const char *Pat : {"p(po|po)", "pp(o|o)", "p(pp|oo)", "(pp|oo)o"})
+    Out.push_back({std::string("stack ") + Pat, [Pat] {
+                     return bench::buildStack(bench::parseWorkload(Pat));
+                   }});
+  for (const char *Pat : {"i(i|i)", "(ii|i)", "(i|i)i"})
+    Out.push_back({std::string("dlist ") + Pat, [Pat] {
+                     return bench::buildDList(bench::parseWorkload(Pat));
+                   }});
+  for (const char *Pat : {"ar(aa|rr)", "ar(ar|ar)"})
+    Out.push_back({std::string("lazyset-full ") + Pat, [Pat] {
+                     bench::LazySetOptions O;
+                     O.SketchAdd = true;
+                     return bench::buildLazySet(bench::parseWorkload(Pat), O);
+                   }});
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(PSKETCH_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".psk")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Text;
+    Text << In.rdbuf();
+    std::string Source = Text.str();
+    Out.push_back({Entry.path().filename().string(), [Source] {
+                     return std::move(frontend::parseProgram(Source).Program);
+                   }});
+  }
+  return Out;
+}
+
+/// Machine context numbering: threads 0..N-1, the prologue N, the
+/// epilogue N+1.
+BodyId bodyIdOf(const Program &P, unsigned Ctx) {
+  unsigned N = P.numThreads();
+  return Ctx < N ? BodyId::thread(Ctx)
+                 : Ctx == N ? BodyId::prologue() : BodyId::epilogue();
+}
+
+} // namespace
+
+TEST(Flatten, StepLabelsRenderAsBefore) {
+  unsigned Subjects = 0, Psk = 0;
+  size_t Steps = 0;
+  for (const auto &[Name, Build] : labelSubjects()) {
+    // The reference walks a fresh copy that was never flattened.
+    std::unique_ptr<Program> Ref = Build();
+    std::unique_ptr<Program> P = Build();
+    ASSERT_TRUE(Ref && P) << Name;
+    FlatProgram FP = flatten(*P);
+    for (unsigned Ctx = 0; Ctx < P->numThreads() + 2; ++Ctx) {
+      std::vector<std::string> Want =
+          EagerLabels(*Ref, bodyIdOf(*Ref, Ctx)).run();
+      const FlatBody &B = Ctx < P->numThreads() ? FP.Threads[Ctx]
+                          : Ctx == P->numThreads() ? FP.Prologue
+                                                   : FP.Epilogue;
+      ASSERT_EQ(B.Steps.size(), Want.size()) << Name << " ctx " << Ctx;
+      for (unsigned Pc = 0; Pc < B.Steps.size(); ++Pc)
+        ASSERT_EQ(stepLabel(FP, Ctx, Pc), Want[Pc])
+            << Name << " ctx " << Ctx << " pc " << Pc;
+      Steps += B.Steps.size();
+    }
+    ++Subjects;
+    Psk += Name.size() > 4 && Name.substr(Name.size() - 4) == ".psk";
+  }
+  EXPECT_GE(Subjects, 35u);
+  EXPECT_GE(Psk, 4u) << "examples/*.psk not found";
+  EXPECT_GT(Steps, 1000u);
+
+  // Three literal renderings of dlist i(i|i), whose prologue (context 2)
+  // inserts node n0 with a bounded retry loop.
+  auto P = bench::buildDList(bench::parseWorkload("i(i|i)"));
+  FlatProgram FP = flatten(*P);
+  EXPECT_EQ(stepLabel(FP, 2, 31), "while-bound (!done0)");
+  EXPECT_EQ(stepLabel(FP, 2, 6),
+            "atomic done0 = (head == {| n0 | n0.next | n0.prev |});");
+  EXPECT_EQ(stepLabel(FP, 0, 30), "if ({| (n1.next != null) | true | false |})");
 }

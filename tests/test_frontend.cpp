@@ -263,6 +263,28 @@ TEST(Parser, DiagnosticsUnknownField) {
   EXPECT_NE(R.Error.find("unknown field"), std::string::npos);
 }
 
+TEST(Parser, DiagnosticsForInputTheIRBuilderRejects) {
+  // Input the IR builder would assert on must end in a parse error.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"struct Node { int v; } global int x; thread t { x.v = 1; }",
+       "field 'v' of a non-pointer value"},
+      {"struct Node { int v; } global int x; global int y; "
+       "thread t { y = x.v; }",
+       "field 'v' of a non-pointer value"},
+      {"global int x; thread t { while (x == 0) bound 0 x = 1; }",
+       "loop bound 0 is outside 1..65535"},
+      {"global int x; thread t { x = ?\?(0); }",
+       "hole range 0 is outside 1..128"},
+      {"global int x; thread t { x = ?\?(129); }",
+       "hole range 129 is outside 1..128"},
+  };
+  for (const auto &[Source, Want] : Cases) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_FALSE(R.ok()) << Source;
+    EXPECT_NE(R.Error.find(Want), std::string::npos) << R.Error;
+  }
+}
+
 TEST(Parser, DiningPolicySketchResolves) {
   // The examples/dining2.psk sketch, embedded: only the asymmetric
   // policies avoid deadlock.

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -112,7 +113,79 @@ std::vector<std::filesystem::path> sketchFiles() {
   return Files;
 }
 
+/// True if chunk \p C is the keyword \p Word.
+bool isKeyword(const Chunk &C, const std::string &Word) {
+  return C.Kind == frontend::TokenKind::Ident &&
+         C.Text.compare(0, Word.size(), Word) == 0 &&
+         (C.Text.size() == Word.size() ||
+          !(std::isalnum(static_cast<unsigned char>(C.Text[Word.size()])) ||
+            C.Text[Word.size()] == '_'));
+}
+
+/// The index of the '{' that opens the body of the `atomic` at \p I
+/// (skipping a parenthesized wait condition), or 0 when the body is a
+/// single statement.
+size_t atomicBodyBrace(const std::vector<Chunk> &Chunks, size_t I) {
+  size_t J = I + 1;
+  if (J < Chunks.size() && Chunks[J].Kind == frontend::TokenKind::LParen) {
+    for (unsigned Depth = 0; J < Chunks.size(); ++J) {
+      Depth += Chunks[J].Kind == frontend::TokenKind::LParen;
+      Depth -= Chunks[J].Kind == frontend::TokenKind::RParen;
+      if (Depth == 0)
+        break;
+    }
+    ++J;
+  }
+  return J < Chunks.size() && Chunks[J].Kind == frontend::TokenKind::LBrace
+             ? J
+             : 0;
+}
+
 } // namespace
+
+TEST(ParserFuzz, LoopOrWaitInsideAtomicEndsInADiagnostic) {
+  // Grammar-aware mutants: a bounded loop or a conditional atomic put at
+  // the head of every atomic body of every sketch. Each one parses, and
+  // validation must reject it with an error, before the flattener (which
+  // cannot lower it) ever sees it.
+  const char *Inserts[] = {"while (true) bound 2 { } ", "atomic (true) { } "};
+  unsigned Mutants = 0;
+  for (const std::filesystem::path &File : sketchFiles()) {
+    std::ifstream In(File);
+    std::stringstream Buffer;
+    Buffer << In.rdbuf();
+    std::vector<Chunk> Chunks = tokenChunks(Buffer.str());
+    for (size_t I = 0; I < Chunks.size(); ++I) {
+      if (!isKeyword(Chunks[I], "atomic"))
+        continue;
+      size_t Brace = atomicBodyBrace(Chunks, I);
+      if (Brace == 0)
+        continue;
+      for (const char *Insert : Inserts) {
+        std::string Source;
+        for (size_t J = 0; J < Chunks.size(); ++J) {
+          Source += Chunks[J].Text + " ";
+          if (J == Brace)
+            Source += Insert;
+        }
+        SCOPED_TRACE(File.filename().string() + ":\n" + Source);
+        frontend::ParseResult P = frontend::parseProgram(Source);
+        ASSERT_TRUE(P.ok()) << P.Error;
+        std::vector<analysis::Diagnostic> Diags =
+            analysis::validateProgram(*P.Program);
+        EXPECT_TRUE(std::any_of(
+            Diags.begin(), Diags.end(), [](const analysis::Diagnostic &D) {
+              return D.Sev == analysis::Severity::Error &&
+                     D.Message.find("inside an atomic block") !=
+                         std::string::npos;
+            }));
+        ++Mutants;
+      }
+    }
+  }
+  // barrier2, dining2 and sorted_list_race hold eight atomic bodies.
+  EXPECT_GE(Mutants, 16u);
+}
 
 TEST(ParserFuzz, EveryMutantEndsInAResultOrADiagnostic) {
   constexpr unsigned MutantsPerFile = 1000;
