@@ -9,7 +9,6 @@
 
 #include "analysis/Util.h"
 #include "ir/StaticEval.h"
-#include "support/StrUtil.h"
 
 #include <algorithm>
 #include <map>
@@ -300,12 +299,9 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
     std::vector<std::vector<uint8_t>> Held;
   };
   std::vector<Cell> Cells;
-  auto Refuse = [&](unsigned Slot, const char *Why) {
-    Out.Refusals.push_back({Slot, Why});
-  };
-  auto RefuseAt = [&](unsigned Slot, const char *Why, unsigned Ctx,
-                      unsigned Pc) {
-    Out.Refusals.push_back({Slot, Why, /*AtStep=*/true, Ctx, Pc});
+  auto Refuse = [&](unsigned Slot, const char *Why, unsigned Ctx = 0,
+                    unsigned Pc = 0) {
+    Out.Refusals.push_back({Slot, Why, Ctx, Pc});
   };
 
   for (auto &[Slot, As] : Acquires) {
@@ -343,7 +339,7 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
         continue;
       if (W.PredNull && W.Value && *W.Value == Free)
         continue; // release form; must-held checked below
-      RefuseAt(Slot, "non-conforming write", W.Ctx, W.Pc);
+      Refuse(Slot, "non-conforming write", W.Ctx, W.Pc);
       Ok = false;
       break;
     }
@@ -381,7 +377,7 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
           // A release at a site that does not provably hold the lock
           // breaks the mutual-exclusion argument: refuse the cell.
           if (!Held) {
-            RefuseAt(Slot, "release without provable ownership", Ctx, Pc);
+            Refuse(Slot, "release without provable ownership", Ctx, Pc);
             ReleasesOk = false;
             break;
           }
@@ -399,7 +395,8 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
   }
 
   if (Cells.size() > exec::LockAnnotations::MaxLocks) {
-    Out.Refusals.push_back({LocksetRefusal::NoSlot});
+    for (size_t I = exec::LockAnnotations::MaxLocks; I < Cells.size(); ++I)
+      Refuse(Cells[I].Slot, "over the lock-cell cap");
     Cells.resize(exec::LockAnnotations::MaxLocks);
   }
 
@@ -493,16 +490,4 @@ LocksetResult analysis::runLockset(const Program &P, const FlatProgram &FP,
 
 std::string analysis::slotName(const Program &P, unsigned Slot) {
   return SlotMap(P).name(P, Slot);
-}
-
-std::string analysis::describe(const Program &P, const FlatProgram &FP,
-                               const LocksetRefusal &R) {
-  if (R.Slot == LocksetRefusal::NoSlot)
-    return format("more than %u qualified cells; keeping the first %u",
-                  exec::LockAnnotations::MaxLocks,
-                  exec::LockAnnotations::MaxLocks);
-  std::string Text = "cell " + slotName(P, R.Slot) + ": " + R.Why;
-  if (R.AtStep)
-    Text += " at " + stepWhere(FP, R.Ctx, R.Pc);
-  return Text;
 }

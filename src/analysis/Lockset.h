@@ -27,9 +27,8 @@
 /// anything it cannot prove: hole-dependent lock values, writes through
 /// unresolved array indices, prologue writes to a lock cell, more than one
 /// write to the cell inside one step, or more than 32 qualifying cells.
-/// Refusals are recorded as (reason, cell, step) records; describe()
-/// renders one as text. The pass runs once per candidate inside the CEGIS
-/// loop, so it formats no text itself.
+/// Refusals are recorded as (cell, reason, step) records. The pass runs
+/// once per candidate inside the CEGIS loop, so it formats no text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,11 +55,10 @@ struct RaceFinding {
 
 /// Why a slot was refused as a lock cell.
 struct LocksetRefusal {
-  /// Slot of the MaxLocks-cap refusal, which names no single cell.
-  static constexpr unsigned NoSlot = ~0u;
-  unsigned Slot = NoSlot;
+  unsigned Slot = 0;    ///< flattened slot index of the refused cell
   const char *Why = ""; ///< "written by the prologue", ...
-  bool AtStep = false;  ///< Why is followed by " at " + step (Ctx, Pc)
+  /// The offending step, for the reasons that name one ("non-conforming
+  /// write", "release without provable ownership"); 0 otherwise.
   unsigned Ctx = 0;
   unsigned Pc = 0;
 };
@@ -78,17 +76,12 @@ struct LocksetResult {
   /// qualified lock, no site "holds" anything and nothing is reported.
   std::vector<RaceFinding> Races;
 
-  /// Refused lock cells, for tests and diagnostics (describe()).
+  /// Refused lock cells, for tests.
   std::vector<LocksetRefusal> Refusals;
 };
 
 /// "owner" or "acct[2]": the global element at flattened slot \p Slot.
 std::string slotName(const ir::Program &P, unsigned Slot);
-
-/// "cell owner: release without provable ownership at thread 1, step 3:
-/// owner = 0;".
-std::string describe(const ir::Program &P, const flat::FlatProgram &FP,
-                     const LocksetRefusal &R);
 
 /// Runs the lockset analysis. \p Holes resolves static guards, Choice
 /// selectors, and write values per candidate; pass nullptr for the

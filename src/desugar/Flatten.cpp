@@ -3,8 +3,8 @@
 // Part of psketch-cpp.
 //
 // The flattener records where each step came from (Step::Origin, Kind,
-// Unroll) and never prints: stepLabel() at the bottom of this file turns
-// that record into text for diagnostics, traces and log lines.
+// Unroll) and never prints a statement: stepLabel() at the bottom of this
+// file turns that record into text for diagnostics, traces and log lines.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +57,7 @@ private:
   }
 
   unsigned newTemp(Type Ty, const char *Tag) {
-    return P.addTemp(Cur, Ty, Tag, TempCount++);
+    return P.addLocal(Cur, format("%%t%u_%s", TempCount++, Tag), Ty, 0);
   }
 
   ExprRef readOfLoc(const Loc &L) {

@@ -20,9 +20,8 @@
 ///
 /// Flattening adds hidden temp locals to the program's bodies, so it takes
 /// the Program by mutable reference and must run exactly once per Program.
-/// It formats no text: each step records its origin statement, and
-/// stepLabel() renders the step's text from it on request, as temps render
-/// their "%t3_then" names (ir::Local::name()).
+/// It prints no statement: each step records its origin statement, and
+/// stepLabel() renders the step's text from it on request.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,7 +15,7 @@ using namespace psketch::ir;
 std::string Printer::localName(BodyId Scope, unsigned Slot) const {
   const Body &B = P.body(Scope);
   if (Slot < B.Locals.size())
-    return B.Locals[Slot].name();
+    return B.Locals[Slot].Name;
   return format("local%u", Slot);
 }
 
@@ -230,8 +230,8 @@ std::string Printer::program() const {
       return;
     Out += "\n" + Title + " {\n";
     for (const Local &L : B.Locals) {
-      if (L.isTemp())
-        continue;
+      if (!L.Name.empty() && L.Name[0] == '%')
+        continue; // hidden flattener temps
       Out += format("  var %s = %lld;\n", L.Name.c_str(),
                     static_cast<long long>(L.Init));
     }

@@ -58,17 +58,6 @@ unsigned Program::addLocal(BodyId Id, const std::string &Name, Type Ty,
   return static_cast<unsigned>(B.Locals.size() - 1);
 }
 
-unsigned Program::addTemp(BodyId Id, Type Ty, const char *Tag,
-                          unsigned Index) {
-  Body &B = body(Id);
-  B.Locals.push_back(Local{std::string(), Ty, 0, Tag, Index});
-  return static_cast<unsigned>(B.Locals.size() - 1);
-}
-
-std::string Local::name() const {
-  return isTemp() ? format("%%t%u_%s", TempIndex, TempTag) : Name;
-}
-
 unsigned Program::addHoleNoCount(const std::string &Name,
                                  unsigned NumChoices) {
   assert(NumChoices >= 1 && "hole needs at least one choice");

@@ -51,17 +51,9 @@ struct Global {
 
 /// A local variable of one body (prologue, a thread, or the epilogue).
 struct Local {
-  std::string Name; ///< empty for a flattener temp
+  std::string Name;
   Type Ty = Type::Int;
   int64_t Init = 0;
-  /// Flattener temps only: the tag and program-wide ordinal that name()
-  /// renders as "%t3_then" when a printer asks. Temps are hidden from
-  /// printed declarations.
-  const char *TempTag = nullptr;
-  unsigned TempIndex = 0;
-
-  bool isTemp() const { return TempTag != nullptr; }
-  std::string name() const;
 };
 
 /// A primitive synthesis hole: an unknown in [0, NumChoices).
@@ -115,9 +107,6 @@ public:
                           int64_t Init = 0);
   unsigned addLocal(BodyId Body, const std::string &Name, Type Ty,
                     int64_t Init = 0);
-  /// Adds a hidden zero-initialized flattener temp named "%t<Index>_<Tag>"
-  /// (rendered on demand; \p Tag must outlive the program).
-  unsigned addTemp(BodyId Body, Type Ty, const char *Tag, unsigned Index);
 
   /// Creates a primitive hole with \p NumChoices alternatives and records
   /// a factor of \p NumChoices in the candidate-space size. \returns its id.

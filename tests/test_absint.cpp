@@ -213,8 +213,13 @@ TEST(AbsInt, DeterministicRefutationAndPass) {
 
   CandidateFacts Three = analyzeCandidate(*P, FP, HoleAssignment{0});
   EXPECT_TRUE(Three.Refuted);
-  EXPECT_FALSE(
-      stepWhere(FP, Three.RefutedAt.Ctx, Three.RefutedAt.Pc).empty());
+  // The refuting assert is the epilogue's (context 2 with one thread).
+  ASSERT_NE(Three.RefutedAt.Assert, nullptr);
+  EXPECT_STREQ(Three.RefutedAt.Assert, "is five");
+  EXPECT_EQ(Three.RefutedAt.Ctx, 2u);
+  EXPECT_EQ(Three.RefutedAt.Pc, 0u);
+  std::string Where = stepWhere(FP, Three.RefutedAt.Ctx, Three.RefutedAt.Pc);
+  EXPECT_NE(Where.find("x == 5"), std::string::npos) << Where;
 
   CandidateFacts Five = analyzeCandidate(*P, FP, HoleAssignment{1});
   EXPECT_FALSE(Five.Refuted);
@@ -417,8 +422,8 @@ TEST(Lockset, ReleaseWithoutOwnershipRefusesCell) {
   LocksetResult L = runLockset(P, FP, nullptr);
   EXPECT_TRUE(L.Locks.empty());
   ASSERT_FALSE(L.Refusals.empty());
-  std::string Refusal = describe(P, FP, L.Refusals[0]);
-  EXPECT_NE(Refusal.find("ownership"), std::string::npos) << Refusal;
+  std::string Why = L.Refusals[0].Why;
+  EXPECT_NE(Why.find("ownership"), std::string::npos) << Why;
 }
 
 TEST(Lockset, DiningPhilosophersPolicyGuardedAcquiresAreRefused) {
