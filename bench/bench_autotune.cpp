@@ -30,7 +30,7 @@ static void census(const char *Name, std::unique_ptr<ir::Program> P,
   Cfg.TimeLimitSeconds = 300;
   // Explicit rather than the env-derived default: this bench exercises
   // the scoped-exclusion path (enumeration under an activation-literal
-  // scope; cegis/Enumerate.cpp), which only engages with warm start on.
+  // scope; cegis/Cegis.cpp), which only engages with warm start on.
   Cfg.SolverWarmStart = true;
   auto R = cegis::enumerateSolutions(*P, MaxSolutions, Cfg);
   uint64_t Conflicts = 0;

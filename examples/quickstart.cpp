@@ -22,7 +22,7 @@ using namespace psketch::ir;
 
 /// Sequential sketch: out = (in + ??) wrapped at 8 bits must implement
 /// the reference out = in + 42 on every test input.
-static void sequentialQuickstart() {
+static bool sequentialQuickstart() {
   std::printf("== 1. Sequential CEGIS (observations are inputs) ==\n");
   Program P;
   unsigned In = P.addGlobal("in", Type::Int, 0);
@@ -48,12 +48,13 @@ static void sequentialQuickstart() {
               R.Stats.Resolvable
                   ? static_cast<unsigned long long>(R.Candidate[H])
                   : 0ull);
+  return R.Stats.Resolvable;
 }
 
 /// Concurrent sketch: should the increment take the lock? The model
 /// checker rejects the lock-free candidate with a counterexample trace;
 /// one observation later the synthesizer proposes the locked variant.
-static void concurrentQuickstart() {
+static bool concurrentQuickstart() {
   std::printf("== 2. Concurrent CEGIS (observations are traces) ==\n");
   Program P;
   unsigned X = P.addGlobal("x", Type::Int, 0);
@@ -88,10 +89,11 @@ static void concurrentQuickstart() {
                   ? static_cast<unsigned long long>(R.Candidate[H])
                   : 0ull);
   std::printf("resolved program:\n%s\n", C.printResolved(R).c_str());
+  return R.Stats.Resolvable;
 }
 
 /// The same concurrent sketch through the textual frontend.
-static void frontendQuickstart() {
+static bool frontendQuickstart() {
   std::printf("== 3. The textual mini-PSketch language ==\n");
   const char *Source = R"(
     global int x = 0;
@@ -106,7 +108,7 @@ static void frontendQuickstart() {
   frontend::ParseResult Parsed = frontend::parseProgram(Source);
   if (!Parsed.ok()) {
     std::printf("parse error: %s\n", Parsed.Error.c_str());
-    return;
+    return false;
   }
   cegis::ConcurrentCegis C(*Parsed.Program);
   cegis::CegisResult R = C.run();
@@ -114,11 +116,13 @@ static void frontendQuickstart() {
               R.Stats.Resolvable ? "yes" : "no", R.Stats.Iterations);
   if (R.Stats.Resolvable)
     std::printf("resolved program:\n%s", C.printResolved(R).c_str());
+  return R.Stats.Resolvable;
 }
 
+/// Exits 1 unless all three sketches resolve.
 int main() {
-  sequentialQuickstart();
-  concurrentQuickstart();
-  frontendQuickstart();
-  return 0;
+  bool Ok = sequentialQuickstart();
+  Ok = concurrentQuickstart() && Ok;
+  Ok = frontendQuickstart() && Ok;
+  return Ok ? 0 : 1;
 }

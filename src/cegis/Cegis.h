@@ -6,17 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The CEGIS drivers (Figure 8 of the paper):
+/// The CEGIS drivers (Figure 8 of the paper). Figure 8 is one algorithm,
+/// and Cegis.cpp writes it once: every driver runs the same loop, which
+/// checks the budgets, asks the synthesizer for a candidate, hands it to
+/// the driver's verify step, and acts on what the step decided:
+///
+///  * Pass — the candidate is correct: the run ends resolved (enumeration
+///    records it, excludes it and goes on; cegis/Enumerate.h);
+///  * Exclude — refuted without a verifier call (an interval refutation):
+///    the candidate is excluded and no iteration is counted;
+///  * Learn — a counterexample trace: the synthesizer learns it (or only
+///    excludes the candidate when CegisConfig::LearnFromTraces is off);
+///  * LearnInput — a failing test input: the synthesizer learns it;
+///  * Abort — "Ok" only up to the checker's state budget, which proves
+///    nothing: the run ends unanswered.
+///
+/// The drivers differ only in their verify step, i.e. in the observation:
 ///
 ///  * ConcurrentCegis — observations are counterexample *traces* from the
-///    model checker (Section 6). Propose a candidate, model-check it over
-///    all interleavings, learn from the failing trace, repeat.
+///    model checker (Section 6). The step screens the candidate with the
+///    abstract interpreter, tunes a Machine from the proven facts,
+///    model-checks it over all interleavings and runs the audits.
 ///  * SequentialCegis — observations are counterexample *inputs*
 ///    (Section 5, the original SKETCH algorithm used for `implements`
-///    specifications); verification runs the candidate on a set of
-///    concrete inputs.
+///    specifications); the step runs the candidate on a set of concrete
+///    inputs.
 ///
-/// Both report the statistics of the paper's Figure 9: Resolvable, Itns,
+/// All report the statistics of the paper's Figure 9: Resolvable, Itns,
 /// Ssolve, Smodel, Vsolve, Vmodel, total time and peak memory.
 ///
 //===----------------------------------------------------------------------===//

@@ -9,12 +9,29 @@
 /// Section 8.3.1 notes that "the CEGIS algorithm can trivially produce
 /// multiple correct candidates" and that one would then pick the best by
 /// measuring each, as in autotuning [6]. This module implements that
-/// extension: it keeps one inductive synthesizer alive, verifies each
-/// proposal, excludes verified solutions, and keeps going until the space
-/// is exhausted or a budget is hit. Each solution is scored with a simple
+/// extension: it runs ConcurrentCegis's loop and verify step
+/// (cegis/Cegis.h), except that a verified candidate is measured,
+/// recorded and excluded, and the loop goes on until the space is
+/// exhausted or a budget is hit. Each solution is scored with a simple
 /// deterministic cost model — the number of machine steps a round-robin
 /// schedule executes — so callers can rank, e.g., the two incomparable
 /// Dequeue variants the paper discusses at the end of Section 2.
+///
+/// Enumeration runs with CegisConfig::Prescreen and CegisConfig::AbsInt
+/// off, whatever the caller's config says:
+///  * the pre-pass (analysis::analyze) keeps one solution of a kind:
+///    Prune bans a hole value that yields the same program as a smaller
+///    one (an unused hole is pinned to 0), and reorder canonicalization
+///    an assignment that realizes the same order as another, so those
+///    correct candidates would never be enumerated;
+///  * the per-candidate screen is sound here, but it would turn verifier
+///    calls into interval prunes and change the census counts that
+///    bench_autotune and bench_extension_stack report.
+///
+/// Up to its first solution, enumeration thus takes ConcurrentCegis's
+/// steps under the same config when the solver runs from scratch (a
+/// warm-started one searches under the exclusion scope; docs/SOLVER.md).
+/// The checker's worker count never changes it (docs/PARALLEL.md §2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +61,9 @@ struct EnumerateResult {
 };
 
 /// Enumerates up to \p MaxSolutions verified implementations of the
-/// sketch \p P. Flattens \p P (so, like ConcurrentCegis, it must own the
-/// only flattening of that program).
+/// sketch \p P. Defined in Cegis.cpp, beside the loop it runs. Flattens
+/// \p P (so, like ConcurrentCegis, it must own the only flattening of
+/// that program).
 EnumerateResult enumerateSolutions(ir::Program &P, unsigned MaxSolutions,
                                    CegisConfig Cfg = CegisConfig());
 

@@ -9,6 +9,7 @@
 #include "frontend/Lexer.h"
 #include "support/StrUtil.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -99,6 +100,19 @@ private:
     for (const std::string &N : BodyNames)
       Names.erase(N);
     BodyNames.clear();
+  }
+
+  /// A hole's value is a signed int of the program's width, so a hole
+  /// chooses among at most 2^(IntWidth-1) values.
+  int64_t maxChoices() const { return int64_t(1) << (P->intWidth() - 1); }
+
+  /// Fails unless a hole can choose among \p N alternatives.
+  bool checkAlternatives(size_t N, const char *What) {
+    if (static_cast<int64_t>(N) <= maxChoices())
+      return true;
+    fail(format("%s has %zu alternatives, more than %lld", What, N,
+                static_cast<long long>(maxChoices())));
+    return false;
   }
 
   unsigned holeAt(size_t Key, const std::string &Name, unsigned Choices) {
@@ -304,13 +318,11 @@ ExprRef Parser::parsePrimary() {
         fail("expected hole range");
         return P->constInt(0);
       }
-      // A hole's value is a signed int of the program's width.
       int64_t Given = take().Number;
-      int64_t Max = int64_t(1) << (P->intWidth() - 1);
-      if (Given < 1 || Given > Max) {
+      if (Given < 1 || Given > maxChoices()) {
         fail(format("hole range %lld is outside 1..%lld",
                     static_cast<long long>(Given),
-                    static_cast<long long>(Max)));
+                    static_cast<long long>(maxChoices())));
         return P->constInt(0);
       }
       Choices = static_cast<unsigned>(Given);
@@ -327,7 +339,8 @@ ExprRef Parser::parsePrimary() {
     while (!failed() && accept(TokenKind::Pipe))
       Alternatives.push_back(parseExpr());
     expect(TokenKind::GenClose, "expression generator");
-    if (failed() || Alternatives.size() == 1)
+    if (failed() || Alternatives.size() == 1 ||
+        !checkAlternatives(Alternatives.size(), "expression generator"))
       return Alternatives[0];
     unsigned Id = holeAt(Key, format("gen@%zu", Key),
                          static_cast<unsigned>(Alternatives.size()));
@@ -433,6 +446,7 @@ std::vector<Loc> Parser::parseLvalOrGenerator() {
     while (!failed() && accept(TokenKind::Pipe))
       Targets.push_back(parseLval());
     expect(TokenKind::GenClose, "location generator");
+    checkAlternatives(Targets.size(), "location generator");
     return Targets;
   }
   Targets.push_back(parseLval());
@@ -593,6 +607,19 @@ StmtRef Parser::parseStmt() {
     std::vector<StmtRef> Stmts;
     while (!failed() && !accept(TokenKind::RBrace))
       Stmts.push_back(parseStmt());
+    // Quadratic: k order holes of k choices each. Exponential: statement
+    // m < k picks one of 2^m gaps, so k is at most the int width, and at
+    // most 16 (Program::makeReorderHoles).
+    bool Quadratic = Enc == ReorderEncoding::Quadratic;
+    int64_t MaxStmts = Quadratic ? maxChoices()
+                                 : std::min<int64_t>(P->intWidth(), 16);
+    if (static_cast<int64_t>(Stmts.size()) > MaxStmts)
+      fail(format("reorder block has %zu statements; the %s encoding "
+                  "allows at most %lld",
+                  Stmts.size(), Quadratic ? "quadratic" : "exponential",
+                  static_cast<long long>(MaxStmts)));
+    if (failed())
+      return P->nop();
     auto It = ReorderHolesAt.find(Key);
     if (It == ReorderHolesAt.end())
       It = ReorderHolesAt

@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "benchmarks/Queue.h"
+#include "benchmarks/Workload.h"
 #include "cegis/Cegis.h"
 #include "cegis/Enumerate.h"
 #include "exec/Machine.h"
@@ -201,6 +203,26 @@ TEST(Cegis, LogCallbackFires) {
   CegisResult R = C.run();
   ASSERT_TRUE(R.Stats.Resolvable);
   EXPECT_EQ(Calls, R.Stats.Iterations - 1) << "one log per failed candidate";
+}
+
+// The generate-and-test baseline (LearnFromTraces off): a failing
+// candidate is only excluded, so the loop needs more verifier calls than
+// with trace learning, but it still ends on a correct candidate.
+TEST(Cegis, ExcludeOnlyResolvesWithMoreIterations) {
+  unsigned Iterations[2] = {0, 0};
+  for (bool Learn : {true, false}) {
+    auto P = bench::buildQueue(bench::parseWorkload("ed(ed|ed)"),
+                               bench::QueueOptions{false, true});
+    CegisConfig Cfg;
+    Cfg.LearnFromTraces = Learn;
+    ConcurrentCegis C(*P, Cfg);
+    CegisResult R = C.run();
+    ASSERT_TRUE(R.Stats.Resolvable) << "learn=" << Learn;
+    Iterations[Learn] = R.Stats.Iterations;
+    exec::Machine M(C.flatProgram(), R.Candidate);
+    EXPECT_TRUE(verify::checkCandidate(M).Ok) << "learn=" << Learn;
+  }
+  EXPECT_GT(Iterations[false], Iterations[true]);
 }
 
 TEST(SequentialCegis, ResolvesLinearFunction) {

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "benchmarks/Stack.h"
+#include "benchmarks/Suite.h"
 #include "benchmarks/Workload.h"
 #include "cegis/Cegis.h"
 #include "cegis/Enumerate.h"
@@ -188,6 +189,41 @@ TEST(Enumerate, UnresolvableSketchYieldsNoSolutions) {
   auto R = cegis::enumerateSolutions(P, 10);
   EXPECT_TRUE(R.Solutions.empty());
   EXPECT_TRUE(R.Exhausted);
+}
+
+// Enumeration runs the concurrent loop with its verify step, so up to the
+// first solution it follows ConcurrentCegis under the same config: same
+// candidate, verifier calls, states, learnt traces (gates and clauses)
+// and per-solve search. The solver runs from scratch: with warm start on,
+// enumeration opens its exclusion scope before the first solve, and the
+// scope's activation variable and assumption make a different SAT
+// instance, whose search may pick another first candidate.
+TEST(Enumerate, FirstSolutionFollowsConcurrentLoop) {
+  cegis::CegisConfig Cfg;
+  Cfg.Prescreen = false;
+  Cfg.AbsInt = false;
+  Cfg.SolverWarmStart = false;
+  for (const char *Family : {"fineset1", "dinphilo"}) {
+    SuiteEntry Row = paperSuite(Family).front();
+    std::string Tag = Row.Sketch + " " + Row.Test;
+    auto PC = Row.Build();
+    cegis::CegisResult C = cegis::ConcurrentCegis(*PC, Cfg).run();
+    auto PE = Row.Build();
+    cegis::EnumerateResult E = cegis::enumerateSolutions(*PE, 1, Cfg);
+    ASSERT_TRUE(C.Stats.Resolvable) << Tag;
+    ASSERT_EQ(E.Solutions.size(), 1u) << Tag;
+    EXPECT_GT(C.Stats.Iterations, 1u) << Tag << ": learns at least once";
+    EXPECT_EQ(E.Solutions[0].Candidate, C.Candidate) << Tag;
+    EXPECT_EQ(E.Stats.Iterations, C.Stats.Iterations) << Tag;
+    EXPECT_EQ(E.Stats.StatesExplored, C.Stats.StatesExplored) << Tag;
+    EXPECT_EQ(E.Stats.AmpleStates, C.Stats.AmpleStates) << Tag;
+    EXPECT_EQ(E.Stats.GateCount, C.Stats.GateCount) << Tag;
+    EXPECT_EQ(E.Stats.ClauseCount, C.Stats.ClauseCount) << Tag;
+    ASSERT_EQ(E.Stats.SolveLog.size(), C.Stats.SolveLog.size()) << Tag;
+    for (size_t I = 0; I < C.Stats.SolveLog.size(); ++I)
+      EXPECT_EQ(E.Stats.SolveLog[I].Conflicts, C.Stats.SolveLog[I].Conflicts)
+          << Tag << " solve " << I;
+  }
 }
 
 TEST(Enumerate, MeasureCandidateCountsSteps) {

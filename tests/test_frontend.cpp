@@ -265,7 +265,43 @@ TEST(Parser, DiagnosticsUnknownField) {
 
 TEST(Parser, DiagnosticsForInputTheIRBuilderRejects) {
   // Input the IR builder would assert on must end in a parse error.
+  // Sources of n alternatives or statements, for the hole-size limits
+  // at the default int width of 8 (a hole chooses among at most 128).
+  auto Repeat = [](const char *Item, const char *Sep, unsigned N) {
+    std::string S;
+    for (unsigned I = 0; I < N; ++I)
+      S += (I ? Sep : "") + std::string(Item);
+    return S;
+  };
+  auto ExprGen = [&](unsigned N) {
+    return "global int x; thread t { x = {| " + Repeat("x", " | ", N) +
+           " |}; }";
+  };
+  auto LocGen = [&](unsigned N) {
+    return "global int x; thread t { {| " + Repeat("x", " | ", N) +
+           " |} = 1; }";
+  };
+  auto Reorder = [&](const char *Encoding, unsigned N) {
+    return "global int x; thread t { reorder " + std::string(Encoding) +
+           " { " + Repeat("x = 1;", " ", N) + " } }";
+  };
+  for (const std::string &Source :
+       {ExprGen(128), LocGen(128), Reorder("exponential", 8),
+        Reorder("", 128)})
+    EXPECT_TRUE(parseProgram(Source).ok()) << Source.substr(0, 60);
+  const std::string ExprGen130 = ExprGen(130), LocGen130 = LocGen(130),
+                    Exp9 = Reorder("exponential", 9),
+                    Quad129 = Reorder("", 129);
+
   const std::pair<const char *, const char *> Cases[] = {
+      {ExprGen130.c_str(), "expression generator has 130 alternatives, "
+                           "more than 128"},
+      {LocGen130.c_str(), "location generator has 130 alternatives, "
+                          "more than 128"},
+      {Exp9.c_str(), "reorder block has 9 statements; the exponential "
+                     "encoding allows at most 8"},
+      {Quad129.c_str(), "reorder block has 129 statements; the quadratic "
+                        "encoding allows at most 128"},
       {"struct Node { int v; } global int x; thread t { x.v = 1; }",
        "field 'v' of a non-pointer value"},
       {"struct Node { int v; } global int x; global int y; "

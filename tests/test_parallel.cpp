@@ -27,7 +27,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <thread>
 
 using namespace psketch;
@@ -405,38 +404,58 @@ void buildConstantHole(Program &P, unsigned &HoleOut) {
             P.assertS(P.ge(P.global(X), P.constInt(11)), "x>=11"));
 }
 
-std::set<ir::HoleAssignment> solutionSet(const cegis::EnumerateResult &R) {
-  std::set<ir::HoleAssignment> S;
-  for (const cegis::Solution &Sol : R.Solutions)
-    S.insert(Sol.Candidate);
-  return S;
-}
-
 } // namespace
 
-TEST(ParallelEnumerate, BatchedEnumerationMatchesSerial) {
-  // h in [11, 15] are exactly the correct candidates: run to exhaustion,
-  // the serial and the batched enumerator must find the same set.
-  Program PSerial, PPar;
-  unsigned HS = 0, HP = 0;
-  buildConstantHole(PSerial, HS);
-  buildConstantHole(PPar, HP);
-
-  cegis::CegisConfig Serial;
-  cegis::EnumerateResult RSerial =
-      cegis::enumerateSolutions(PSerial, 16, Serial);
-  cegis::CegisConfig Par;
-  Par.Checker.NumThreads = 4;
-  cegis::EnumerateResult RPar = cegis::enumerateSolutions(PPar, 16, Par);
-
-  ASSERT_TRUE(RSerial.Stats.Resolvable);
-  ASSERT_TRUE(RPar.Stats.Resolvable);
-  EXPECT_TRUE(RSerial.Exhausted);
-  EXPECT_TRUE(RPar.Exhausted);
-  EXPECT_EQ(solutionSet(RSerial).size(), 5u);
-  EXPECT_EQ(solutionSet(RSerial), solutionSet(RPar));
-  // Costs are schedule simulations of the same machines: identical too.
-  EXPECT_EQ(RSerial.Solutions.front().Cost, RPar.Solutions.front().Cost);
+TEST(ParallelEnumerate, WorkerCountDoesNotChangeEnumeration) {
+  // Enumeration runs the W-worker checker per candidate, and that checker
+  // reports the one-worker counterexample: W=1 and W=4 learn the same
+  // traces, so they propose, verify and record the same candidates in
+  // the same order. The constant-hole sketch runs to exhaustion (h in
+  // [11, 15] are exactly the correct candidates); the dinphilo row stops
+  // at its cap.
+  auto Dinphilo = lightestRow("dinphilo");
+  ASSERT_TRUE(Dinphilo.has_value());
+  for (int Sketch = 0; Sketch < 2; ++Sketch) {
+    std::optional<cegis::EnumerateResult> First;
+    for (unsigned W : {1u, 4u}) {
+      std::unique_ptr<Program> P;
+      unsigned H = 0;
+      if (Sketch == 0) {
+        P = std::make_unique<Program>();
+        buildConstantHole(*P, H);
+      } else {
+        P = Dinphilo->Build();
+      }
+      cegis::CegisConfig Cfg;
+      Cfg.Checker.NumThreads = W;
+      cegis::EnumerateResult R = cegis::enumerateSolutions(*P, 8, Cfg);
+      std::string Tag =
+          "sketch " + std::to_string(Sketch) + " W=" + std::to_string(W);
+      ASSERT_TRUE(R.Stats.Resolvable) << Tag;
+      if (Sketch == 0) {
+        EXPECT_TRUE(R.Exhausted) << Tag;
+        EXPECT_EQ(R.Solutions.size(), 5u) << Tag;
+      }
+      if (!First) {
+        First = std::move(R);
+        continue;
+      }
+      EXPECT_EQ(R.Exhausted, First->Exhausted) << Tag;
+      EXPECT_EQ(R.Stats.Iterations, First->Stats.Iterations) << Tag;
+      ASSERT_EQ(R.Solutions.size(), First->Solutions.size()) << Tag;
+      for (size_t I = 0; I < R.Solutions.size(); ++I) {
+        EXPECT_EQ(R.Solutions[I].Candidate, First->Solutions[I].Candidate)
+            << Tag << " solution " << I;
+        EXPECT_EQ(R.Solutions[I].Cost, First->Solutions[I].Cost)
+            << Tag << " solution " << I;
+      }
+      ASSERT_EQ(R.Stats.SolveLog.size(), First->Stats.SolveLog.size()) << Tag;
+      for (size_t I = 0; I < R.Stats.SolveLog.size(); ++I)
+        EXPECT_EQ(R.Stats.SolveLog[I].Conflicts,
+                  First->Stats.SolveLog[I].Conflicts)
+            << Tag << " solve " << I;
+    }
+  }
 }
 
 TEST(ParallelEnumerate, RespectsMaxSolutionsCap) {
@@ -444,7 +463,7 @@ TEST(ParallelEnumerate, RespectsMaxSolutionsCap) {
   unsigned H = 0;
   buildConstantHole(P, H);
   cegis::CegisConfig Par;
-  Par.Checker.NumThreads = 8; // batch larger than the remaining want
+  Par.Checker.NumThreads = 8;
   cegis::EnumerateResult R = cegis::enumerateSolutions(P, 2, Par);
   ASSERT_TRUE(R.Stats.Resolvable);
   EXPECT_EQ(R.Solutions.size(), 2u);
