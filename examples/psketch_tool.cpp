@@ -337,6 +337,7 @@ void printStats(const cegis::CegisStats &S) {
               static_cast<unsigned long long>(Restarts));
   std::printf("  %-20s %zu\n", "CircuitGates", S.GateCount);
   std::printf("  %-20s %zu\n", "CnfClauses", S.ClauseCount);
+  std::printf("  %-20s %zu\n", "SynthBytes", S.SynthBytes);
   if (!S.SolveLog.empty()) {
     std::printf("  per-solve Ssolve (s / conflicts / decisions / "
                 "propagations / restarts / learnts / result):\n");

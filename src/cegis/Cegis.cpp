@@ -282,10 +282,15 @@ CegisResult runLoop(ir::Program &P, const flat::FlatProgram &FP,
 
   // With warm start on, enumeration's exclusions live in an assumption
   // scope: they bind like permanent clauses while it is open, and leave
-  // the instance clean once it closes (docs/SOLVER.md).
-  int Scope = Enum && Cfg.SolverWarmStart
-                  ? static_cast<int>(Synth.openScope())
-                  : -1;
+  // the instance clean once it closes (docs/SOLVER.md). The scope opens
+  // at the first exclusion, so until then enumeration runs the very
+  // search ConcurrentCegis runs.
+  int Scope = -1;
+  auto ExcludeCandidate = [&](const ir::HoleAssignment &Candidate) {
+    if (Enum && Cfg.SolverWarmStart && Scope < 0)
+      Scope = static_cast<int>(Synth.openScope());
+    Synth.excludeCandidate(Candidate, Scope);
+  };
   uint64_t Excluded = 0;
 
   while (!Proved && !(Enum && Enum->Solutions.size() >= MaxSolutions)) {
@@ -307,7 +312,7 @@ CegisResult runLoop(ir::Program &P, const flat::FlatProgram &FP,
 
     Verdict V = Verify(Candidate, R.Stats);
     if (V.Kind == Verdict::Exclude) {
-      Synth.excludeCandidate(Candidate, Scope);
+      ExcludeCandidate(Candidate);
       // Exclusions are free of verifier calls, so they bypass
       // MaxIterations; each one shrinks the space, but a hard cap keeps a
       // pathological refuted subspace from spinning unbudgeted.
@@ -338,7 +343,7 @@ CegisResult runLoop(ir::Program &P, const flat::FlatProgram &FP,
         Cfg.Log(format("solution %zu found (cost %llu)",
                        Enum->Solutions.size() + 1,
                        static_cast<unsigned long long>(S.Cost)));
-      Synth.excludeCandidate(Candidate, Scope);
+      ExcludeCandidate(Candidate);
       S.Candidate = std::move(Candidate);
       Enum->Solutions.push_back(std::move(S));
     } else if (V.Kind == Verdict::LearnInput) {
@@ -354,7 +359,7 @@ CegisResult runLoop(ir::Program &P, const flat::FlatProgram &FP,
       if (Cfg.LearnFromTraces)
         Synth.addTrace(*V.Cex);
       else
-        Synth.excludeCandidate(Candidate, Scope);
+        ExcludeCandidate(Candidate);
     }
   }
 
@@ -367,6 +372,7 @@ CegisResult runLoop(ir::Program &P, const flat::FlatProgram &FP,
   R.Stats.SmodelSeconds = SS.ModelSeconds;
   R.Stats.GateCount = SS.GateCount;
   R.Stats.ClauseCount = SS.ClauseCount;
+  R.Stats.SynthBytes = Synth.memoryBytes();
   R.Stats.SolveLog = SS.Solves;
   R.Stats.SolverProbes = SS.Probes;
   maybeDumpCnf(Cfg, Synth);

@@ -138,6 +138,10 @@ struct CegisStats {
   uint64_t StatesExplored = 0; ///< total checker states across iterations
   size_t GateCount = 0;
   size_t ClauseCount = 0;
+  /// Bytes the synthesizer's solver and gate graph hold at the end of
+  /// the run (synth::InductiveSynth::memoryBytes); deterministic, since
+  /// the capacities follow from the search trajectory.
+  size_t SynthBytes = 0;
   double SpruneSeconds = 0.0;  ///< Sprune: the static pre-screen analyzer
   size_t PrunedHoleValues = 0; ///< unit bans asserted by the analyzer
   size_t ExclusionConstraints = 0; ///< subspace exclusions asserted

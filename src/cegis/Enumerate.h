@@ -29,9 +29,9 @@
 ///    bench_autotune and bench_extension_stack report.
 ///
 /// Up to its first solution, enumeration thus takes ConcurrentCegis's
-/// steps under the same config when the solver runs from scratch (a
-/// warm-started one searches under the exclusion scope; docs/SOLVER.md).
-/// The checker's worker count never changes it (docs/PARALLEL.md §2).
+/// steps under the same config: a warm-started solver opens the
+/// exclusion scope only at the first exclusion (docs/SOLVER.md §3). The
+/// checker's worker count never changes it (docs/PARALLEL.md §2).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -54,19 +54,26 @@ NodeRef Graph::operandB(NodeRef R) const {
   return Nodes[R.node()].B;
 }
 
+/// The mix64 of the canonical operand pair (A, B), A < B.
+static uint64_t operandHash(NodeRef A, NodeRef B) {
+  return mix64(static_cast<uint64_t>(static_cast<uint32_t>(A.code())) << 32 |
+               static_cast<uint32_t>(B.code()));
+}
+
 NodeRef Graph::mkAndRaw(NodeRef A, NodeRef B) {
   // Canonical operand order for structural hashing.
   if (B < A)
     std::swap(A, B);
-  uint64_t Key = (static_cast<uint64_t>(static_cast<uint32_t>(A.code())) << 32) |
-                 static_cast<uint32_t>(B.code());
   if (2 * (NumHashed + 1) > StructuralHash.size())
     growStructuralHash();
+  uint64_t Hash = operandHash(A, B);
+  uint32_t Tag = static_cast<uint32_t>(Hash >> 32);
   size_t Mask = StructuralHash.size() - 1;
-  size_t Slot = mix64(Key) & Mask;
+  size_t Slot = Hash & Mask;
   while (StructuralHash[Slot].Node != 0) {
-    if (StructuralHash[Slot].Key == Key)
-      return NodeRef::make(StructuralHash[Slot].Node, false);
+    const HashSlot &S = StructuralHash[Slot];
+    if (S.Tag == Tag && Nodes[S.Node].A == A && Nodes[S.Node].B == B)
+      return NodeRef::make(S.Node, false);
     Slot = (Slot + 1) & Mask;
   }
   Node N;
@@ -74,19 +81,21 @@ NodeRef Graph::mkAndRaw(NodeRef A, NodeRef B) {
   N.B = B;
   uint32_t Index = static_cast<uint32_t>(Nodes.size());
   Nodes.push_back(N);
-  StructuralHash[Slot] = HashSlot{Key, Index};
+  StructuralHash[Slot] = HashSlot{Tag, Index};
   ++NumHashed;
   return NodeRef::make(Index, false);
 }
 
 void Graph::growStructuralHash() {
+  // The slots keep only the high half of each hash, so the home slots in
+  // the larger table are recomputed from the nodes' operands.
   std::vector<HashSlot> Old = std::move(StructuralHash);
   StructuralHash.assign(Old.empty() ? 1024 : 2 * Old.size(), HashSlot());
   size_t Mask = StructuralHash.size() - 1;
   for (const HashSlot &S : Old) {
     if (S.Node == 0)
       continue;
-    size_t Slot = mix64(S.Key) & Mask;
+    size_t Slot = operandHash(Nodes[S.Node].A, Nodes[S.Node].B) & Mask;
     while (StructuralHash[Slot].Node != 0)
       Slot = (Slot + 1) & Mask;
     StructuralHash[Slot] = S;
@@ -165,6 +174,12 @@ NodeRef Graph::mkOrAll(const std::vector<NodeRef> &Terms) {
   for (NodeRef T : Terms)
     Negated.push_back(~T);
   return ~mkAndAll(Negated);
+}
+
+size_t Graph::memoryBytes() const {
+  return Nodes.capacity() * sizeof(Node) +
+         InputNames.capacity() * sizeof(std::string) +
+         StructuralHash.capacity() * sizeof(HashSlot);
 }
 
 bool Graph::evaluate(NodeRef Root, const std::vector<bool> &InputValues) const {

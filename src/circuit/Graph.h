@@ -124,6 +124,10 @@ public:
   /// Used by the property tests and by candidate extraction.
   bool evaluate(NodeRef Root, const std::vector<bool> &InputValues) const;
 
+  /// \returns the bytes of storage the graph holds, as allocated
+  /// capacity: the nodes, the input names and the structural hash.
+  size_t memoryBytes() const;
+
 private:
   struct Node {
     // Inputs have InputOrdinal >= 0 and invalid operands; ANDs have
@@ -137,12 +141,16 @@ private:
 
   /// The structural hash: an open-addressing (linear probing) table from
   /// the canonical operand pair (A.code() << 32 | B.code()) to the index
-  /// of its AND node. Node index 0 (the constant) marks an empty slot.
-  /// The capacity is a power of two, kept at most half full.
+  /// of its AND node. The pair's mix64 places it: the low bits pick the
+  /// home slot and the high 32 bits are kept as a tag. A tag hit is
+  /// confirmed against the node's operands, so dedup is exact. Node index
+  /// 0 (the constant) marks an empty slot. The capacity is a power of
+  /// two, kept at most half full.
   struct HashSlot {
-    uint64_t Key = 0;
+    uint32_t Tag = 0;
     uint32_t Node = 0;
   };
+  static_assert(sizeof(HashSlot) == 8, "a hash slot is 8 bytes");
   std::vector<HashSlot> StructuralHash;
   size_t NumHashed = 0;
 

@@ -179,6 +179,7 @@ public:
   size_t size() const { return Words.size(); }
   size_t wasted() const { return Wasted; }
   void reserve(size_t N) { Words.reserve(N); }
+  size_t capacityBytes() const { return Words.capacity() * sizeof(uint32_t); }
 
   /// Copies the live clause \p R into \p To and leaves its new CRef behind
   /// for forward().

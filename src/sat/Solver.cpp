@@ -8,6 +8,7 @@
 #include "sat/Solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace psketch;
@@ -24,8 +25,7 @@ Var Solver::newVar() {
   Reason.push_back(CRefUndef);
   Seen.push_back(0);
   HeapIndex.push_back(-1);
-  Watches.emplace_back();
-  Watches.emplace_back();
+  Watches.resize(Watches.size() + 2);
   heapInsert(V);
   return V;
 }
@@ -111,6 +111,91 @@ void Solver::claBumpActivity(Clause C) {
 }
 
 //===----------------------------------------------------------------------===//
+// Watch pool (docs/SOLVER.md §7).
+//===----------------------------------------------------------------------===//
+
+void Solver::WatchPool::grow(WatchList &L) {
+  // The list keeps its order: its watchers are copied to the front of the
+  // new slot. Which slot that is, and which one the old slot serves next,
+  // moves memory only.
+  unsigned Class = L.Class + 1;
+  assert(Class < 28 && "watch list too long for its header");
+  uint32_t Addr = allocSlot(Class);
+  if (L.Class != 0) {
+    std::copy_n(at(L.Addr), L.Size, at(Addr));
+    freeSlot(L.Addr, L.Class);
+  }
+  L.Addr = Addr;
+  L.Class = Class;
+}
+
+uint32_t Solver::WatchPool::addBlock(uint32_t Watchers) {
+  // A page, or a slot larger than a page: one allocation, entered in the
+  // page table once per page it spans. Left uninitialized; watchers are
+  // written before they are read.
+  assert(Pages.size() + Watchers / PageWatchers <=
+             (size_t(1) << (32 - PageBits)) &&
+         "watch pool address space exhausted");
+  uint32_t Addr = static_cast<uint32_t>(Pages.size()) << PageBits;
+  auto *Mem =
+      static_cast<Watcher *>(::operator new(Watchers * sizeof(Watcher)));
+  Blocks.emplace_back(Mem);
+  Pages.push_back(Mem);
+  for (uint32_t Off = PageWatchers; Off < Watchers; Off += PageWatchers) {
+    Blocks.emplace_back(nullptr);
+    Pages.push_back(Mem + Off);
+  }
+  Allocated += Watchers;
+  return Addr;
+}
+
+uint32_t Solver::WatchPool::allocSlot(unsigned Class) {
+  uint32_t Watchers = 1u << (Class - 1);
+  if (Watchers > PageWatchers)
+    return addBlock(Watchers);
+  if (uint32_t Addr = FreeHead[Class]; Addr != NoSlot) {
+    FreeHead[Class] = at(Addr)->RefBits;
+    return Addr;
+  }
+  if (BumpEnd - Bump < Watchers) {
+    // Hand the rest of the page to the free lists, then start a new one.
+    while (Bump < BumpEnd) {
+      unsigned Rest = std::bit_width(BumpEnd - Bump); // the largest that fits
+      freeSlot(Bump, Rest);
+      Bump += 1u << (Rest - 1);
+    }
+    Bump = addBlock(PageWatchers);
+    BumpEnd = Bump + PageWatchers;
+  }
+  uint32_t Addr = Bump;
+  Bump += Watchers;
+  return Addr;
+}
+
+void Solver::WatchPool::freeSlot(uint32_t Addr, unsigned Class) {
+  uint32_t Watchers = 1u << (Class - 1);
+  if (Watchers > PageWatchers) {
+    // A block of its own goes back to the allocator; its addresses are
+    // not reused.
+    size_t First = Addr >> PageBits;
+    Blocks[First].reset();
+    std::fill_n(Pages.begin() + First, Watchers / PageWatchers, nullptr);
+    Allocated -= Watchers;
+    return;
+  }
+  at(Addr)->RefBits = FreeHead[Class];
+  FreeHead[Class] = Addr;
+}
+
+size_t Solver::memoryBytes() const {
+  auto Bytes = [](const auto &V) { return V.capacity() * sizeof(V[0]); };
+  return Pool.memoryBytes() + Bytes(Watches) + CA.capacityBytes() +
+         Bytes(Problem) + Bytes(Learnts) + Bytes(Assigns) + Bytes(Polarity) +
+         Bytes(Activity) + Bytes(Level) + Bytes(Reason) + Bytes(Trail) +
+         Bytes(Seen) + Bytes(Heap) + Bytes(HeapIndex) + Bytes(Model);
+}
+
+//===----------------------------------------------------------------------===//
 // Clause database.
 //===----------------------------------------------------------------------===//
 
@@ -118,19 +203,20 @@ void Solver::attachClause(CRef R) {
   const Clause C = CA[R];
   assert(C.size() >= 2 && "attaching too-short clause");
   bool Binary = C.size() == 2;
-  Watches[(~C[0]).index()].push_back(Watcher(R, C[1], Binary));
-  Watches[(~C[1]).index()].push_back(Watcher(R, C[0], Binary));
+  Pool.push(Watches[(~C[0]).index()], Watcher(R, C[1], Binary));
+  Pool.push(Watches[(~C[1]).index()], Watcher(R, C[0], Binary));
 }
 
 void Solver::detachClause(CRef R) {
   const Clause C = CA[R];
   for (uint32_t Slot = 0; Slot < 2; ++Slot) {
-    std::vector<Watcher> &List = Watches[(~C[Slot]).index()];
+    WatchList &Head = Watches[(~C[Slot]).index()];
+    std::span<Watcher> List = Pool[Head];
     for (size_t I = 0; I < List.size(); ++I) {
       if (List[I].cref() != R)
         continue;
       List[I] = List.back();
-      List.pop_back();
+      --Head.Size;
       break;
     }
   }
@@ -162,8 +248,8 @@ void Solver::relocateAll() {
     C = CA.relocate(C, To);
   for (CRef &C : Learnts)
     C = CA.relocate(C, To);
-  for (std::vector<Watcher> &List : Watches)
-    for (Watcher &W : List)
+  for (const WatchList &Head : Watches)
+    for (Watcher &W : Pool[Head])
       W.setCRef(CA.forward(W.cref()));
   for (CRef &R : Reason)
     if (R != CRefUndef)
@@ -326,7 +412,9 @@ CRef Solver::propagate() {
   while (PropagateHead < Trail.size()) {
     Lit P = Trail[PropagateHead++]; // P is now true
     Lit FalseLit = ~P;
-    std::vector<Watcher> &List = Watches[P.index()];
+    // Rewatching pushes onto other lists; the pool never moves this one.
+    WatchList &Head = Watches[P.index()];
+    std::span<Watcher> List = Pool[Head];
     Watcher *Read = List.data(), *Write = Read, *End = Read + List.size();
     while (Read != End) {
       Watcher W = *Read++;
@@ -372,7 +460,7 @@ CRef Solver::propagate() {
         if (value(C[K]) == LBool::False)
           continue;
         C.swap(1, K);
-        Watches[(~C[1]).index()].push_back(Watcher(W.cref(), First, false));
+        Pool.push(Watches[(~C[1]).index()], Watcher(W.cref(), First, false));
         Rewatched = true;
         break;
       }
@@ -390,7 +478,7 @@ CRef Solver::propagate() {
         uncheckedEnqueue(First, W.cref());
       }
     }
-    List.resize(static_cast<size_t>(Write - List.data()));
+    Head.Size = static_cast<uint32_t>(Write - List.data());
   }
   return Conflict;
 }

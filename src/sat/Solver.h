@@ -9,8 +9,9 @@
 /// A conflict-driven clause-learning SAT solver in the MiniSat lineage:
 /// two-literal watches, first-UIP learning with clause minimization, EVSIDS
 /// branching with phase saving, Luby restarts, and LBD-based learnt-clause
-/// database reduction. Clauses live in one flat arena, and binary clauses
-/// propagate from their watchers alone (docs/SOLVER.md §7). The inductive
+/// database reduction. Clauses live in one flat arena, every watch list in
+/// one pool of pages that never move, and binary clauses propagate from
+/// their watchers alone (docs/SOLVER.md §7). The inductive
 /// synthesizer (Section 6 of the paper) uses it incrementally: each
 /// counterexample trace contributes clauses, and the accumulated instance
 /// is re-solved to propose the next candidate.
@@ -22,9 +23,11 @@
 
 #include "sat/SatTypes.h"
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -162,6 +165,12 @@ public:
   /// far and has the same models over the allocated variables.
   void exportClauses(std::vector<std::vector<Lit>> &Out) const;
 
+  /// \returns the bytes of storage the solver holds, as allocated
+  /// capacity: the watch pool and list headers, the clause arena and
+  /// clause lists, and the per-variable arrays. It follows from the
+  /// sequence of calls alone, so it is deterministic.
+  size_t memoryBytes() const;
+
 private:
   // Watcher: clause plus a cached "blocker" literal that often avoids
   // touching the clause at all. For a binary clause the blocker is the
@@ -176,6 +185,72 @@ private:
 
     uint32_t RefBits = 0; // CRef << 1 | binary flag
     Lit Blocker;
+  };
+
+  // One literal's watch list (docs/SOLVER.md §7): the pool address of its
+  // slot, the watchers in use, and the slot's size class. Class C > 0
+  // holds 2^(C-1) watchers; class 0 means no slot yet.
+  struct WatchList {
+    uint32_t Addr = 0;
+    uint32_t Size : 27 = 0;
+    uint32_t Class : 5 = 0;
+  };
+  static_assert(sizeof(WatchList) == 8, "a list header is 8 bytes");
+
+  // The store of every watch list. Each list lives in one power-of-two
+  // slot; a full list moves to a slot twice its size, and a freed slot
+  // goes on its class's free list. Slots up to a page are carved from
+  // pages of PageWatchers watchers; a larger slot is a block of its own
+  // spanning several page entries. No page or block ever moves, so a
+  // pointer into one list stays valid while other lists grow: propagate
+  // relies on this (docs/SOLVER.md §7).
+  class WatchPool {
+  public:
+    WatchPool() { FreeHead.fill(NoSlot); }
+
+    std::span<Watcher> operator[](const WatchList &L) {
+      if (L.Class == 0)
+        return {};
+      return {at(L.Addr), L.Size};
+    }
+    void push(WatchList &L, Watcher W) {
+      if (L.Size == capacity(L))
+        grow(L);
+      at(L.Addr)[L.Size++] = W;
+    }
+
+    /// Bytes of the pages and blocks, and of the page table.
+    size_t memoryBytes() const {
+      return Allocated * sizeof(Watcher) +
+             Pages.capacity() * sizeof(Watcher *) +
+             Blocks.capacity() * sizeof(Block);
+    }
+
+  private:
+    static constexpr unsigned PageBits = 12;
+    static constexpr uint32_t PageWatchers = 1u << PageBits;
+    static constexpr uint32_t NoSlot = UINT32_MAX;
+    struct FreeBlock {
+      void operator()(Watcher *P) const { ::operator delete(P); }
+    };
+    using Block = std::unique_ptr<Watcher, FreeBlock>;
+
+    static uint32_t capacity(const WatchList &L) {
+      return L.Class == 0 ? 0 : 1u << (L.Class - 1);
+    }
+    Watcher *at(uint32_t Addr) {
+      return Pages[Addr >> PageBits] + (Addr & (PageWatchers - 1));
+    }
+    void grow(WatchList &L);
+    uint32_t allocSlot(unsigned Class);
+    void freeSlot(uint32_t Addr, unsigned Class);
+    uint32_t addBlock(uint32_t Watchers);
+
+    std::vector<Watcher *> Pages; // indexed by Addr >> PageBits
+    std::vector<Block> Blocks;    // owners, at each block's first page
+    std::array<uint32_t, 32> FreeHead; // per class; linked through RefBits
+    uint32_t Bump = 0, BumpEnd = 0;    // the uncarved rest of the last page
+    size_t Allocated = 0;              // watchers in live pages and blocks
   };
 
   // Assignment trail and per-variable metadata.
@@ -193,7 +268,8 @@ private:
   std::vector<CRef> Problem;
   std::vector<CRef> Learnts;
   size_t NumProblemClauses = 0;
-  std::vector<std::vector<Watcher>> Watches; // indexed by Lit::index()
+  std::vector<WatchList> Watches; // indexed by Lit::index()
+  WatchPool Pool;
 
   // Scratch reused across calls: addClause normalization, and the literal
   // lists of strengthening and vivification.

@@ -137,6 +137,12 @@ public:
   std::string dumpDimacs();
 
   const SynthStats &stats() const { return Stats; }
+
+  /// \returns the bytes the solver and the gate graph hold
+  /// (sat::Solver::memoryBytes plus circuit::Graph::memoryBytes).
+  size_t memoryBytes() const {
+    return Solver.memoryBytes() + Graph.memoryBytes();
+  }
   const sat::Solver &solver() const { return Solver; }
 
 private:

@@ -248,6 +248,36 @@ TEST(CegisE2E, DiningPhilosophers) {
   EXPECT_TRUE(R.Stats.Resolvable);
 }
 
+TEST(SynthMemory, BytesPerClauseCeiling) {
+  // The synthesizer's storage per CNF clause on one Figure 9 row at W=1:
+  // the allocated capacity of the solver (watch pool and list headers,
+  // clause arena, per-variable arrays) and of the gate graph (nodes and
+  // structural hash), over the clauses the run learned. Capacities follow
+  // from the search trajectory, so the figure is exact: 81.35 B with
+  // pooled watch lists and 8-byte hash slots, 100.28 B with a vector per
+  // watch list and 16-byte slots. The ceiling leaves about 10% headroom.
+  SuiteEntry Row;
+  for (const SuiteEntry &E : paperSuite("barrier1"))
+    if (E.Test == "N=3,B=2")
+      Row = E;
+  ASSERT_TRUE(Row.Build) << "barrier1 N=3,B=2 is a Figure 9 row";
+  auto P = Row.Build();
+  cegis::CegisConfig Cfg;
+  Cfg.Checker.NumThreads = 1;
+  // The figures above are the default config's, whatever the
+  // PSKETCH_WARM_START and PSKETCH_SHAPE environment says.
+  Cfg.SolverWarmStart = true;
+  Cfg.Shape = true;
+  cegis::CegisResult R = cegis::ConcurrentCegis(*P, Cfg).run();
+  ASSERT_TRUE(R.Stats.Resolvable);
+  ASSERT_GT(R.Stats.ClauseCount, 0u);
+  double BytesPerClause = static_cast<double>(R.Stats.SynthBytes) /
+                          static_cast<double>(R.Stats.ClauseCount);
+  EXPECT_LE(BytesPerClause, 90.0)
+      << R.Stats.SynthBytes << " bytes over " << R.Stats.ClauseCount
+      << " clauses";
+}
+
 TEST(Suite, RegistryIsComplete) {
   auto All = paperSuite();
   EXPECT_EQ(All.size(), 26u); // every Figure 9 row

@@ -8,6 +8,7 @@
 #include "circuit/BitVec.h"
 #include "circuit/CnfBuilder.h"
 #include "circuit/Graph.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -344,4 +345,42 @@ TEST(Graph, HashConsingScalesAcrossRepeatedCones) {
   for (int I = 0; I < 10; ++I)
     (void)bvAdd(G, A, B);
   EXPECT_EQ(G.numNodes(), After);
+}
+
+TEST(Graph, TagCollisionsDedupExactly) {
+  // A hash slot keeps only the high 32 bits of the operand pair's mix64.
+  // These two pairs (found by search) agree in those bits and in the
+  // home slot of the first, 1024-slot table, so the second probes
+  // through the first's slot: only its operands tell the two apart.
+  Graph G;
+  for (int I = 0; I < 1600; ++I)
+    G.mkInput("x" + std::to_string(I));
+  const NodeRef A1 = NodeRef::fromCode(721), B1 = NodeRef::fromCode(1899);
+  const NodeRef A2 = NodeRef::fromCode(2661), B2 = NodeRef::fromCode(3063);
+  auto HashOf = [](NodeRef A, NodeRef B) {
+    return mix64(static_cast<uint64_t>(A.code()) << 32 |
+                 static_cast<uint32_t>(B.code()));
+  };
+  ASSERT_EQ(HashOf(A1, B1) >> 32, HashOf(A2, B2) >> 32) << "same tag";
+  ASSERT_EQ(HashOf(A1, B1) & 1023, HashOf(A2, B2) & 1023) << "same home";
+
+  NodeRef N1 = G.mkAnd(A1, B1), N2 = G.mkAnd(A2, B2);
+  EXPECT_NE(N1, N2);
+  EXPECT_EQ(G.operandA(N2), A2);
+  EXPECT_EQ(G.operandB(N2), B2);
+  EXPECT_EQ(G.mkAnd(B1, A1), N1);
+  EXPECT_EQ(G.mkAnd(A2, B2), N2);
+
+  // 600 more gates pass half of 1024 slots, so the hash grows and every
+  // slot is placed anew from its node's operands.
+  for (uint32_t I = 1; I <= 600; ++I)
+    G.mkAnd(NodeRef::make(I, false), NodeRef::make(I + 1, true));
+  size_t Nodes = G.numNodes();
+  EXPECT_EQ(Nodes, 1u + 1600u + 2u + 600u);
+  EXPECT_EQ(G.mkAnd(A1, B1), N1);
+  EXPECT_EQ(G.mkAnd(B2, A2), N2);
+  for (uint32_t I = 1; I <= 600; ++I)
+    EXPECT_EQ(G.mkAnd(NodeRef::make(I + 1, true), NodeRef::make(I, false)),
+              NodeRef::make(1600 + 2 + I, false));
+  EXPECT_EQ(G.numNodes(), Nodes);
 }

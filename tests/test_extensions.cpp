@@ -194,15 +194,13 @@ TEST(Enumerate, UnresolvableSketchYieldsNoSolutions) {
 // Enumeration runs the concurrent loop with its verify step, so up to the
 // first solution it follows ConcurrentCegis under the same config: same
 // candidate, verifier calls, states, learnt traces (gates and clauses)
-// and per-solve search. The solver runs from scratch: with warm start on,
-// enumeration opens its exclusion scope before the first solve, and the
-// scope's activation variable and assumption make a different SAT
-// instance, whose search may pick another first candidate.
+// and per-solve search, under the default (warm-started) solver:
+// enumeration opens its exclusion scope only at its first exclusion, so
+// no activation variable or assumption enters the instance before then.
 TEST(Enumerate, FirstSolutionFollowsConcurrentLoop) {
   cegis::CegisConfig Cfg;
   Cfg.Prescreen = false;
   Cfg.AbsInt = false;
-  Cfg.SolverWarmStart = false;
   for (const char *Family : {"fineset1", "dinphilo"}) {
     SuiteEntry Row = paperSuite(Family).front();
     std::string Tag = Row.Sketch + " " + Row.Test;

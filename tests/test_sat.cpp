@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 using namespace psketch;
 using namespace psketch::sat;
 
@@ -584,4 +587,175 @@ TEST(Solver, AssumptionsDoNotPollute) {
   EXPECT_TRUE(S.solve());
   EXPECT_TRUE(S.solve({neg(A)}));
   EXPECT_EQ(S.modelValue(B), LBool::True);
+}
+
+TEST(SatSolver, RewatchIntoGrowingListsKeepsScanValid) {
+  // Assuming ~x makes propagation scan the watch list of every clause
+  // (x | z_i | r_i). Each clause finds r_i as its new watch and is pushed
+  // onto ~r_i's list while the scan still holds pointers into x's. Four
+  // fifths of the clauses share four targets t_0..t_3, whose lists grow
+  // through every slot size up to blocks of their own; the rest watch a
+  // fresh w_i each, so new pages are carved as the scan runs.
+  const int Shared = 4 * 6000, Own = 6000;
+  struct Vars {
+    Var X;
+    std::vector<Var> Z, T, W;
+  };
+  auto Build = [&](Solver &S, ClauseList &Added) {
+    Vars Vs;
+    Var X = Vs.X = S.newVar();
+    std::vector<Var> &Z = Vs.Z, &T = Vs.T, &W = Vs.W;
+    for (int I = 0; I < Shared + Own; ++I)
+      Z.push_back(S.newVar());
+    for (int J = 0; J < 4; ++J)
+      T.push_back(S.newVar());
+    for (int I = 0; I < Own; ++I)
+      W.push_back(S.newVar());
+    // Literals are sorted on the way in, so x and z_i take the watches.
+    for (int I = 0; I < Shared + Own; ++I) {
+      Lit R = I < Shared ? pos(T[I % 4]) : pos(W[I - Shared]);
+      Added.push_back({pos(X), pos(Z[I]), R});
+      S.addClause(Added.back());
+    }
+    return Vs;
+  };
+
+  Solver S;
+  ClauseList Added;
+  const Vars Vs = Build(S, Added);
+  const Var X = Vs.X;
+  const std::vector<Var> &Z = Vs.Z, &T = Vs.T, &W = Vs.W;
+  size_t BytesBefore = S.memoryBytes();
+  ASSERT_TRUE(S.solve({neg(X)}));
+  EXPECT_TRUE(modelSatisfies(S, Added));
+  EXPECT_GT(S.memoryBytes(), BytesBefore + (Shared + Own) * size_t(8))
+      << "the scan did not rewatch the clauses";
+
+  // The lists the scan rebuilt answer like those of a solver that never
+  // ran it.
+  Solver Fresh;
+  ClauseList FreshAdded;
+  Build(Fresh, FreshAdded);
+  std::vector<Lit> AllTFalse = {neg(X), neg(T[0]), neg(T[1]), neg(T[2]),
+                                neg(T[3])};
+  for (Solver *Each : {&S, &Fresh}) {
+    ASSERT_TRUE(Each->solve(AllTFalse));
+    for (int I = 0; I < Shared; ++I)
+      ASSERT_EQ(Each->modelValue(Z[I]), LBool::True) << "z_" << I;
+    EXPECT_FALSE(Each->solve({neg(X), neg(T[1]), neg(Z[5])}));
+    EXPECT_FALSE(Each->solve({neg(X), neg(Z[Shared + 7]), neg(W[7])}));
+    EXPECT_TRUE(Each->solve({neg(X), neg(Z[Shared + 7])}));
+  }
+  EXPECT_TRUE(modelSatisfies(S, Added));
+}
+
+TEST(SatSolver, TrajectoryUnchangedOnFixedInstances) {
+  // Seeded instances solved incrementally, warm and cold, with the work
+  // pinned. The counters are the solver's before its watch lists moved
+  // into a pooled store; any change to the order in which watchers are
+  // pushed, compacted, removed or forwarded moves them. Root facts arrive
+  // between solves, so satisfied clauses are detached as well.
+  struct Work {
+    uint64_t Conflicts, Decisions, Propagations;
+    const char *Verdicts;
+  };
+  auto Solve = [](Solver &S, const std::vector<Lit> &Assume, std::string &V) {
+    V += S.solve(Assume) ? 'S' : 'U';
+  };
+
+  // Random 3-CNF near the threshold, in rounds; each round is followed
+  // by an assumption solve on three random literals and a plain solve.
+  auto Random3Cnf = [&](uint64_t Seed, bool Warm, std::string &V) {
+    Rng R(Seed);
+    const int Vars = 90;
+    Solver S;
+    S.setWarmStart(Warm);
+    S.setInprocessCadence(1);
+    for (int I = 0; I < Vars; ++I)
+      S.newVar();
+    auto AnyLit = [&]() {
+      return Lit(static_cast<Var>(R.below(Vars)), R.below(2) != 0);
+    };
+    for (int Round = 0; Round < 10; ++Round) {
+      for (int C = 0; C < 39; ++C)
+        S.addClause({AnyLit(), AnyLit(), AnyLit()});
+      Solve(S, {AnyLit(), AnyLit(), AnyLit()}, V);
+      Solve(S, {}, V);
+      // A root fact satisfies clauses, which the next solve (cold) or
+      // inprocessing pass (warm) detaches.
+      if (Round % 3 == 2)
+        S.addClause(AnyLit());
+    }
+    return S.stats();
+  };
+
+  // Tseitin parity formulas on a random graph of degree about 4: one
+  // variable per edge, and at each vertex the incident edges' XOR equals
+  // the vertex's charge. The charges sum to odd, so the formula is
+  // unsatisfiable once every vertex is in. Vertices arrive one per round.
+  auto Tseitin = [&](uint64_t Seed, bool Warm, std::string &V) {
+    Rng R(Seed);
+    const int Vertices = 16;
+    std::vector<std::vector<Var>> Incident(Vertices);
+    Solver S;
+    S.setWarmStart(Warm);
+    S.setInprocessCadence(1);
+    for (int U = 0; U < Vertices; ++U) { // a ring keeps it connected
+      Var E = S.newVar();
+      Incident[U].push_back(E);
+      Incident[(U + 1) % Vertices].push_back(E);
+    }
+    for (int K = 0; K < Vertices; ++K) {
+      int U = static_cast<int>(R.below(Vertices));
+      int W = static_cast<int>(R.below(Vertices));
+      if (U == W || Incident[U].size() >= 5 || Incident[W].size() >= 5)
+        continue;
+      Var E = S.newVar();
+      Incident[U].push_back(E);
+      Incident[W].push_back(E);
+    }
+    for (int U = 0; U < Vertices; ++U) {
+      bool Charge = U == 0;
+      const std::vector<Var> &Es = Incident[U];
+      // Forbid every assignment of the wrong parity: one clause each.
+      for (uint32_t Mask = 0; Mask < (1u << Es.size()); ++Mask) {
+        if ((std::popcount(Mask) % 2 == 1) == Charge)
+          continue;
+        std::vector<Lit> Clause;
+        for (size_t I = 0; I < Es.size(); ++I)
+          Clause.push_back(Lit(Es[I], ((Mask >> I) & 1) != 0));
+        S.addClause(Clause);
+      }
+      Solve(S, {Lit(Es[0], R.below(2) != 0)}, V);
+      Solve(S, {}, V);
+      if (U % 4 == 3) // a root fact, as in the 3-CNF rounds
+        S.addClause(Lit(Es.back(), R.below(2) != 0));
+    }
+    return S.stats();
+  };
+
+  const Work Expected[2][4] = {
+      // Cold: 3-CNF seeds 3 and 4, Tseitin seeds 5 and 6.
+      {{129, 907, 5466, "SSSSSSSSSSSSSSSSUUUU"},
+       {9, 843, 1584, "SSSSSSSSSSSSSSUSUSUU"},
+       {587, 1252, 6802, "SSSSSSSSSSSSSSSSSSSSSSSSSSSSSSUU"},
+       {315, 1045, 3568, "SSSSSSSSSSSSSSSSSSSSSSSSSSSSSSUU"}},
+      // Warm.
+      {{138, 879, 8298, "SSSSSSSSSSSSSSSSUUUU"},
+       {15, 913, 1978, "SSSSSSSSSSSSSSUSUSUU"},
+       {299, 987, 4411, "SSSSSSSSSSSSSSSSSSSSSSSSSSSSSSUU"},
+       {379, 1068, 5357, "SSSSSSSSSSSSSSSSSSSSSSSSSSSSSSUU"}},
+  };
+  for (bool Warm : {false, true})
+    for (int I = 0; I < 4; ++I) {
+      std::string V;
+      SolverStats Got = I < 2 ? Random3Cnf(3 + I, Warm, V)
+                              : Tseitin(3 + I, Warm, V);
+      const Work &E = Expected[Warm][I];
+      EXPECT_EQ(Got.Conflicts, E.Conflicts) << "warm=" << Warm << " #" << I;
+      EXPECT_EQ(Got.Decisions, E.Decisions) << "warm=" << Warm << " #" << I;
+      EXPECT_EQ(Got.Propagations, E.Propagations)
+          << "warm=" << Warm << " #" << I;
+      EXPECT_EQ(V, E.Verdicts) << "warm=" << Warm << " #" << I;
+    }
 }
